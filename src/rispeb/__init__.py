@@ -28,8 +28,6 @@ from .channel import (
     gain_reflector,
     gain_ris,
     gain_scatter,
-    steering_bs_to_ris,
-    steering_ris_to_ue,
 )
 from .config import (
     ConfigError,
@@ -59,14 +57,9 @@ from .geometry import (
     ScatterDescriptor,
     Scene,
     incidence_point,
-    los_delay,
-    reflector_delay,
     ris_angles,
     ris_center,
-    ris_delay,
-    scatter_delay,
     scatter_position,
-    unit_direction,
     virtual_anchor,
 )
 from .sweep import (

@@ -127,30 +127,44 @@ def feasible_activations(ris_count: int, constraints: SelectionConstraints):
         yield bits
 
 
-def select_ris(scene: Scene, x_hat, cfg: WaveformConfig,
-               constraints: SelectionConstraints) -> tuple[Allocation, PebValue]:
-    """Exhaustive activation search minimizing the full-FIM bound at x_hat.
+def _search(scene: Scene, points, cfg: WaveformConfig,
+            constraints: SelectionConstraints, score):
+    """Exhaustive activation search over the feasible patterns.
 
-    Ties are broken toward the lexicographically smallest bit vector, then
-    the fewest activations. Inactive RIS stay in the channel while scoring.
+    Each pattern is scored point by point with phases optimal for that
+    point; score maps the per-point PebValues to one number. Ties are
+    broken toward the lexicographically smallest bit vector, then the
+    fewest activations. Inactive RIS stay in the channel while scoring.
+    Returns ((score, bits, active count), per-point allocations,
+    per-point values) of the best pattern.
     """
     ris_count = len(scene.ris)
     if ris_count > MAX_EXHAUSTIVE_RIS:
         raise ValueError(
             f"exhaustive search budget exceeded: {ris_count} RIS > {MAX_EXHAUSTIVE_RIS}"
         )
-    p = _as_point(x_hat)
-    best_key = None
-    best: tuple[Allocation, PebValue] | None = None
+    best = None
     for bits in feasible_activations(ris_count, constraints):
-        allocation = build_allocation(scene, p, cfg, bits)
-        paths = build_pathset(scene, allocation, p, cfg, "ris")
-        value = peb(fim_total(paths, cfg))
-        key = (value.value, bits, sum(bits))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (allocation, value)
+        allocations, values = [], []
+        for point in points:
+            allocation = build_allocation(scene, point, cfg, bits)
+            paths = build_pathset(scene, allocation, point, cfg, "ris")
+            allocations.append(allocation)
+            values.append(peb(fim_total(paths, cfg)))
+        key = (score(values), bits, sum(bits))
+        if best is None or key < best[0]:
+            best = (key, allocations, values)
     return best
+
+
+def select_ris(scene: Scene, x_hat, cfg: WaveformConfig,
+               constraints: SelectionConstraints) -> tuple[Allocation, PebValue]:
+    """Exhaustive activation search minimizing the full-FIM bound at x_hat,
+    with phases optimal for x_hat; ties go to the lexicographically
+    smallest bit vector."""
+    _, (allocation,), (value,) = _search(
+        scene, [_as_point(x_hat)], cfg, constraints, lambda values: values[0].value)
+    return allocation, value
 
 
 def robust_select(scene: Scene, samples, cfg: WaveformConfig,
@@ -170,27 +184,12 @@ def robust_select(scene: Scene, samples, cfg: WaveformConfig,
     points = [_as_point(s) for s in samples]
     if not points:
         raise ValueError("robust selection needs at least one sample")
-    ris_count = len(scene.ris)
-    if ris_count > MAX_EXHAUSTIVE_RIS:
-        raise ValueError(
-            f"exhaustive search budget exceeded: {ris_count} RIS > {MAX_EXHAUSTIVE_RIS}"
-        )
-    best_key = None
-    best: tuple[tuple[int, ...], float] | None = None
-    for bits in feasible_activations(ris_count, constraints):
-        values = []
-        for point in points:
-            allocation = build_allocation(scene, point, cfg, bits)
-            paths = build_pathset(scene, allocation, point, cfg, "ris")
-            values.append(peb(fim_total(paths, cfg)).value)
-        if objective == "worst_case":
-            score = max(values)
-        else:
-            score = sum(min(v, constraints.peb_cap) for v in values) / len(values)
-        key = (score, bits, sum(bits))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = (bits, score)
-    bits, score = best
+    if objective == "worst_case":
+        def score(values):
+            return max(v.value for v in values)
+    else:
+        def score(values):
+            return sum(min(v.value, constraints.peb_cap) for v in values) / len(values)
+    (value, bits, _), _, _ = _search(scene, points, cfg, constraints, score)
     centroid = np.mean(points, axis=0)
-    return build_allocation(scene, centroid, cfg, bits), score
+    return build_allocation(scene, centroid, cfg, bits), value

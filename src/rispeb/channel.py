@@ -96,34 +96,6 @@ def _make_path(kind: str, index: int | None, anchor: np.ndarray, fixed_leg: floa
     )
 
 
-def steering_bs_to_ris(theta: float, element_count: int) -> np.ndarray:
-    """Arrival response of the half-wavelength ULA: exp(j*pi*m*sin(theta)).
-
-    Only its sign relative to steering_ris_to_ue is physical; see there.
-    """
-    m = np.arange(element_count)
-    return np.exp(1j * math.pi * math.sin(theta) * m)
-
-
-def steering_ris_to_ue(psi: float, element_count: int) -> np.ndarray:
-    """Departure response of the half-wavelength ULA: exp(-j*pi*m*sin(psi)).
-
-    Element m sits m half-wavelengths toward +x, which lengthens the
-    incoming leg by m*(lambda/2)*sin(theta) but shortens the outgoing leg
-    by m*(lambda/2)*sin(psi), so the two responses carry opposite signs
-    and the zero-phase surface reflects specularly (psi = theta). That
-    relative sign alone sets every cascade magnitude. The common sign and
-    the reference do not follow the carrier: under exp(-j*2*pi*f_c*tau) a
-    longer leg gives exp(-j*pi*m*sin(theta)), so the pair is the complex
-    conjugate of the physical one, and it is referenced to element 0
-    rather than to the array center where tau is measured. This changes
-    only the phase of a cascade that is not aligned: an inactive RIS, or
-    an active one seen away from its design point.
-    """
-    m = np.arange(element_count)
-    return np.exp(-1j * math.pi * math.sin(psi) * m)
-
-
 def gain_los(x, cfg: WaveformConfig) -> complex:
     """Free-space LOS gain with carrier phase: magnitude lambda/(4*pi*||x||)."""
     p = _as_point(x)
@@ -145,6 +117,20 @@ def gain_ris(scene: Scene, k: int, phases: np.ndarray, x, cfg: WaveformConfig) -
     reradiate along itself. The element sum h^T diag(exp(j*phases)) g is
     evaluated directly; its magnitude is bounded by the element count M
     and reaches M exactly when the profile cancels the steering phases.
+
+    The arrival response is h_m = exp(j*pi*m*sin(theta)), the departure
+    response g_m = exp(-j*pi*m*sin(psi)). Element m sits m half-wavelengths
+    toward +x, which lengthens the incoming leg by m*(lambda/2)*sin(theta)
+    but shortens the outgoing leg by m*(lambda/2)*sin(psi), so the two
+    carry opposite signs and the zero-phase surface reflects specularly
+    (psi = theta). That relative sign alone sets every cascade magnitude.
+    The common sign and the reference do not follow the carrier: under
+    exp(-j*2*pi*f_c*tau) a longer leg gives exp(-j*pi*m*sin(theta)), so
+    the pair is the complex conjugate of the physical one, and it is
+    referenced to element 0 rather than to the array center where tau is
+    measured. This changes only the phase of a cascade that is not
+    aligned: an inactive RIS, or an active one seen away from its design
+    point.
     """
     p = _as_point(x)
     descriptor = scene.ris[k]
@@ -155,8 +141,9 @@ def gain_ris(scene: Scene, k: int, phases: np.ndarray, x, cfg: WaveformConfig) -
     leg_in = math.hypot(center[0], center[1])
     leg_out = _separation(p, center, f"RIS {k} center")
     theta, psi = ris_angles(scene, k, p)
-    h = steering_bs_to_ris(theta, descriptor.element_count)
-    g = steering_ris_to_ue(psi, descriptor.element_count)
+    m = np.arange(descriptor.element_count)
+    h = np.exp(1j * math.pi * math.sin(theta) * m)
+    g = np.exp(-1j * math.pi * math.sin(psi) * m)
     triple = np.sum(h * np.exp(1j * profile) * g)
     tau = (leg_in + leg_out) / SPEED_OF_LIGHT
     carrier = cmath.exp(-2j * math.pi * cfg.carrier_hz * tau)

@@ -123,7 +123,7 @@ def cmd_sweep(config: RunConfig) -> int:
 def _check_phase_gain(scene, cfg, rng):
     """optimal_phases against a steering pair written out here, with the
     arrival and departure phases of opposite sign (the specular
-    convention of channel.steering_ris_to_ue)."""
+    convention of channel.gain_ris)."""
     worst = 0.0
     m = max(r.element_count for r in scene.ris) if scene.ris else 100
     steering = np.arange(m)

@@ -27,31 +27,6 @@ class ConfigError(ValueError):
     """Invalid, missing, or unknown configuration content."""
 
 
-_SCHEMA = {
-    "scene": {
-        "required": ("wall_offset_m", "ris_centers_x_m", "ris_elements"),
-        "optional": ("reflector_h1_m", "reflector_h2_m", "reflector_gamma",
-                     "scatter_x_m", "scatter_rcs_m2"),
-    },
-    "waveform": {
-        "required": ("carrier_hz", "bandwidth_hz", "subcarrier_count",
-                     "power_dbm", "noise_figure_db"),
-        "optional": (),
-    },
-    "grid": {
-        "required": ("x_min_m", "x_max_m", "y_min_m", "y_max_m", "nx", "ny"),
-        "optional": (),
-    },
-    "run": {
-        "required": ("mode", "k_bar", "peb_cap_m", "workers", "out_dir"),
-        "optional": (),
-    },
-}
-
-_REFLECTOR_KEYS = ("reflector_h1_m", "reflector_h2_m", "reflector_gamma")
-_SCATTER_KEYS = ("scatter_x_m", "scatter_rcs_m2")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Complete description of one run: scene, waveform, grid, and task.
@@ -152,47 +127,54 @@ def _parse_float_list(raw: str, where: str) -> tuple[float, ...]:
     return tuple(_parse_float(item, where) for item in items if item)
 
 
-class _Section:
-    def __init__(self, parser: configparser.ConfigParser, name: str, source: str):
-        self.name = name
-        self.source = source
-        if not parser.has_section(name):
-            raise ConfigError(f"{source}: missing section [{name}]")
-        self.items = dict(parser.items(name))
-        known = set(_SCHEMA[name]["required"]) | set(_SCHEMA[name]["optional"])
-        for key in self.items:
-            if key not in known:
-                raise ConfigError(f"{source}: unknown key {name}.{key}")
-        for key in _SCHEMA[name]["required"]:
-            if key not in self.items:
-                raise ConfigError(f"{source}: missing key {name}.{key}")
-
-    def where(self, key: str) -> str:
-        return f"{self.source}: {self.name}.{key}"
-
-    def raw(self, key: str) -> str | None:
-        return self.items.get(key)
-
-    def floatval(self, key: str) -> float:
-        return _parse_float(self.items[key], self.where(key))
-
-    def intval(self, key: str) -> int:
-        return _parse_int(self.items[key], self.where(key))
-
-    def opt_float(self, key: str) -> float | None:
-        raw = self.items.get(key)
-        return None if raw is None else _parse_float(raw, self.where(key))
+def _parse_mode(raw: str, where: str) -> str:
+    mode = raw.strip()
+    if mode not in MODES:
+        raise ConfigError(f"{where}: expected one of {', '.join(MODES)}, got {mode!r}")
+    return mode
 
 
-def _optional_group(section: _Section, keys) -> bool:
-    present = [key for key in keys if section.raw(key) is not None]
-    if present and len(present) != len(keys):
-        missing = ", ".join(sorted(set(keys) - set(present)))
-        raise ConfigError(
-            f"{section.source}: section [{section.name}] sets {present[0]} "
-            f"but not {missing}"
-        )
-    return bool(present)
+def _parse_text(raw: str, where: str) -> str:
+    return raw.strip()
+
+
+# Every key of every section in file order, with its parser and, for keys
+# that may be left out, the optional group they belong to: a group is set
+# entirely or not at all.
+_SCHEMA = {
+    "scene": (
+        ("wall_offset_m", _parse_float, None),
+        ("ris_centers_x_m", _parse_float_list, None),
+        ("ris_elements", _parse_int, None),
+        ("reflector_h1_m", _parse_float, "reflector"),
+        ("reflector_h2_m", _parse_float, "reflector"),
+        ("reflector_gamma", _parse_float, "reflector"),
+        ("scatter_x_m", _parse_float, "scatter"),
+        ("scatter_rcs_m2", _parse_float, "scatter"),
+    ),
+    "waveform": (
+        ("carrier_hz", _parse_float, None),
+        ("bandwidth_hz", _parse_float, None),
+        ("subcarrier_count", _parse_int, None),
+        ("power_dbm", _parse_float, None),
+        ("noise_figure_db", _parse_float, None),
+    ),
+    "grid": (
+        ("x_min_m", _parse_float, None),
+        ("x_max_m", _parse_float, None),
+        ("y_min_m", _parse_float, None),
+        ("y_max_m", _parse_float, None),
+        ("nx", _parse_int, None),
+        ("ny", _parse_int, None),
+    ),
+    "run": (
+        ("mode", _parse_mode, None),
+        ("k_bar", _parse_int, None),
+        ("peb_cap_m", _parse_float, None),
+        ("workers", _parse_int, None),
+        ("out_dir", _parse_text, None),
+    ),
+}
 
 
 def loads_config(text: str, source: str = "<string>") -> RunConfig:
@@ -204,49 +186,33 @@ def loads_config(text: str, source: str = "<string>") -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
 
-    scene_sec = _Section(parser, "scene", source)
-    wave_sec = _Section(parser, "waveform", source)
-    grid_sec = _Section(parser, "grid", source)
-    run_sec = _Section(parser, "run", source)
+    sections = {}
+    for name, fields in _SCHEMA.items():
+        if not parser.has_section(name):
+            raise ConfigError(f"{source}: missing section [{name}]")
+        items = sections[name] = dict(parser.items(name))
+        known = [key for key, _, _ in fields]
+        for key in items:
+            if key not in known:
+                raise ConfigError(f"{source}: unknown key {name}.{key}")
+        groups = {}
+        for key, _, group in fields:
+            if group is None and key not in items:
+                raise ConfigError(f"{source}: missing key {name}.{key}")
+            if group is not None:
+                groups.setdefault(group, []).append(key)
+        for keys in groups.values():
+            present = [key for key in keys if key in items]
+            if present and present != keys:
+                missing = ", ".join(sorted(set(keys) - set(present)))
+                raise ConfigError(f"{source}: section [{name}] sets "
+                                  f"{present[0]} but not {missing}")
 
-    has_reflector = _optional_group(scene_sec, _REFLECTOR_KEYS)
-    has_scatter = _optional_group(scene_sec, _SCATTER_KEYS)
-
-    mode = run_sec.items["mode"].strip()
-    if mode not in MODES:
-        raise ConfigError(
-            f"{run_sec.where('mode')}: expected one of {', '.join(MODES)}, "
-            f"got {mode!r}"
-        )
-
-    config = RunConfig(
-        wall_offset_m=scene_sec.floatval("wall_offset_m"),
-        ris_centers_x_m=_parse_float_list(
-            scene_sec.items["ris_centers_x_m"],
-            scene_sec.where("ris_centers_x_m")),
-        ris_elements=scene_sec.intval("ris_elements"),
-        reflector_h1_m=scene_sec.opt_float("reflector_h1_m") if has_reflector else None,
-        reflector_h2_m=scene_sec.opt_float("reflector_h2_m") if has_reflector else None,
-        reflector_gamma=scene_sec.opt_float("reflector_gamma") if has_reflector else None,
-        scatter_x_m=scene_sec.opt_float("scatter_x_m") if has_scatter else None,
-        scatter_rcs_m2=scene_sec.opt_float("scatter_rcs_m2") if has_scatter else None,
-        carrier_hz=wave_sec.floatval("carrier_hz"),
-        bandwidth_hz=wave_sec.floatval("bandwidth_hz"),
-        subcarrier_count=wave_sec.intval("subcarrier_count"),
-        power_dbm=wave_sec.floatval("power_dbm"),
-        noise_figure_db=wave_sec.floatval("noise_figure_db"),
-        x_min_m=grid_sec.floatval("x_min_m"),
-        x_max_m=grid_sec.floatval("x_max_m"),
-        y_min_m=grid_sec.floatval("y_min_m"),
-        y_max_m=grid_sec.floatval("y_max_m"),
-        nx=grid_sec.intval("nx"),
-        ny=grid_sec.intval("ny"),
-        mode=mode,
-        k_bar=run_sec.intval("k_bar"),
-        peb_cap_m=run_sec.floatval("peb_cap_m"),
-        workers=run_sec.intval("workers"),
-        out_dir=run_sec.items["out_dir"].strip(),
-    )
+    config = RunConfig(**{
+        key: parse(sections[name][key], f"{source}: {name}.{key}")
+        if key in sections[name] else None
+        for name, fields in _SCHEMA.items() for key, parse, _ in fields
+    })
     _validate(config, source)
     return config
 
@@ -282,38 +248,26 @@ def default_config() -> RunConfig:
 
 
 def _fmt_value(value) -> str:
+    if isinstance(value, tuple):
+        return ", ".join(repr(item) for item in value)
     if isinstance(value, float):
         return repr(value)
     return str(value)
 
 
 def dumps_config(config: RunConfig) -> str:
-    """Render a config as text that reparses to an identical RunConfig."""
-    lines = ["[scene]"]
-    lines.append(f"wall_offset_m = {config.wall_offset_m!r}")
-    centers = ", ".join(repr(c) for c in config.ris_centers_x_m)
-    lines.append(f"ris_centers_x_m = {centers}")
-    lines.append(f"ris_elements = {config.ris_elements}")
-    if config.reflector_gamma is not None:
-        lines.append(f"reflector_h1_m = {config.reflector_h1_m!r}")
-        lines.append(f"reflector_h2_m = {config.reflector_h2_m!r}")
-        lines.append(f"reflector_gamma = {config.reflector_gamma!r}")
-    if config.scatter_rcs_m2 is not None:
-        lines.append(f"scatter_x_m = {config.scatter_x_m!r}")
-        lines.append(f"scatter_rcs_m2 = {config.scatter_rcs_m2!r}")
-    lines.append("")
-    lines.append("[waveform]")
-    for key in _SCHEMA["waveform"]["required"]:
-        lines.append(f"{key} = {_fmt_value(getattr(config, key))}")
-    lines.append("")
-    lines.append("[grid]")
-    for key in _SCHEMA["grid"]["required"]:
-        lines.append(f"{key} = {_fmt_value(getattr(config, key))}")
-    lines.append("")
-    lines.append("[run]")
-    for key in _SCHEMA["run"]["required"]:
-        lines.append(f"{key} = {_fmt_value(getattr(config, key))}")
-    lines.append("")
+    """Render a config as text that reparses to an identical RunConfig.
+
+    Keys of an optional group that is not set are left out.
+    """
+    lines = []
+    for name, fields in _SCHEMA.items():
+        lines.append(f"[{name}]")
+        for key, _, _ in fields:
+            value = getattr(config, key)
+            if value is not None:
+                lines.append(f"{key} = {_fmt_value(value)}")
+        lines.append("")
     return "\n".join(lines)
 
 

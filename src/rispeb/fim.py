@@ -22,7 +22,13 @@ import numpy as np
 
 from .channel import PathSet
 from .geometry import SPEED_OF_LIGHT
-from .waveform import WaveformConfig, delay_kernel, delay_kernel_peak
+from .waveform import (
+    WaveformConfig,
+    delay_kernel,
+    delay_kernel_peak,
+    delay_resolution,
+    unambiguous_range,
+)
 
 # A 2x2 information matrix with a condition number beyond this is treated
 # as rank-deficient: the weak direction carries no usable information.
@@ -110,9 +116,19 @@ def count_resolvable_paths(paths: PathSet, cfg: WaveformConfig) -> int:
     of clusters is merged repeatedly (cluster delay = mean of its member
     delays) until every pair is at least 1/W apart. Zero-gain paths (a
     missed reflector) do not exist in the channel and are not counted.
+
+    The delay kernel repeats every (N+1)/W, so delays that span more than
+    (N+1)/W - 1/W may alias onto each other: such path sets raise
+    ValueError instead of being counted.
     """
     limit = 1.0 / cfg.bandwidth_hz
     clusters = [(p.tau, 1) for p in paths if p.alpha != 0]
+    taus = [tau for tau, _ in clusters]
+    span = (max(taus) - min(taus)) * SPEED_OF_LIGHT if taus else 0.0
+    allowed = unambiguous_range(cfg) - delay_resolution(cfg)
+    if span > allowed:
+        raise ValueError(f"path lengths span {span:.6g} m, more than the "
+                         f"{allowed:.6g} m the delay kernel separates without aliasing")
     while len(clusters) > 1:
         best = None
         for i in range(len(clusters)):

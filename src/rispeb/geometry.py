@@ -3,9 +3,9 @@
 The base station (BS) sits at the origin of a 2D plane. A wall parallel to
 the x-axis at height y = L carries every reradiating object: the RIS arrays,
 an optional specular reflector segment, and an optional point scatterer.
-Users live strictly below the wall (y < L). Everything downstream (channel
-gains, Fisher information) consumes delays, angles, and unit direction
-vectors computed here.
+Users live strictly below the wall (y < L). This module places the anchors
+and gives the RIS angles and the mirror hit test; channel builds each
+path's delay and direction from an anchor point.
 """
 
 from __future__ import annotations
@@ -133,21 +133,6 @@ def scatter_position(scene: Scene) -> np.ndarray:
     return np.array([scene.scatterer.x, scene.wall_offset])
 
 
-def los_delay(x) -> float:
-    """One-way BS-to-user delay ||x|| / c."""
-    p = _as_point(x)
-    return _separation(p, BS_POSITION, "the BS") / SPEED_OF_LIGHT
-
-
-def ris_delay(scene: Scene, k: int, x) -> float:
-    """Two-leg delay via RIS k: (||x_k|| + ||x_k - x||) / c."""
-    p = _as_point(x)
-    center = ris_center(scene, k)
-    leg_in = math.hypot(center[0], center[1])
-    leg_out = _separation(p, center, f"RIS {k} center")
-    return (leg_in + leg_out) / SPEED_OF_LIGHT
-
-
 def ris_angles(scene: Scene, k: int, x) -> tuple[float, float]:
     """Arrival and departure angles (theta_k, psi_k) at RIS k.
 
@@ -163,14 +148,6 @@ def ris_angles(scene: Scene, k: int, x) -> tuple[float, float]:
     theta = math.atan2(center[0] - BS_POSITION[0], center[1] - BS_POSITION[1])
     psi = math.atan2(p[0] - center[0], center[1] - p[1])
     return theta, psi
-
-
-def unit_direction(source, x) -> np.ndarray:
-    """Unit vector from source to x; information flows to the user along it."""
-    s = _as_point(source)
-    p = _as_point(x)
-    d = _separation(p, s, "the source point")
-    return (p - s) / d
 
 
 def virtual_anchor(scene: Scene) -> np.ndarray:
@@ -196,19 +173,3 @@ def incidence_point(scene: Scene, x) -> tuple[np.ndarray | None, int]:
     if scene.reflector.h1 <= crossing_x <= scene.reflector.h2:
         return np.array([crossing_x, wall]), 1
     return None, 0
-
-
-def reflector_delay(scene: Scene, x) -> float:
-    """Reflected-path delay ||x_VA - x|| / c, defined regardless of the hit test."""
-    anchor = virtual_anchor(scene)
-    p = _as_point(x)
-    return _separation(p, anchor, "the virtual anchor") / SPEED_OF_LIGHT
-
-
-def scatter_delay(scene: Scene, x) -> float:
-    """Two-leg delay via the scatterer: (||s|| + ||s - x||) / c."""
-    p = _as_point(x)
-    s = scatter_position(scene)
-    leg_in = math.hypot(s[0], s[1])
-    leg_out = _separation(p, s, "the scatterer")
-    return (leg_in + leg_out) / SPEED_OF_LIGHT

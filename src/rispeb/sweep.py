@@ -9,6 +9,7 @@ and parallel runs emit identical bytes.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 
 from .allocation import SelectionConstraints, build_allocation, select_ris
 from .channel import MODES, build_pathset
-from .fim import count_resolvable_paths, fim_direct, fim_total, peb
+from .fim import count_resolvable_paths, fim_total, peb
 from .geometry import DegeneratePositionError, Scene
 from .waveform import WaveformConfig, delay_kernel_peak
 
@@ -128,7 +129,7 @@ class CdfResult:
         return float(self.fractions[-1]) if self.fractions.size else 0.0
 
 
-def _evaluate_cell(scene, cfg, mode, constraints, cap, direct_only, count_only, p):
+def _evaluate_cell(scene, cfg, mode, constraints, cap, count_only, p):
     """One cell: (peb, flag, resolvable path count, allocation bit string)."""
     try:
         if mode == "ris":
@@ -149,8 +150,7 @@ def _evaluate_cell(scene, cfg, mode, constraints, cap, direct_only, count_only, 
     if count <= 1:
         # One resolvable delay pins the user to a circle, not a point.
         return math.inf, FLAG_INF, count, bits
-    fim = fim_direct(paths, cfg) if direct_only else fim_total(paths, cfg)
-    value = peb(fim).value
+    value = peb(fim_total(paths, cfg)).value
     if math.isinf(value):
         return value, FLAG_INF, count, bits
     if value > cap:
@@ -158,45 +158,29 @@ def _evaluate_cell(scene, cfg, mode, constraints, cap, direct_only, count_only, 
     return value, FLAG_OK, count, bits
 
 
-def _eval_column(args):
-    scene, cfg, mode, constraints, cap, direct_only, count_only, x, ys = args
-    return [
-        _evaluate_cell(
-            scene, cfg, mode, constraints, cap, direct_only, count_only,
-            np.array([x, y]),
-        )
-        for y in ys
-    ]
-
-
-def _sweep(scene, grid, cfg, mode, constraints, cap, workers, direct_only,
+def _sweep(scene, grid, cfg, mode, constraints, cap, workers,
            count_only) -> MapResult:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if grid.y_range[1] >= scene.wall_offset:
         raise ValueError("grid must stay strictly below the wall")
+    evaluate = functools.partial(_evaluate_cell, scene, cfg, mode, constraints,
+                                 cap, count_only)
     ys = grid.ys
-    tasks = [
-        (scene, cfg, mode, constraints, cap, direct_only, count_only, float(x), ys)
-        for x in grid.xs
-    ]
+    points = (np.array([x, y]) for x in grid.xs for y in ys)
     if workers is not None and workers > 1:
+        # One column of cells per task; results come back in grid order.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            columns = list(pool.map(_eval_column, tasks))
+            cells = list(pool.map(evaluate, points, chunksize=grid.ny))
     else:
-        columns = [_eval_column(task) for task in tasks]
-    peb_values = np.empty((grid.nx, grid.ny))
-    counts = np.zeros((grid.nx, grid.ny), dtype=int)
-    flags = np.empty((grid.nx, grid.ny), dtype=object)
-    bits = np.empty((grid.nx, grid.ny), dtype=object)
-    for ix, column in enumerate(columns):
-        for iy, (value, flag, count, allocation) in enumerate(column):
-            peb_values[ix, iy] = value
-            flags[ix, iy] = flag
-            counts[ix, iy] = count
-            bits[ix, iy] = allocation
-    return MapResult(grid=grid, mode=mode, peb=peb_values, flags=flags,
-                     path_count=counts, allocation_bits=bits)
+        cells = list(map(evaluate, points))
+    values, flags, counts, bits = zip(*cells)
+    shape = (grid.nx, grid.ny)
+    return MapResult(grid=grid, mode=mode,
+                     peb=np.array(values, dtype=float).reshape(shape),
+                     flags=np.array(flags, dtype=object).reshape(shape),
+                     path_count=np.array(counts, dtype=int).reshape(shape),
+                     allocation_bits=np.array(bits, dtype=object).reshape(shape))
 
 
 def path_count_map(scene: Scene, grid: GridSpec, cfg: WaveformConfig,
@@ -204,13 +188,12 @@ def path_count_map(scene: Scene, grid: GridSpec, cfg: WaveformConfig,
     """Resolvable-path count per cell; RIS mode activates every surface
     with phases optimal for the cell."""
     return _sweep(scene, grid, cfg, mode, None, DEFAULT_PEB_CAP, workers,
-                  direct_only=False, count_only=True)
+                  count_only=True)
 
 
 def peb_map(scene: Scene, grid: GridSpec, cfg: WaveformConfig, mode: str,
             constraints: SelectionConstraints | None = None, *,
-            cap: float | None = None, workers: int | None = None,
-            direct_only: bool = False) -> MapResult:
+            cap: float | None = None, workers: int | None = None) -> MapResult:
     """Position-error-bound map.
 
     RIS mode runs the activation search per cell with the cell itself as
@@ -220,7 +203,7 @@ def peb_map(scene: Scene, grid: GridSpec, cfg: WaveformConfig, mode: str,
     if cap is None:
         cap = constraints.peb_cap if constraints is not None else DEFAULT_PEB_CAP
     return _sweep(scene, grid, cfg, mode, constraints, cap, workers,
-                  direct_only=direct_only, count_only=False)
+                  count_only=False)
 
 
 def peb_cdf(result: MapResult) -> CdfResult:

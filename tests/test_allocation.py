@@ -229,8 +229,11 @@ class TestSelect:
                      ris=tuple(RisDescriptor(0.5 * k, 4)
                                for k in range(MAX_EXHAUSTIVE_RIS + 1)),
                      ris_spacing=0.5)
+        constraints = SelectionConstraints(k_bar=1)
         with pytest.raises(ValueError, match="exhaustive"):
-            select_ris(many, X_HAT, wave, SelectionConstraints(k_bar=1))
+            select_ris(many, X_HAT, wave, constraints)
+        with pytest.raises(ValueError, match="exhaustive"):
+            robust_select(many, [X_HAT], wave, constraints)
 
 
 class TestRobustSelect:

@@ -23,8 +23,6 @@ from rispeb.channel import (
     gain_reflector,
     gain_ris,
     gain_scatter,
-    steering_bs_to_ris,
-    steering_ris_to_ue,
 )
 from rispeb.geometry import SPEED_OF_LIGHT, Scene, RisDescriptor, ris_angles
 
@@ -75,23 +73,6 @@ class TestFrozenGains:
     def test_scatter_magnitude(self, scene, wave):
         value = gain_scatter(scene, [8.0, 2.0], wave)
         assert rel(abs(value), 2.4715519644308515e-07) < 1e-12
-
-
-class TestSteering:
-    def test_bs_side_phases(self):
-        theta = 0.3
-        h = steering_bs_to_ris(theta, 8)
-        expected = np.exp(1j * math.pi * np.arange(8) * math.sin(theta))
-        assert np.allclose(h, expected, rtol=1e-15, atol=0)
-
-    def test_ue_side_phases(self):
-        psi = -0.7
-        g = steering_ris_to_ue(psi, 8)
-        expected = np.exp(-1j * math.pi * np.arange(8) * math.sin(psi))
-        assert np.allclose(g, expected, rtol=1e-15, atol=0)
-
-    def test_unit_modulus(self):
-        assert np.allclose(np.abs(steering_bs_to_ris(1.1, 64)), 1.0)
 
 
 class TestPathset:

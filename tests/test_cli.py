@@ -49,6 +49,15 @@ class TestPoint:
         assert "resolvable_paths: 1 of 2" in out
         assert "peb_m: inf" in out
 
+    def test_aliased_delays_rejected(self, capsys):
+        # At 10 GHz the two delays differ by 3.8678 m, beyond the
+        # 3.8373 m the 129-subcarrier kernel separates without aliasing.
+        code, out, err = run(capsys, "point", "3.45", "7.95",
+                             "--mode", "reflector", "--bandwidth", "1e10")
+        assert code == 2
+        assert out == ""
+        assert "aliasing" in err
+
     def test_base_station_position_rejected(self, capsys):
         code, _, err = run(capsys, "point", "0.0", "0.0")
         assert code == 2

@@ -74,6 +74,14 @@ class TestRoundTrip:
         assert reparsed.scene().reflector is None
         assert reparsed.scene().scatterer is None
 
+    def test_round_trip_with_only_reflector(self, cfg):
+        only = dataclasses.replace(cfg, scatter_x_m=None, scatter_rcs_m2=None)
+        text = dumps_config(only)
+        assert "scatter" not in text and "reflector_gamma" in text
+        reparsed = loads_config(text)
+        assert reparsed == only
+        assert reparsed.scene().scatterer is None
+
     def test_round_trip_awkward_floats(self, cfg):
         tweaked = dataclasses.replace(cfg, bandwidth_hz=0.1 + 0.2,
                                       power_dbm=-17.3)
@@ -146,9 +154,11 @@ class TestErrors:
             loads_config(broken(replace_key="y_max_m", value="10.0"))
 
     def test_partial_optional_group(self):
-        with pytest.raises(ConfigError,
-                           match="sets reflector_h1_m but not"):
-            loads_config(broken(drop_key="reflector_h2_m"))
+        for dropped, message in (
+                ("reflector_h2_m", "sets reflector_h1_m but not reflector_h2_m$"),
+                ("scatter_rcs_m2", "sets scatter_x_m but not scatter_rcs_m2$")):
+            with pytest.raises(ConfigError, match=message):
+                loads_config(broken(drop_key=dropped))
 
     def test_scene_validation_surfaces_as_config_error(self):
         with pytest.raises(ConfigError, match="increasing"):

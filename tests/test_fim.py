@@ -23,7 +23,12 @@ from rispeb.fim import (
     peb,
 )
 from rispeb.geometry import SPEED_OF_LIGHT as C
-from rispeb.waveform import WaveformConfig, delay_kernel_peak
+from rispeb.waveform import (
+    WaveformConfig,
+    delay_kernel_peak,
+    delay_resolution,
+    unambiguous_range,
+)
 
 X = np.array([2.0, 1.5])
 
@@ -163,6 +168,25 @@ class TestResolvableCount:
 
     def test_single_path(self):
         assert count_resolvable_paths(chain([10.0]), make_wave()) == 1
+
+    def test_aliased_delays_rejected(self):
+        """The kernel repeats every (N+1)/W: at 10 GHz the reflector path
+        at [3.45, 7.95] is 3.8678 m longer than the LOS path, 0.5 mm from
+        the 3.8673 m alias period, where the kernel is back at its peak."""
+        from rispeb.config import default_config
+        scene = default_config().scene()
+        paths = build_pathset(scene, None, [3.45, 7.95], make_wave(1e10),
+                              "reflector")
+        with pytest.raises(ValueError, match="aliasing"):
+            count_resolvable_paths(paths, make_wave(1e10))
+
+    def test_alias_limit_is_range_less_one_cell(self):
+        wave = make_wave()
+        allowed = unambiguous_range(wave) - delay_resolution(wave)
+        assert count_resolvable_paths(chain([10.0, 10.0 + allowed - 1e-6]),
+                                      wave) == 2
+        with pytest.raises(ValueError, match="aliasing"):
+            count_resolvable_paths(chain([10.0, 10.0 + allowed + 1e-6]), wave)
 
 
 @settings(max_examples=30)

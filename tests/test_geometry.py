@@ -2,7 +2,9 @@
 
 Expected values are frozen from independent stdlib-math computations of
 the delay and image-source formulas; tests compare the package against
-those literals rather than re-deriving them with package code.
+those literals rather than re-deriving them with package code. Path
+delays and directions are read from the Path fields that
+channel.build_pathset computes.
 """
 
 import math
@@ -11,6 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rispeb.allocation import build_allocation
+from rispeb.channel import build_pathset
 from rispeb.geometry import (
     BS_POSITION,
     SPEED_OF_LIGHT,
@@ -20,18 +24,15 @@ from rispeb.geometry import (
     ScatterDescriptor,
     Scene,
     incidence_point,
-    los_delay,
-    reflector_delay,
     ris_angles,
     ris_center,
-    ris_delay,
-    scatter_delay,
     scatter_position,
-    unit_direction,
     virtual_anchor,
 )
+from rispeb.waveform import WaveformConfig
 
 C = SPEED_OF_LIGHT
+WAVE = WaveformConfig(carrier_hz=28e9, bandwidth_hz=1e8, subcarrier_count=129)
 
 
 def rel(a, b):
@@ -45,12 +46,19 @@ points = st.tuples(
 ).map(np.array).filter(lambda p: np.linalg.norm(p) > 1e-3)
 
 
+def ris_paths(scene, x):
+    """LOS plus one path per RIS at x, every surface inactive."""
+    allocation = build_allocation(scene, x, WAVE, (0,) * len(scene.ris))
+    return build_pathset(scene, allocation, x, WAVE, "ris")
+
+
 class TestFrozenValues:
     def test_los_delay(self, scene):
-        assert rel(los_delay([3.5, 5.0]), 2.035834339724067e-08) < 1e-12
+        tau = build_pathset(scene, None, [3.5, 5.0], WAVE, "reflector")[0].tau
+        assert rel(tau, 2.035834339724067e-08) < 1e-12
 
     def test_ris_delay(self, scene):
-        assert rel(ris_delay(scene, 0, [3.5, 5.0]),
+        assert rel(ris_paths(scene, [3.5, 5.0])[1].tau,
                    5.169255797359934e-08) < 1e-12
 
     def test_ris_angles(self, scene):
@@ -73,12 +81,12 @@ class TestFrozenValues:
         assert point is None
 
     def test_reflector_delay(self, scene):
-        assert rel(reflector_delay(scene, [8.0, 2.0]),
-                   6.570450682782756e-08) < 1e-12
+        tau = build_pathset(scene, None, [8.0, 2.0], WAVE, "reflector")[1].tau
+        assert rel(tau, 6.570450682782756e-08) < 1e-12
 
     def test_scatter_delay(self, scene):
-        assert rel(scatter_delay(scene, [8.0, 2.0]),
-                   6.595759632335866e-08) < 1e-12
+        tau = build_pathset(scene, None, [8.0, 2.0], WAVE, "scatterer")[1].tau
+        assert rel(tau, 6.595759632335866e-08) < 1e-12
 
     def test_ris_center(self, scene):
         assert np.array_equal(ris_center(scene, 3), [4.5, 10.0])
@@ -88,20 +96,13 @@ class TestFrozenValues:
 
 
 class TestDegeneracy:
-    def test_bs_coincidence(self):
+    def test_bs_coincidence(self, scene):
         with pytest.raises(DegeneratePositionError):
-            los_delay([0.0, 0.0])
-
-    def test_ris_center_coincidence(self, scene):
-        with pytest.raises(DegeneratePositionError):
-            ris_delay(scene, 1, ris_center(scene, 1))
-
-    def test_scatterer_coincidence(self, scene):
-        with pytest.raises(DegeneratePositionError):
-            scatter_delay(scene, [3.5, 10.0])
+            build_pathset(scene, None, [0.0, 0.0], WAVE, "reflector")
 
     def test_near_miss_is_fine(self, scene):
-        assert los_delay([1e-5, 1e-5]) > 0.0
+        paths = build_pathset(scene, None, [1e-5, 1e-5], WAVE, "reflector")
+        assert paths[0].tau > 0.0
 
 
 class TestSceneValidation:
@@ -146,10 +147,8 @@ class TestSceneValidation:
 @given(p=points)
 def test_ris_delay_exceeds_los(p):
     scene = Scene(wall_offset=10.0, ris=(RisDescriptor(1.5, 16),))
-    try:
-        assert ris_delay(scene, 0, p) >= los_delay(p)
-    except DegeneratePositionError:
-        pass
+    los, ris = ris_paths(scene, p)
+    assert ris.tau >= los.tau
 
 
 @given(p=points)
@@ -163,20 +162,18 @@ def test_image_distance_identity(p):
         return
     broken = (math.hypot(hit[0], hit[1])
               + math.hypot(p[0] - hit[0], p[1] - hit[1]))
-    direct = reflector_delay(scene, p) * C
+    direct = build_pathset(scene, None, p, WAVE, "reflector")[1].tau * C
     assert rel(broken, direct) < 1e-9
     assert hit[1] == scene.wall_offset
 
 
 @given(p=points)
 def test_unit_direction_is_unit(p):
-    anchor = np.array([1.0, 10.0])
-    if math.hypot(*(p - anchor)) < 1e-3:
-        return
-    e = unit_direction(anchor, p)
-    assert abs(np.linalg.norm(e) - 1.0) < 1e-12
-    # points away from the anchor
-    assert np.dot(e, p - anchor) > 0.0
+    scene = Scene(wall_offset=10.0, scatterer=ScatterDescriptor(1.0, 0.01))
+    for path in build_pathset(scene, None, p, WAVE, "scatterer"):
+        assert abs(np.linalg.norm(path.direction) - 1.0) < 1e-12
+        # points away from the anchor
+        assert np.dot(path.direction, p - path.anchor) > 0.0
 
 
 @given(p=points)

@@ -88,11 +88,6 @@ class TestMapResult:
         assert all(result.flags[idx] == FLAG_CAPPED
                    for idx in zip(*np.nonzero(finite)))
 
-    def test_direct_only_differs(self, scene, wave):
-        full = peb_map(scene, SMALL, wave, "reflector")
-        direct = peb_map(scene, SMALL, wave, "reflector", direct_only=True)
-        assert not np.array_equal(full.peb, direct.peb)
-
 
 class TestDegenerateCells:
     def test_anchor_cell_marked_invalid(self, scene, wave):
