@@ -4,24 +4,30 @@ Per-RIS phases have a closed-form optimum that aligns every element's
 cascaded response, giving the full M^2 gain. Which RIS to activate is a
 small combinatorial problem: activation patterns are enumerated
 exhaustively under a budget on the number of active RIS and a minimum
-index gap that keeps the activated paths separable in delay.
+index gap that keeps the activated paths separable in delay. Every
+feasible pattern is scored at once, at every point of a batch: only the
+RIS gains differ between patterns.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import build_pathset
+from .channel import PathSet, build_pathset, gain_ris
 from .fim import PebValue, fim_total, peb
 from .geometry import SPEED_OF_LIGHT, Scene, _as_point, ris_angles
 from .waveform import WaveformConfig
 
 # Beyond this many RIS the exhaustive enumeration is off the table.
 MAX_EXHAUSTIVE_RIS = 20
+
+# Entries of the largest (points x patterns x paths x paths) array that
+# one selection batch builds.
+_BATCH_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -79,15 +85,16 @@ def gap_threshold(scene: Scene, cfg: WaveformConfig) -> float:
     return SPEED_OF_LIGHT / (cfg.bandwidth_hz * scene.ris_spacing)
 
 
-def optimal_phases(theta: float, psi: float, element_count: int) -> np.ndarray:
+def optimal_phases(theta, psi, element_count: int) -> np.ndarray:
     """Element phases -pi*m*(sin(theta) - sin(psi)) aligning the cascade.
 
     Cancels the combined steering phase of the arrival and departure
     responses so all M element contributions add coherently. The profile
-    is all zero exactly at the specular angle psi = theta.
+    is all zero exactly at the specular angle psi = theta. Angle arrays
+    give profiles with the elements along a new last axis.
     """
     m = np.arange(element_count)
-    return -math.pi * (math.sin(theta) - math.sin(psi)) * m
+    return np.multiply.outer(-math.pi * (np.sin(theta) - np.sin(psi)), m)
 
 
 def d_min(active) -> float:
@@ -99,7 +106,8 @@ def d_min(active) -> float:
 
 
 def build_allocation(scene: Scene, x_hat, cfg: WaveformConfig, active) -> Allocation:
-    """Allocation with phases optimal for x_hat on the active RIS."""
+    """Allocation with phases optimal for x_hat on the active RIS; a batch
+    of positions gives profiles with the elements along the last axis."""
     p = _as_point(x_hat)
     bits = tuple(int(bool(bit)) for bit in active)
     if len(bits) != len(scene.ris):
@@ -127,34 +135,49 @@ def feasible_activations(ris_count: int, constraints: SelectionConstraints):
         yield bits
 
 
-def _search(scene: Scene, points, cfg: WaveformConfig,
-            constraints: SelectionConstraints, score):
-    """Exhaustive activation search over the feasible patterns.
-
-    Each pattern is scored point by point with phases optimal for that
-    point; score maps the per-point PebValues to one number. Ties are
-    broken toward the lexicographically smallest bit vector, then the
-    fewest activations. Inactive RIS stay in the channel while scoring.
-    Returns ((score, bits, active count), per-point allocations,
-    per-point values) of the best pattern.
-    """
+def _patterns(scene: Scene, constraints: SelectionConstraints | None) -> np.ndarray:
+    """Feasible patterns as rows of a boolean array, in lexicographic
+    order, so the first minimum breaks ties toward the smallest bits;
+    without constraints, the single all-active pattern."""
     ris_count = len(scene.ris)
+    if constraints is None:
+        return np.ones((1, ris_count), dtype=bool)
     if ris_count > MAX_EXHAUSTIVE_RIS:
         raise ValueError(
             f"exhaustive search budget exceeded: {ris_count} RIS > {MAX_EXHAUSTIVE_RIS}"
         )
-    best = None
-    for bits in feasible_activations(ris_count, constraints):
-        allocations, values = [], []
-        for point in points:
-            allocation = build_allocation(scene, point, cfg, bits)
-            paths = build_pathset(scene, allocation, point, cfg, "ris")
-            allocations.append(allocation)
-            values.append(peb(fim_total(paths, cfg)))
-        key = (score(values), bits, sum(bits))
-        if best is None or key < best[0]:
-            best = (key, allocations, values)
-    return best
+    return np.array(list(feasible_activations(ris_count, constraints)), dtype=bool)
+
+
+def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
+           patterns: np.ndarray) -> tuple[np.ndarray, PathSet]:
+    """Bounds of every pattern (rows of patterns) at every point (rows of
+    points), each with phases optimal for its point.
+
+    Delays, directions, the LOS gain and each RIS's aligned and inactive
+    gain do not depend on the pattern: they are computed once per point,
+    and the kernel once per batch of patterns (a single batch unless the
+    patterns are many). Inactive RIS stay in the channel.
+    Returns the (points x patterns) bounds and the all-active pathset of
+    the points, whose fields have the shape (points, 1).
+    """
+    column = points[:, None, :]
+    aligned = build_allocation(scene, column, cfg, (1,) * len(scene.ris))
+    paths = build_pathset(scene, aligned, column, cfg, "ris")
+    inactive = [gain_ris(scene, k, np.zeros(ris.element_count), column, cfg)
+                for k, ris in enumerate(scene.ris)]
+    # Patterns per batch, so that the (points x patterns x paths x paths)
+    # arrays stay near _BATCH_ENTRIES entries.
+    step = max(1, _BATCH_ENTRIES // (len(points) * len(paths) ** 2))
+    values = []
+    for start in range(0, len(patterns), step):
+        chunk = patterns[start:start + step]
+        shape = (len(points), len(chunk))
+        los = replace(paths[0], alpha=np.broadcast_to(paths[0].alpha, shape))
+        ris = [replace(path, alpha=np.where(chunk[:, k], path.alpha, inactive[k]))
+               for k, path in enumerate(paths[1:])]
+        values.append(peb(fim_total(PathSet((los, *ris)), cfg)).value)
+    return np.concatenate(values, axis=-1), paths
 
 
 def select_ris(scene: Scene, x_hat, cfg: WaveformConfig,
@@ -162,9 +185,13 @@ def select_ris(scene: Scene, x_hat, cfg: WaveformConfig,
     """Exhaustive activation search minimizing the full-FIM bound at x_hat,
     with phases optimal for x_hat; ties go to the lexicographically
     smallest bit vector."""
-    _, (allocation,), (value,) = _search(
-        scene, [_as_point(x_hat)], cfg, constraints, lambda values: values[0].value)
-    return allocation, value
+    p = _as_point(x_hat)
+    patterns = _patterns(scene, constraints)
+    values, _ = _score(scene, p.reshape(1, 2), cfg, patterns)
+    best = int(np.argmin(values[0]))
+    value = float(values[0, best])
+    return (build_allocation(scene, p, cfg, patterns[best]),
+            PebValue(value, math.isinf(value)))
 
 
 def robust_select(scene: Scene, samples, cfg: WaveformConfig,
@@ -184,12 +211,12 @@ def robust_select(scene: Scene, samples, cfg: WaveformConfig,
     points = [_as_point(s) for s in samples]
     if not points:
         raise ValueError("robust selection needs at least one sample")
+    patterns = _patterns(scene, constraints)
+    values, _ = _score(scene, np.array(points), cfg, patterns)
     if objective == "worst_case":
-        def score(values):
-            return max(v.value for v in values)
+        scores = values.max(axis=0)
     else:
-        def score(values):
-            return sum(min(v.value, constraints.peb_cap) for v in values) / len(values)
-    (value, bits, _), _, _ = _search(scene, points, cfg, constraints, score)
+        scores = np.minimum(values, constraints.peb_cap).sum(axis=0) / len(points)
+    best = int(np.argmin(scores))
     centroid = np.mean(points, axis=0)
-    return build_allocation(scene, centroid, cfg, bits), value
+    return build_allocation(scene, centroid, cfg, patterns[best]), float(scores[best])

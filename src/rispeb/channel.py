@@ -6,6 +6,10 @@ estimate. Paths also keep their generating anchor point and the fixed
 leg length ahead of it, so the delay can be re-evaluated at perturbed
 user positions (the numerical FIM cross-check relies on this).
 
+Every function here broadcasts over the leading axes of the position:
+given a batch of positions, a Path holds arrays of delays, gains and
+directions, one entry per position.
+
 Per the inactive-RIS convention, a deactivated RIS is not removed from
 the channel: it keeps reflecting with the all-ones (zero-phase) profile,
 acting as a flat mirror whose array factor peaks at the specular angle
@@ -14,7 +18,6 @@ psi = theta.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -44,7 +47,7 @@ MODES = ("ris", "reflector", "scatterer")
 
 @dataclass(frozen=True)
 class Path:
-    """One propagation path resolved at a specific user position.
+    """One propagation path resolved at a user position (or a batch of them).
 
     kind is one of "los", "ris", "reflector", "scatterer"; index is the RIS
     index for kind == "ris" and None otherwise. anchor is the last point the
@@ -64,7 +67,7 @@ class Path:
 
 @dataclass(frozen=True)
 class PathSet:
-    """Ordered paths for one candidate position; the LOS path comes first."""
+    """Ordered paths for one candidate position (or batch); the LOS path comes first."""
 
     paths: tuple[Path, ...]
 
@@ -82,27 +85,40 @@ class PathSet:
         return self.paths[i]
 
 
-def _make_path(kind: str, index: int | None, anchor: np.ndarray, fixed_leg: float,
-               alpha: complex, x: np.ndarray) -> Path:
-    dist = _separation(x, anchor, f"the {kind} anchor")
-    return Path(
-        kind=kind,
-        index=index,
-        tau=(fixed_leg + dist) / SPEED_OF_LIGHT,
-        alpha=alpha,
-        direction=(x - anchor) / dist,
-        anchor=anchor,
-        fixed_leg=fixed_leg,
-    )
+def _leg(scene: Scene | None, kind: str, index: int | None, x):
+    """Anchor, fixed leg, anchor-to-x distance and delay of a path at x.
+
+    The anchor is the last point the signal departs from toward the user
+    and the fixed leg the path length (m) before it. Broadcasts over the
+    leading axes of x; the LOS path needs no scene.
+    """
+    if kind == "los":
+        anchor, fixed_leg, what = BS_POSITION, 0.0, "the BS"
+    elif kind == "reflector":
+        anchor, fixed_leg, what = virtual_anchor(scene), 0.0, "the virtual anchor"
+    else:
+        anchor, what = ((ris_center(scene, index), f"RIS {index} center") if kind == "ris"
+                        else (scatter_position(scene), "the scatterer"))
+        fixed_leg = math.hypot(anchor[0], anchor[1])
+    dist = _separation(x, anchor, what)
+    return anchor, fixed_leg, dist, (fixed_leg + dist) / SPEED_OF_LIGHT
+
+
+def _carrier(tau, cfg: WaveformConfig):
+    return np.exp(-2j * math.pi * cfg.carrier_hz * tau)
+
+
+def _make_path(scene: Scene | None, kind: str, index: int | None, alpha, x) -> Path:
+    anchor, fixed_leg, dist, tau = _leg(scene, kind, index, x)
+    return Path(kind=kind, index=index, tau=tau, alpha=alpha,
+                direction=(x - anchor) / dist[..., None], anchor=anchor,
+                fixed_leg=fixed_leg)
 
 
 def gain_los(x, cfg: WaveformConfig) -> complex:
     """Free-space LOS gain with carrier phase: magnitude lambda/(4*pi*||x||)."""
-    p = _as_point(x)
-    dist = _separation(p, BS_POSITION, "the BS")
-    tau = dist / SPEED_OF_LIGHT
-    phase = cmath.exp(-2j * math.pi * cfg.carrier_hz * tau)
-    return phase * cfg.wavelength / (4.0 * math.pi * dist)
+    _, _, dist, tau = _leg(None, "los", None, _as_point(x))
+    return _carrier(tau, cfg) * cfg.wavelength / (4.0 * math.pi * dist)
 
 
 def gain_ris(scene: Scene, k: int, phases: np.ndarray, x, cfg: WaveformConfig) -> complex:
@@ -131,54 +147,47 @@ def gain_ris(scene: Scene, k: int, phases: np.ndarray, x, cfg: WaveformConfig) -
     measured. This changes only the phase of a cascade that is not
     aligned: an inactive RIS, or an active one seen away from its design
     point.
+
+    The last axis of phases runs over the elements; its leading axes
+    broadcast against those of x.
     """
     p = _as_point(x)
-    descriptor = scene.ris[k]
+    count = scene.ris[k].element_count
     profile = np.asarray(phases, dtype=float)
-    if profile.shape != (descriptor.element_count,):
+    if profile.shape[-1:] != (count,):
         raise ValueError("phase profile length must match the element count")
-    center = ris_center(scene, k)
-    leg_in = math.hypot(center[0], center[1])
-    leg_out = _separation(p, center, f"RIS {k} center")
+    _, leg_in, leg_out, tau = _leg(scene, "ris", k, p)
     theta, psi = ris_angles(scene, k, p)
-    m = np.arange(descriptor.element_count)
-    h = np.exp(1j * math.pi * math.sin(theta) * m)
-    g = np.exp(-1j * math.pi * math.sin(psi) * m)
-    triple = np.sum(h * np.exp(1j * profile) * g)
-    tau = (leg_in + leg_out) / SPEED_OF_LIGHT
-    carrier = cmath.exp(-2j * math.pi * cfg.carrier_hz * tau)
-    element = (cfg.wavelength**2 * math.sqrt(math.cos(theta) * math.cos(psi))
+    m = np.arange(count)
+    h = np.exp(1j * math.pi * np.sin(theta) * m)
+    g = np.exp(np.multiply.outer(-1j * math.pi * np.sin(psi), m))
+    triple = np.sum(h * np.exp(1j * profile) * g, axis=-1)
+    element = (cfg.wavelength**2 * np.sqrt(np.cos(theta) * np.cos(psi))
                / (16.0 * math.pi * leg_in * leg_out))
-    return carrier * element * complex(triple)
+    # np.multiply, not *: numpy's scalar complex product (one position) can
+    # round differently from its array loop (a batch), and a point must get
+    # the same bits alone as inside a batch.
+    return np.multiply(_carrier(tau, cfg) * element, triple)
 
 
 def gain_reflector(scene: Scene, x, cfg: WaveformConfig) -> complex:
     """Specular-reflection gain; exactly zero outside the mirror-hit region."""
     p = _as_point(x)
-    _, hit = incidence_point(scene, p)
-    if not hit:
-        return 0j
-    anchor = virtual_anchor(scene)
-    dist = _separation(p, anchor, "the virtual anchor")
-    tau = dist / SPEED_OF_LIGHT
-    carrier = cmath.exp(-2j * math.pi * cfg.carrier_hz * tau)
-    return carrier * scene.reflector.gamma * cfg.wavelength / (4.0 * math.pi * dist)
+    hit = incidence_point(scene, p)[1]
+    _, _, dist, tau = _leg(scene, "reflector", None, p)
+    alpha = _carrier(tau, cfg) * scene.reflector.gamma * cfg.wavelength / (4.0 * math.pi * dist)
+    return np.where(hit, alpha, 0j)[()]
 
 
 def gain_scatter(scene: Scene, x, cfg: WaveformConfig) -> complex:
     """Point-scatterer gain: lambda*sqrt(rcs) / ((4*pi)^1.5 * ||s|| * ||s-x||)."""
-    p = _as_point(x)
-    s = scatter_position(scene)
-    leg_in = math.hypot(s[0], s[1])
-    leg_out = _separation(p, s, "the scatterer")
-    tau = (leg_in + leg_out) / SPEED_OF_LIGHT
-    carrier = cmath.exp(-2j * math.pi * cfg.carrier_hz * tau)
+    _, leg_in, leg_out, tau = _leg(scene, "scatterer", None, _as_point(x))
     magnitude = (
         cfg.wavelength
         * math.sqrt(scene.scatterer.rcs)
         / ((4.0 * math.pi) ** 1.5 * leg_in * leg_out)
     )
-    return carrier * magnitude
+    return _carrier(tau, cfg) * magnitude
 
 
 def build_pathset(scene: Scene, allocation: "Allocation | None", x,
@@ -189,33 +198,24 @@ def build_pathset(scene: Scene, allocation: "Allocation | None", x,
     not (inactive ones reflect with the all-ones profile). The baseline
     modes emit the single reflector path (zero gain outside the hit
     region) or the single scatterer path; allocation is ignored there.
+    For positions with leading axes each path field holds one entry per
+    position, and the allocation's profiles broadcast against them.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     p = _as_point(x)
     _require_below_wall(scene, p)
-    paths = [_make_path("los", None, BS_POSITION, 0.0, gain_los(p, cfg), p)]
+    paths = [_make_path(scene, "los", None, gain_los(p, cfg), p)]
     if mode == "ris":
         if allocation is None:
             raise ValueError("RIS mode needs an allocation")
         if len(allocation.profiles) != len(scene.ris):
             raise ValueError("allocation does not match the scene's RIS count")
         for k in range(len(scene.ris)):
-            center = ris_center(scene, k)
             alpha = gain_ris(scene, k, allocation.profiles[k], p, cfg)
-            paths.append(
-                _make_path("ris", k, center, math.hypot(center[0], center[1]), alpha, p)
-            )
+            paths.append(_make_path(scene, "ris", k, alpha, p))
     elif mode == "reflector":
-        anchor = virtual_anchor(scene)
-        paths.append(
-            _make_path("reflector", None, anchor, 0.0, gain_reflector(scene, p, cfg), p)
-        )
+        paths.append(_make_path(scene, "reflector", None, gain_reflector(scene, p, cfg), p))
     else:
-        s = scatter_position(scene)
-        paths.append(
-            _make_path(
-                "scatterer", None, s, math.hypot(s[0], s[1]), gain_scatter(scene, p, cfg), p
-            )
-        )
+        paths.append(_make_path(scene, "scatterer", None, gain_scatter(scene, p, cfg), p))
     return PathSet(tuple(paths))

@@ -5,7 +5,9 @@ information |alpha|^2 * kernel(0) along its own direction) and an
 interference part coupling every pair of paths through the kernel at
 their delay difference. Path gains are treated as known constants: their
 dependence on position is deliberately not exploited, matching the
-bound's definition.
+bound's definition. fim_total and peb broadcast over leading axes of
+the path fields, so a batch of positions and activation patterns is one
+call with one kernel evaluation.
 
 fim_numerical is an independent cross-check: it differentiates the
 frequency-domain observation at each subcarrier with central differences
@@ -15,6 +17,7 @@ sum directly, sharing no algebra with the closed-form assembly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,17 +56,36 @@ class PebValue:
 
 
 def _path_arrays(paths: PathSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    alpha = np.array([p.alpha for p in paths], dtype=complex)
-    tau = np.array([p.tau for p in paths], dtype=float)
-    directions = np.array([p.direction for p in paths], dtype=float)
+    """Gains and delays with paths along the last axis, directions along
+    the second to last; each field has one shape across the paths."""
+    alpha = np.stack([np.asarray(p.alpha, dtype=complex) for p in paths], axis=-1)
+    tau = np.stack([np.asarray(p.tau, dtype=float) for p in paths], axis=-1)
+    directions = np.stack([p.direction for p in paths], axis=-2)
     return alpha, tau, directions
+
+
+def _direct(alpha, directions, cfg: WaveformConfig) -> np.ndarray:
+    weights = np.abs(alpha) ** 2 * delay_kernel_peak(cfg)
+    return (np.swapaxes(directions, -1, -2) * weights[..., None, :]) @ directions
+
+
+def _interference(alpha, tau, directions, cfg: WaveformConfig) -> np.ndarray:
+    # The kernel is Hermitian, so the summand is symmetric in the pair:
+    # the kernel is evaluated on the pairs k < k' only.
+    pairs = itertools.combinations(range(alpha.shape[-1]), 2)
+    first, second = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
+    kernel = delay_kernel(cfg, tau[..., first] - tau[..., second])
+    upper = (alpha[..., first] * alpha[..., second].conj() * kernel).real
+    cross = np.zeros(upper.shape[:-1] + (alpha.shape[-1],) * 2)
+    cross[..., first, second] = upper
+    cross[..., second, first] = upper
+    return np.swapaxes(directions, -1, -2) @ cross @ directions
 
 
 def fim_direct(paths: PathSet, cfg: WaveformConfig) -> np.ndarray:
     """Sum of per-path rank-1 contributions |alpha|^2 * kernel(0) * e e^T."""
     alpha, _, directions = _path_arrays(paths)
-    weights = np.abs(alpha) ** 2 * delay_kernel_peak(cfg)
-    return (directions * weights[:, None]).T @ directions
+    return _direct(alpha, directions, cfg)
 
 
 def fim_interference(paths: PathSet, cfg: WaveformConfig) -> np.ndarray:
@@ -72,41 +94,44 @@ def fim_interference(paths: PathSet, cfg: WaveformConfig) -> np.ndarray:
     Entry pattern: sum over ordered pairs k != k' of
     Re{alpha_k * conj(alpha_k') * kernel(tau_k - tau_k')} * e_k e_k'^T.
     """
-    alpha, tau, directions = _path_arrays(paths)
-    kernel = delay_kernel(cfg, tau[:, None] - tau[None, :])
-    cross = (alpha[:, None] * alpha[None, :].conj() * kernel).real
-    np.fill_diagonal(cross, 0.0)
-    return directions.T @ cross @ directions
+    return _interference(*_path_arrays(paths), cfg)
 
 
 def fim_total(paths: PathSet, cfg: WaveformConfig) -> Fim2:
-    direct = fim_direct(paths, cfg)
-    interference = fim_interference(paths, cfg)
+    """Direct plus interference FIM. Paths whose fields carry leading axes
+    give a stack of 2x2 matrices over those axes, with one delay_kernel
+    call for the whole stack."""
+    alpha, tau, directions = _path_arrays(paths)
+    direct = _direct(alpha, directions, cfg)
+    interference = _interference(alpha, tau, directions, cfg)
     total = direct + interference
-    return Fim2(direct=direct, interference=interference, total=0.5 * (total + total.T))
+    return Fim2(direct=direct, interference=interference,
+                total=0.5 * (total + np.swapaxes(total, -1, -2)))
 
 
 def peb(fim) -> PebValue:
     """sqrt(trace(J^-1)) through the closed-form 2x2 adjugate inverse.
 
-    Accepts a Fim2 or a raw 2x2 array. Returns infinity (rank_deficient)
-    when the symmetrized matrix has nonpositive determinant or a condition
-    number beyond CONDITION_LIMIT.
+    Accepts a Fim2 or a raw 2x2 array, or a stack of them (..., 2, 2), for
+    which value and rank_deficient are arrays over the leading axes.
+    Returns infinity (rank_deficient) when the symmetrized matrix has
+    nonpositive determinant or a condition number beyond CONDITION_LIMIT.
     """
     j = fim.total if isinstance(fim, Fim2) else np.asarray(fim, dtype=float)
-    a = j[0, 0]
-    d = j[1, 1]
-    b = 0.5 * (j[0, 1] + j[1, 0])
+    a = j[..., 0, 0]
+    d = j[..., 1, 1]
+    b = 0.5 * (j[..., 0, 1] + j[..., 1, 0])
     det = a * d - b * b
     trace = a + d
-    if det <= 0.0 or trace <= 0.0:
-        return PebValue(math.inf, True)
     # Symmetric 2x2 eigenvalues; the small one via det for numerical safety.
-    lam_max = 0.5 * (trace + math.hypot(a - d, 2.0 * b))
-    lam_min = det / lam_max
-    if lam_max > CONDITION_LIMIT * lam_min:
-        return PebValue(math.inf, True)
-    return PebValue(math.sqrt(trace / det), False)
+    lam_max = 0.5 * (trace + np.hypot(a - d, 2.0 * b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam_min = det / lam_max
+        deficient = (det <= 0.0) | (trace <= 0.0) | (lam_max > CONDITION_LIMIT * lam_min)
+        value = np.where(deficient, math.inf, np.sqrt(trace / det))
+    if value.ndim == 0:
+        return PebValue(float(value), bool(deficient))
+    return PebValue(value, deficient)
 
 
 def count_resolvable_paths(paths: PathSet, cfg: WaveformConfig) -> int:
@@ -121,9 +146,13 @@ def count_resolvable_paths(paths: PathSet, cfg: WaveformConfig) -> int:
     (N+1)/W - 1/W may alias onto each other: such path sets raise
     ValueError instead of being counted.
     """
+    return _count_clusters([p.tau for p in paths if p.alpha != 0], cfg)
+
+
+def _count_clusters(taus, cfg: WaveformConfig) -> int:
+    """count_resolvable_paths on the delays of the paths that exist."""
     limit = 1.0 / cfg.bandwidth_hz
-    clusters = [(p.tau, 1) for p in paths if p.alpha != 0]
-    taus = [tau for tau, _ in clusters]
+    clusters = [(tau, 1) for tau in taus]
     span = (max(taus) - min(taus)) * SPEED_OF_LIGHT if taus else 0.0
     allowed = unambiguous_range(cfg) - delay_resolution(cfg)
     if span > allowed:

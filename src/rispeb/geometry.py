@@ -105,20 +105,21 @@ class Scene:
 
 
 def _as_point(x) -> np.ndarray:
+    """Position(s) as a float array whose last axis holds (x, y)."""
     p = np.asarray(x, dtype=float)
-    if p.shape != (2,) or not np.all(np.isfinite(p)):
+    if p.ndim == 0 or p.shape[-1] != 2 or not np.isfinite(p).all():
         raise ValueError("position must be a finite 2-vector")
     return p
 
 
 def _require_below_wall(scene: Scene, x: np.ndarray) -> None:
-    if x[1] >= scene.wall_offset:
+    if (x[..., 1] >= scene.wall_offset).any():
         raise ValueError("user position must lie strictly below the wall (y < L)")
 
 
-def _separation(a: np.ndarray, b: np.ndarray, what: str) -> float:
-    d = math.hypot(a[0] - b[0], a[1] - b[1])
-    if d < COINCIDENCE_LIMIT:
+def _separation(a: np.ndarray, b: np.ndarray, what: str):
+    d = np.hypot(a[..., 0] - b[0], a[..., 1] - b[1])
+    if (d < COINCIDENCE_LIMIT).any():
         raise DegeneratePositionError(f"position coincides with {what}")
     return d
 
@@ -133,20 +134,21 @@ def scatter_position(scene: Scene) -> np.ndarray:
     return np.array([scene.scatterer.x, scene.wall_offset])
 
 
-def ris_angles(scene: Scene, k: int, x) -> tuple[float, float]:
+def ris_angles(scene: Scene, k: int, x):
     """Arrival and departure angles (theta_k, psi_k) at RIS k.
 
     Both angles are measured between the respective propagation ray and the
     wall normal, signed positive when the ray leans toward increasing x:
     theta_k for the incoming BS-to-RIS ray, psi_k for the outgoing
     RIS-to-user ray. Both lie in (-pi/2, pi/2) for users below the wall.
+    psi_k has the leading shape of x; theta_k does not depend on x.
     """
     p = _as_point(x)
     _require_below_wall(scene, p)
     center = ris_center(scene, k)
     _separation(p, center, f"RIS {k} center")
-    theta = math.atan2(center[0] - BS_POSITION[0], center[1] - BS_POSITION[1])
-    psi = math.atan2(p[0] - center[0], center[1] - p[1])
+    theta = np.arctan2(center[0] - BS_POSITION[0], center[1] - BS_POSITION[1])
+    psi = np.arctan2(p[..., 0] - center[0], center[1] - p[..., 1])
     return theta, psi
 
 
@@ -157,11 +159,13 @@ def virtual_anchor(scene: Scene) -> np.ndarray:
     return np.array([0.0, 2.0 * scene.wall_offset])
 
 
-def incidence_point(scene: Scene, x) -> tuple[np.ndarray | None, int]:
+def incidence_point(scene: Scene, x):
     """Where the mirror ray meets the wall, and whether it hits the segment.
 
     Returns (s, 1) with s on the wall when the line from the virtual anchor
     to x crosses the reflector segment [h1, L]-[h2, L], else (None, 0).
+    For positions with leading axes it returns the crossing points and a
+    0/1 array instead, with the crossing given whether or not it hits.
     """
     if scene.reflector is None:
         raise ValueError("scene has no reflector")
@@ -169,7 +173,8 @@ def incidence_point(scene: Scene, x) -> tuple[np.ndarray | None, int]:
     _require_below_wall(scene, p)
     wall = scene.wall_offset
     # Line from [0, 2L] to p crosses y = L at parameter t = L / (2L - y).
-    crossing_x = p[0] * wall / (2.0 * wall - p[1])
-    if scene.reflector.h1 <= crossing_x <= scene.reflector.h2:
-        return np.array([crossing_x, wall]), 1
-    return None, 0
+    crossing_x = p[..., 0] * wall / (2.0 * wall - p[..., 1])
+    hit = (scene.reflector.h1 <= crossing_x) & (crossing_x <= scene.reflector.h2)
+    if p.ndim == 1:
+        return (np.array([crossing_x, wall]), 1) if hit else (None, 0)
+    return np.stack([crossing_x, np.full_like(crossing_x, wall)], axis=-1), hit.astype(int)

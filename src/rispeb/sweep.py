@@ -2,9 +2,12 @@
 
 Produces the four output families used in the experiments: resolvable-path
 maps, position-error-bound maps, empirical CDFs over a deployment region,
-and per-path information directions at a single point. Cells are evaluated
-independently (optionally in parallel) and gathered by index, so serial
-and parallel runs emit identical bytes.
+and per-path information directions at a single point. Each grid column
+is one batch of the array core (paths, FIM and bound broadcast over the
+column's cells, and in RIS mode over the feasible activation patterns);
+columns are evaluated in order (optionally in parallel, one column per
+task) and gathered by index, so serial and parallel runs emit identical
+bytes.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import SelectionConstraints, build_allocation, select_ris
-from .channel import MODES, build_pathset
-from .fim import count_resolvable_paths, fim_total, peb
+from .allocation import SelectionConstraints, _patterns, _score, build_allocation
+from .channel import MODES, _leg, build_pathset
+from .fim import _count_clusters, _path_arrays, fim_total, peb
 from .geometry import DegeneratePositionError, Scene
 from .waveform import WaveformConfig, delay_kernel_peak
 
@@ -129,33 +132,63 @@ class CdfResult:
         return float(self.fractions[-1]) if self.fractions.size else 0.0
 
 
-def _evaluate_cell(scene, cfg, mode, constraints, cap, count_only, p):
-    """One cell: (peb, flag, resolvable path count, allocation bit string)."""
+def _evaluate_column(scene, cfg, mode, constraints, cap, count_only, points):
+    """Cells of one grid column: (peb, flag, resolvable path count,
+    allocation bit string) per row of points.
+
+    The column is one batch of the array core; if a cell coincides with
+    an anchor, the cells are evaluated one by one so that only that cell
+    is marked invalid.
+    """
     try:
-        if mode == "ris":
-            if constraints is None:
-                allocation = build_allocation(scene, p, cfg, (1,) * len(scene.ris))
-            else:
-                allocation, _ = select_ris(scene, p, cfg, constraints)
-            paths = build_pathset(scene, allocation, p, cfg, mode)
-            bits = allocation.bits
-        else:
-            paths = build_pathset(scene, None, p, cfg, mode)
-            bits = ""
+        values, bits, delays = _evaluate_batch(scene, cfg, mode, constraints, count_only,
+                                               points)
     except DegeneratePositionError:
-        return math.nan, FLAG_INVALID, 0, ""
-    count = count_resolvable_paths(paths, cfg)
-    if count_only:
-        return math.nan, FLAG_OK, count, bits
-    if count <= 1:
-        # One resolvable delay pins the user to a circle, not a point.
-        return math.inf, FLAG_INF, count, bits
-    value = peb(fim_total(paths, cfg)).value
-    if math.isinf(value):
-        return value, FLAG_INF, count, bits
-    if value > cap:
-        return value, FLAG_CAPPED, count, bits
-    return value, FLAG_OK, count, bits
+        if len(points) == 1:
+            return [(math.nan, FLAG_INVALID, 0, "")]
+        return [cell for p in points
+                for cell in _evaluate_column(scene, cfg, mode, constraints, cap,
+                                             count_only, p[None, :])]
+    cells = []
+    for p, value, cell_bits, cell_delays in zip(points, values, bits, delays):
+        try:
+            count = _count_clusters(cell_delays, cfg)
+        except ValueError as exc:
+            raise ValueError(f"cell ({_fmt(p[0])}, {_fmt(p[1])}): {exc}") from None
+        if count_only:
+            flag = FLAG_OK
+        elif count <= 1:
+            # One resolvable delay pins the user to a circle, not a point.
+            value, flag = math.inf, FLAG_INF
+        elif math.isinf(value):
+            flag = FLAG_INF
+        else:
+            flag = FLAG_CAPPED if value > cap else FLAG_OK
+        cells.append((float(value), flag, count, cell_bits))
+    return cells
+
+
+def _evaluate_batch(scene, cfg, mode, constraints, count_only, points):
+    """Per-point bound (nan when count_only), allocation bits and the
+    delays of the paths that exist (nonzero gain)."""
+    nan = np.full(len(points), math.nan)
+    if mode == "ris" and count_only:
+        # Every RIS path has a nonzero gain: the counts need the delays only.
+        legs = [_leg(scene, "los", None, points)]
+        legs += [_leg(scene, "ris", k, points) for k in range(len(scene.ris))]
+        delays = np.stack([leg[3] for leg in legs], axis=-1).tolist()
+        return nan, ["1" * len(scene.ris)] * len(points), delays
+    if mode == "ris":
+        patterns = _patterns(scene, constraints)
+        scores, paths = _score(scene, points, cfg, patterns)
+        best = np.argmin(scores, axis=1)
+        names = ["".join(map(str, row)) for row in patterns.astype(int)]
+        delays = _path_arrays(paths)[1][:, 0].tolist()
+        return scores[np.arange(len(points)), best], [names[q] for q in best], delays
+    paths = build_pathset(scene, None, points, cfg, mode)
+    alpha, tau, _ = _path_arrays(paths)
+    delays = [row[keep].tolist() for row, keep in zip(tau, alpha != 0)]
+    return (nan if count_only else peb(fim_total(paths, cfg)).value), [""] * len(points), delays
 
 
 def _sweep(scene, grid, cfg, mode, constraints, cap, workers,
@@ -164,16 +197,16 @@ def _sweep(scene, grid, cfg, mode, constraints, cap, workers,
         raise ValueError(f"unknown mode {mode!r}")
     if grid.y_range[1] >= scene.wall_offset:
         raise ValueError("grid must stay strictly below the wall")
-    evaluate = functools.partial(_evaluate_cell, scene, cfg, mode, constraints,
+    evaluate = functools.partial(_evaluate_column, scene, cfg, mode, constraints,
                                  cap, count_only)
     ys = grid.ys
-    points = (np.array([x, y]) for x in grid.xs for y in ys)
+    columns = (np.stack([np.full(grid.ny, x), ys], axis=-1) for x in grid.xs)
     if workers is not None and workers > 1:
         # One column of cells per task; results come back in grid order.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(evaluate, points, chunksize=grid.ny))
+            cells = [cell for column in pool.map(evaluate, columns) for cell in column]
     else:
-        cells = list(map(evaluate, points))
+        cells = [cell for column in map(evaluate, columns) for cell in column]
     values, flags, counts, bits = zip(*cells)
     shape = (grid.nx, grid.ny)
     return MapResult(grid=grid, mode=mode,

@@ -10,12 +10,14 @@ position derivative of the per-subcarrier observation, both evaluated at
 TestSelect::test_frozen_values_match_derivation runs it again.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rispeb.allocation as allocation_module
 from rispeb.allocation import (
     MAX_EXHAUSTIVE_RIS,
     Allocation,
@@ -293,6 +295,19 @@ class TestRobustSelect:
         with pytest.raises(ValueError, match="sample"):
             robust_select(scene, [], wave, tight_constraints(1, scene, wave))
 
+    def test_pattern_batches_do_not_change_the_result(self, scene, wave, monkeypatch):
+        """Many patterns are scored in batches that bound memory; one
+        pattern per batch gives the same bits as all at once."""
+        constraints = tight_constraints(2, scene, wave)
+        samples = [np.array([3.0, 4.5]), np.array([8.0, 4.0]), np.array([-2.0, 7.0])]
+        for objective in ("worst_case", "expected"):
+            whole = robust_select(scene, samples, wave, constraints, objective)
+            monkeypatch.setattr(allocation_module, "_BATCH_ENTRIES", 1)
+            split = robust_select(scene, samples, wave, constraints, objective)
+            monkeypatch.undo()
+            assert split[0].bits == whole[0].bits
+            assert split[1] == whole[1]
+
 
 @settings(max_examples=20, deadline=None)
 @given(x=st.tuples(st.floats(-6.0, 14.0), st.floats(1.0, 9.0)).map(np.array),
@@ -306,3 +321,48 @@ def test_selection_respects_constraints(x, k_bar):
     assert sum(allocation.active) <= k_bar
     assert d_min(allocation.active) > constraints.min_gap
     assert value.value > 0.0
+
+
+def brute_force(scene, point, wave, constraints):
+    """(bound, bits) of the best feasible pattern, one pathset per pattern."""
+    best = None
+    for bits in feasible_activations(len(scene.ris), constraints):
+        allocation = build_allocation(scene, point, wave, bits)
+        paths = build_pathset(scene, allocation, point, wave, "ris")
+        key = (peb(fim_total(paths, wave)).value, bits)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+@settings(max_examples=25, deadline=None)
+@given(x=st.tuples(st.floats(-6.0, 14.0), st.floats(0.5, 9.5)).map(np.array),
+       k_bar=st.integers(0, 4))
+def test_mixed_element_counts_match_brute_force(x, k_bar, wave):
+    """Surfaces of different sizes on one wall: the batched search scores
+    each with its own element count, as the per-pattern pathsets do."""
+    mixed = Scene(wall_offset=10.0,
+                  ris=tuple(RisDescriptor(1.5 + k, m)
+                            for k, m in enumerate((16, 100, 40, 64, 7))),
+                  ris_spacing=1.0)
+    constraints = SelectionConstraints(k_bar=k_bar, min_gap=gap_threshold(mixed, wave))
+    allocation, value = select_ris(mixed, x, wave, constraints)
+    assert (value.value, allocation.active) == brute_force(mixed, x, wave, constraints)
+    assert [len(p) for p in allocation.profiles] == [16, 100, 40, 64, 7]
+
+
+@settings(max_examples=20, deadline=None)
+@given(x=st.tuples(st.floats(-6.0, 14.0), st.floats(0.5, 9.5)).map(np.array),
+       k_bar=st.integers(0, 3), noise=st.integers(-4, 4), power=st.integers(-4, 4))
+def test_bound_scales_with_noise_over_power(x, k_bar, noise, power, scene, wave):
+    """J is proportional to P/N0, so the bound scales as sqrt(N0/P) and the
+    argmin stays. With N0 and P scaled by powers of four every FIM entry
+    scales exactly, the bound by exactly 2^(noise - power), and no
+    near-tie can turn."""
+    constraints = tight_constraints(k_bar, scene, wave)
+    scaled = dataclasses.replace(wave, noise_psd_w_hz=wave.noise_psd_w_hz * 4.0**noise,
+                                 tx_power_w=wave.tx_power_w * 4.0**power)
+    base_alloc, base = select_ris(scene, x, wave, constraints)
+    alloc, value = select_ris(scene, x, scaled, constraints)
+    assert alloc.active == base_alloc.active
+    assert value.value == base.value * 2.0 ** (noise - power)

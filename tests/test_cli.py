@@ -5,12 +5,15 @@ stdout/stderr routing are asserted exactly as a shell would see them.
 """
 
 import dataclasses
+import os
 
 import pytest
 
 import rispeb.fim
+from rispeb.channel import build_pathset
 from rispeb.cli import main
 from rispeb.config import default_config, dump_config
+from rispeb.fim import count_resolvable_paths
 from rispeb.sweep import CDF_HEADER, MAP_HEADER
 
 
@@ -129,6 +132,28 @@ class TestSweep:
         first = open(f"{config.out_dir}/peb_map_ris.csv", "rb").read()
         assert run(capsys, "sweep", "--config", str(path))[0] == 0
         assert open(f"{config.out_dir}/peb_map_ris.csv", "rb").read() == first
+
+    def test_aliased_cell_is_named(self, capsys, small_config):
+        """At 10 GHz some reflector cells alias: the sweep stops with exit 2,
+        writes nothing and names the first such cell in grid order."""
+        path, config = small_config
+        scene, grid = config.scene(), config.grid()
+        wave = dataclasses.replace(config.waveform(), bandwidth_hz=1e10)
+        first = None
+        for x in grid.xs:
+            for y in grid.ys:
+                paths = build_pathset(scene, None, [x, y], wave, "reflector")
+                try:
+                    count_resolvable_paths(paths, wave)
+                except ValueError:
+                    first = first or (x, y)
+        assert first is not None
+        code, out, err = run(capsys, "sweep", "--config", str(path),
+                             "--mode", "reflector", "--bandwidth", "1e10")
+        assert code == 2
+        assert out == ""
+        assert f"cell ({first[0]:.9g}, {first[1]:.9g}): path lengths span" in err
+        assert not os.path.exists(config.out_dir)
 
     def test_mode_override_names_outputs(self, capsys, small_config):
         path, config = small_config

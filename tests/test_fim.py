@@ -6,6 +6,7 @@ code); the numerical oracle differentiates the raw observation model by
 central differences and must agree with the closed-form assembly.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -226,3 +227,67 @@ def test_fim_oracle_on_scene(x, mode):
     if scale == 0.0:
         return
     assert np.linalg.norm(total - reference) / scale < 1e-5
+
+
+# Synthetic path sets: LOS plus up to five more paths with random
+# delays (m), gains and directions, consistent around X.
+path_specs = st.lists(
+    st.tuples(st.floats(2.0, 60.0), st.floats(1e-7, 1e-4),
+              st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 2.0 * math.pi)),
+    min_size=1, max_size=6)
+
+
+def spec_pathset(specs):
+    paths = []
+    for i, (meters, magnitude, phase, heading) in enumerate(specs):
+        kind, index = ("los", None) if i == 0 else ("ris", i - 1)
+        paths.append(synthetic_path(kind, meters / C, magnitude * np.exp(1j * phase),
+                                    (math.cos(heading), math.sin(heading)),
+                                    index=index))
+    return PathSet(paths=tuple(paths))
+
+
+@settings(max_examples=50, deadline=None)
+@given(specs=path_specs)
+def test_fim_is_positive_semidefinite(specs):
+    """The FIM is a sum over subcarriers of Re{g g^H}: no direction may
+    carry negative information beyond rounding. Every term is bounded by
+    the direct part, so its trace scales the rounding even where the
+    paths' information cancels."""
+    fim = fim_total(spec_pathset(specs), make_wave())
+    assert np.min(np.linalg.eigvalsh(fim.total)) >= -1e-12 * np.trace(fim.direct)
+
+
+@settings(max_examples=50, deadline=None)
+@given(specs=path_specs, order=st.randoms())
+def test_fim_ignores_order_of_reradiated_paths(specs, order):
+    wave = make_wave()
+    base = fim_total(spec_pathset(specs), wave).total
+    shuffled = list(specs[1:])
+    order.shuffle(shuffled)
+    permuted = fim_total(spec_pathset([specs[0]] + shuffled), wave).total
+    assert np.linalg.norm(permuted - base) <= 1e-12 * np.linalg.norm(base)
+
+
+@settings(max_examples=20, deadline=None)
+@given(specs=st.lists(path_specs.filter(lambda s: len(s) == 4), min_size=1, max_size=5))
+def test_stacked_paths_match_one_by_one(specs):
+    """Path fields with a leading axis give, entry by entry, the same bits
+    as the path sets evaluated one at a time."""
+    wave = make_wave()
+    sets = [spec_pathset(s) for s in specs]
+    stacked = PathSet(paths=tuple(
+        dataclasses.replace(
+            column[0], tau=np.array([p.tau for p in column]),
+            alpha=np.array([p.alpha for p in column]),
+            direction=np.array([p.direction for p in column]))
+        for column in zip(*sets)))
+    fim = fim_total(stacked, wave)
+    value = peb(fim)
+    assert fim.total.shape == (len(sets), 2, 2)
+    for i, paths in enumerate(sets):
+        one = fim_total(paths, wave)
+        assert np.array_equal(fim.total[i], one.total)
+        assert np.array_equal(fim.direct[i], one.direct)
+        assert value.value[i] == peb(one).value
+        assert value.rank_deficient[i] == peb(one).rank_deficient

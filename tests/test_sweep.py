@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rispeb.allocation import SelectionConstraints, gap_threshold, select_ris
 from rispeb.sweep import (
     CDF_HEADER,
     FLAG_CAPPED,
@@ -24,6 +25,10 @@ from rispeb.sweep import (
 )
 
 SMALL = GridSpec(x_range=(2.0, 6.0), y_range=(3.0, 5.0), nx=3, ny=2)
+
+
+def budget(k_bar, scene, wave):
+    return SelectionConstraints(k_bar=k_bar, min_gap=gap_threshold(scene, wave))
 
 
 class TestGridSpec:
@@ -100,6 +105,22 @@ class TestDegenerateCells:
                   if (ix, iy) != (1, 0)]
         assert FLAG_INVALID not in others
 
+    def test_anchor_cell_marked_invalid_under_selection(self, scene, wave):
+        """The coincident cell drops out of its column's batch alone: the
+        column's other cells are still scored."""
+        grid = GridSpec(x_range=(-1.0, 1.0), y_range=(0.0, 2.0), nx=3, ny=3)
+        result = peb_map(scene, grid, wave, "ris", budget(1, scene, wave))
+        assert result.flags[1, 0] == FLAG_INVALID
+        assert math.isnan(result.peb[1, 0])
+        assert result.path_count[1, 0] == 0
+        assert result.allocation_bits[1, 0] == ""
+        for ix in range(3):
+            for iy in range(3):
+                if (ix, iy) != (1, 0):
+                    assert result.flags[ix, iy] != FLAG_INVALID
+                    assert result.path_count[ix, iy] >= 1
+                    assert len(result.allocation_bits[ix, iy]) == len(scene.ris)
+
     def test_single_resolvable_delay_is_unbounded(self, scene, wave):
         near_scatterer = GridSpec(x_range=(3.4, 3.6), y_range=(9.4, 9.5),
                                   nx=2, ny=2)
@@ -107,6 +128,24 @@ class TestDegenerateCells:
         assert np.all(result.path_count == 1)
         assert all(flag == FLAG_INF for flag in result.flags.ravel())
         assert np.all(np.isinf(result.peb))
+
+
+class TestSelectionMap:
+    @pytest.mark.parametrize("k_bar", [0, 1, 2])
+    def test_cells_match_select_ris(self, scene, wave, k_bar):
+        """A cell's bits and bound are those of select_ris at the cell."""
+        grid = GridSpec(x_range=(-5.0, 15.0), y_range=(0.5, 9.5), nx=6, ny=5)
+        constraints = budget(k_bar, scene, wave)
+        result = peb_map(scene, grid, wave, "ris", constraints)
+        for ix, x in enumerate(grid.xs):
+            for iy, y in enumerate(grid.ys):
+                allocation, value = select_ris(scene, [x, y], wave, constraints)
+                assert result.allocation_bits[ix, iy] == allocation.bits
+                if result.path_count[ix, iy] <= 1 or math.isinf(value.value):
+                    assert math.isinf(result.peb[ix, iy])
+                else:
+                    assert (abs(result.peb[ix, iy] - value.value)
+                            <= 1e-12 * value.value)
 
 
 class TestPathCountMap:
@@ -128,6 +167,16 @@ class TestParallel:
         parallel = peb_map(scene, SMALL, wave, "reflector", workers=2)
         assert np.array_equal(serial.peb, parallel.peb)
         assert np.array_equal(serial.flags, parallel.flags)
+        a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+        write_map_csv(serial, a)
+        write_map_csv(parallel, b)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_parallel_matches_serial_under_selection(self, scene, wave, tmp_path):
+        grid = GridSpec(x_range=(-5.0, 15.0), y_range=(0.5, 9.5), nx=12, ny=12)
+        constraints = budget(1, scene, wave)
+        serial = peb_map(scene, grid, wave, "ris", constraints, workers=None)
+        parallel = peb_map(scene, grid, wave, "ris", constraints, workers=2)
         a, b = tmp_path / "serial.csv", tmp_path / "parallel.csv"
         write_map_csv(serial, a)
         write_map_csv(parallel, b)
