@@ -1,0 +1,133 @@
+"""Reference implementations shared by `rispeb validate` and the tests.
+
+Each is written apart from the code it checks, and none calls
+allocation._score, _patterns, feasible_activations or sweep internals.
+CHECKS is validate's table of (name, check(config, rng) -> worst, tolerance).
+"""
+
+import itertools
+import math
+from dataclasses import replace
+
+import numpy as np
+
+from .allocation import build_allocation, optimal_phases, select_ris
+from .channel import MODES, build_pathset
+from .fim import fim_numerical, fim_total, peb
+from .geometry import DegeneratePositionError
+from .sweep import FLAG_INVALID, peb_map
+
+
+def misalignment(theta, psi, count: int) -> float:
+    """Relative shortfall of |h^T diag(exp(j*phases)) g| from M under
+    optimal_phases, h and g of opposite sign as in channel.gain_ris."""
+    steering = np.arange(count)
+    h = np.exp(1j * math.pi * math.sin(theta) * steering)
+    g = np.exp(-1j * math.pi * math.sin(psi) * steering)
+    gain = abs(np.sum(h * np.exp(1j * optimal_phases(theta, psi, count)) * g))
+    return abs(gain - count) / count
+
+
+def aligned_gain(scene, k: int, x, cfg) -> float:
+    """|gain_ris| of RIS k under the aligned profile at x:
+    M*lambda^2*sqrt(cos(theta)*cos(psi)) / (16*pi*d1*d2), with
+    cos(theta) = L/d1 and cos(psi) = (L - y)/d2 from the geometry."""
+    ris, wall = scene.ris[k], scene.wall_offset
+    d1 = math.hypot(ris.center_x, wall)
+    d2 = math.hypot(x[0] - ris.center_x, x[1] - wall)
+    cosines = (wall / d1) * ((wall - x[1]) / d2)
+    return (ris.element_count * cfg.wavelength ** 2 * math.sqrt(cosines)
+            / (16 * math.pi * d1 * d2))
+
+
+def fim_gap(paths, cfg) -> float:
+    """Relative Frobenius gap between fim_total and fim_numerical; 0 when
+    the numerical reference is zero."""
+    reference = fim_numerical(paths, cfg)
+    scale = np.linalg.norm(reference)
+    if scale == 0.0:
+        return 0.0
+    return float(np.linalg.norm(fim_total(paths, cfg).total - reference) / scale)
+
+
+def best_pattern(scene, x, cfg, constraints) -> tuple[float, tuple[int, ...]]:
+    """(bound, bits) of the best activation at x by exhaustive search over
+    bit vectors with at most k_bar ones, consecutive ones more than
+    min_gap apart, one pathset each; ties go to the smallest bits."""
+    scored = []
+    for bits in itertools.product((0, 1), repeat=len(scene.ris)):
+        ones = [i for i, bit in enumerate(bits) if bit]
+        if len(ones) <= constraints.k_bar and all(
+                b - a > constraints.min_gap for a, b in zip(ones, ones[1:])):
+            allocation = build_allocation(scene, x, cfg, bits)
+            paths = build_pathset(scene, allocation, x, cfg, "ris")
+            scored.append((peb(fim_total(paths, cfg)).value, bits))
+    return min(scored)
+
+
+def phase_gain(config, rng) -> float:
+    m = max((ris.element_count for ris in config.scene().ris), default=100)
+    return max(misalignment(*rng.uniform(-math.pi / 2, math.pi / 2, size=2), m)
+               for _ in range(25))
+
+
+def fim_oracle(config, rng, per_mode: int = 8) -> float:
+    """Largest fim_gap over per_mode random non-degenerate grid positions
+    in each mode the scene supports; RIS mode activates every surface."""
+    scene, cfg, grid = config.scene(), config.waveform(), config.grid()
+    worst = 0.0
+    for mode in [m for m in MODES if m == "ris" or getattr(scene, m) is not None]:
+        done = 0
+        while done < per_mode:
+            p = np.array([rng.uniform(*grid.x_range), rng.uniform(*grid.y_range)])
+            try:
+                allocation = (build_allocation(scene, p, cfg, (1,) * len(scene.ris))
+                              if mode == "ris" else None)
+                paths = build_pathset(scene, allocation, p, cfg, mode)
+            except DegeneratePositionError:
+                continue
+            done += 1
+            worst = max(worst, fim_gap(paths, cfg))
+    return worst
+
+
+def selection_oracle(config, rng) -> float:
+    """Points, of three random ones, where select_ris misses the best bits."""
+    scene, cfg, grid = config.scene(), config.waveform(), config.grid()
+    constraints = config.selection_constraints()
+    mismatches = 0
+    for _ in range(3):
+        p = np.array([rng.uniform(*grid.x_range), rng.uniform(*grid.y_range)])
+        try:
+            chosen, _ = select_ris(scene, p, cfg, constraints)
+        except DegeneratePositionError:
+            continue
+        mismatches += chosen.active != best_pattern(scene, p, cfg, constraints)[1]
+    return float(mismatches)
+
+
+def sweep_oracle(config, rng) -> float:
+    """Cells of a random column of the RIS peb_map whose bits or bound differ
+    from best_pattern; cells with one resolvable delay compare bits only."""
+    scene, cfg, grid = config.scene(), config.waveform(), config.grid()
+    constraints = config.selection_constraints()
+    ix = int(rng.integers(grid.nx - 1))
+    # A grid has at least two columns: sweep the drawn one and the next.
+    pair = replace(grid, x_range=(grid.xs[ix], grid.xs[ix + 1]), nx=2)
+    result = peb_map(scene, pair, cfg, "ris", constraints)
+    mismatches = 0
+    for iy, y in enumerate(pair.ys):
+        if result.flags[0, iy] == FLAG_INVALID:
+            continue
+        bound, bits = best_pattern(scene, np.array([pair.xs[0], y]), cfg, constraints)
+        mismatches += (result.allocation_bits[0, iy] != "".join(map(str, bits))
+                       or (result.path_count[0, iy] > 1 and result.peb[0, iy] != bound))
+    return float(mismatches)
+
+
+CHECKS = (
+    ("phase_gain", phase_gain, 1e-9),
+    ("fim_oracle", fim_oracle, 1e-5),
+    ("selection_oracle", selection_oracle, 0.5),
+    ("sweep_oracle", sweep_oracle, 0.5),
+)

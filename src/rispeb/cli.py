@@ -9,7 +9,6 @@ input (config, arguments, degenerate position, unwritable output).
 from __future__ import annotations
 
 import argparse
-import itertools
 import math
 import os
 import sys
@@ -17,10 +16,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .allocation import build_allocation, optimal_phases, select_ris
+from .allocation import select_ris
 from .channel import MODES, build_pathset
+from .checks import CHECKS
 from .config import ConfigError, RunConfig, default_config, load_config
-from .fim import count_resolvable_paths, fim_numerical, fim_total, peb
+from .fim import count_resolvable_paths, fim_total, peb
 from .geometry import SPEED_OF_LIGHT, DegeneratePositionError
 from .sweep import peb_cdf, peb_map, write_cdf_csv, write_map_csv
 
@@ -120,95 +120,11 @@ def cmd_sweep(config: RunConfig) -> int:
     return 0
 
 
-def _check_phase_gain(scene, cfg, rng):
-    """optimal_phases against a steering pair written out here, with the
-    arrival and departure phases of opposite sign (the specular
-    convention of channel.gain_ris)."""
-    worst = 0.0
-    m = max(r.element_count for r in scene.ris) if scene.ris else 100
-    steering = np.arange(m)
-    for _ in range(25):
-        theta, psi = rng.uniform(-math.pi / 2, math.pi / 2, size=2)
-        profile = optimal_phases(theta, psi, m)
-        h = np.exp(1j * math.pi * math.sin(theta) * steering)
-        g = np.exp(-1j * math.pi * math.sin(psi) * steering)
-        gain = abs(np.sum(h * np.exp(1j * profile) * g))
-        worst = max(worst, abs(gain - m) / m)
-    return worst, 1e-9
-
-
-def _check_fim_oracle(scene, cfg, grid, rng):
-    worst = 0.0
-    modes = ["ris"]
-    if scene.reflector is not None:
-        modes.append("reflector")
-    if scene.scatterer is not None:
-        modes.append("scatterer")
-    for mode in modes:
-        done = 0
-        while done < 8:
-            p = np.array([rng.uniform(*grid.x_range),
-                          rng.uniform(*grid.y_range)])
-            try:
-                if mode == "ris":
-                    allocation = build_allocation(
-                        scene, p, cfg, (1,) * len(scene.ris))
-                else:
-                    allocation = None
-                paths = build_pathset(scene, allocation, p, cfg, mode)
-            except DegeneratePositionError:
-                continue
-            done += 1
-            reference = fim_numerical(paths, cfg)
-            candidate = fim_total(paths, cfg).total
-            scale = np.linalg.norm(reference)
-            if scale == 0.0:
-                continue
-            worst = max(worst, np.linalg.norm(candidate - reference) / scale)
-    return worst, 1e-5
-
-
-def _check_selection(scene, cfg, constraints, grid, rng):
-    mismatches = 0
-    for _ in range(3):
-        p = np.array([rng.uniform(*grid.x_range), rng.uniform(*grid.y_range)])
-        try:
-            chosen, _ = select_ris(scene, p, cfg, constraints)
-        except DegeneratePositionError:
-            continue
-        best = None
-        for bits in itertools.product((0, 1), repeat=len(scene.ris)):
-            if sum(bits) > constraints.k_bar:
-                continue
-            ones = [i for i, bit in enumerate(bits) if bit]
-            gaps = [b - a for a, b in zip(ones, ones[1:])]
-            if gaps and not min(gaps) > constraints.min_gap:
-                continue
-            allocation = build_allocation(scene, p, cfg, bits)
-            value = peb(fim_total(
-                build_pathset(scene, allocation, p, cfg, "ris"), cfg)).value
-            key = (value, bits, sum(bits))
-            if best is None or key < best:
-                best = key
-        if chosen.active != best[1]:
-            mismatches += 1
-    return float(mismatches), 0.5
-
-
 def cmd_validate(config: RunConfig) -> int:
-    scene = config.scene()
-    cfg = config.waveform()
-    grid = config.grid()
     rng = np.random.default_rng(_VALIDATE_SEED)
-    checks = [
-        ("phase_gain", _check_phase_gain(scene, cfg, rng)),
-        ("fim_oracle", _check_fim_oracle(scene, cfg, grid, rng)),
-        ("selection_oracle",
-         _check_selection(scene, cfg, config.selection_constraints(), grid,
-                          rng)),
-    ]
     failures = 0
-    for name, (worst, tol) in checks:
+    for name, check, tol in CHECKS:
+        worst = check(config, rng)
         status = "ok" if worst <= tol else "FAIL"
         failures += status == "FAIL"
         print(f"check {name}: {status} (worst {worst:.3g}, tolerance {tol:g})")

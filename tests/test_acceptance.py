@@ -6,7 +6,6 @@ tolerance and runtime budget. Expensive maps are shared module-scoped.
 """
 
 import dataclasses
-import itertools
 import math
 import time
 
@@ -18,18 +17,12 @@ from rispeb.allocation import (
     build_allocation,
     d_min,
     gap_threshold,
-    optimal_phases,
     select_ris,
 )
-from rispeb.channel import build_pathset, gain_ris
+from rispeb.channel import gain_ris
+from rispeb.checks import aligned_gain, best_pattern, fim_oracle, misalignment
 from rispeb.config import default_config
-from rispeb.fim import fim_numerical, fim_total, peb
-from rispeb.geometry import (
-    DegeneratePositionError,
-    RisDescriptor,
-    Scene,
-    incidence_point,
-)
+from rispeb.geometry import RisDescriptor, Scene, incidence_point
 from rispeb.sweep import GridSpec, path_count_map, peb_cdf, peb_map, write_map_csv
 from rispeb.waveform import (
     delay_resolution,
@@ -91,31 +84,17 @@ def ris_budget_one_map(scene, grid, wave):
 def test_01_phase_optimality_full_array_gain(scene, wave):
     start = time.perf_counter()
     rng = np.random.default_rng(SEED)
-    m = 100
-    steering = np.arange(m)
-    worst_gain = 0.0
-    for _ in range(100):
-        theta, psi = rng.uniform(-math.pi / 2, math.pi / 2, size=2)
-        h = np.exp(1j * math.pi * math.sin(theta) * steering)
-        g = np.exp(-1j * math.pi * math.sin(psi) * steering)
-        triple = abs(np.sum(h * np.exp(1j * optimal_phases(theta, psi, m)) * g))
-        worst_gain = max(worst_gain, abs(triple - m) / m)
+    worst_gain = max(misalignment(*rng.uniform(-math.pi / 2, math.pi / 2, size=2), 100)
+                     for _ in range(100))
 
-    lam = wave.wavelength
     worst_power = 0.0
     for _ in range(20):
         x = np.array([rng.uniform(-5.0, 15.0), rng.uniform(0.5, 9.5)])
-        for k, ris in enumerate(scene.ris):
-            center = np.array([ris.center_x, scene.wall_offset])
+        for k in range(len(scene.ris)):
             alloc = build_allocation(scene, x, wave,
                                      tuple(int(i == k) for i in range(5)))
             power = abs(gain_ris(scene, k, alloc.profiles[k], x, wave)) ** 2
-            d1_sq = float(np.dot(center, center))
-            d2_sq = float(np.dot(x - center, x - center))
-            cosines = (scene.wall_offset ** 2
-                       * (scene.wall_offset - x[1]) ** 2 / (d1_sq * d2_sq))
-            expected = (lam ** 4 * ris.element_count ** 2 * math.sqrt(cosines)
-                        / (16.0 ** 2 * math.pi ** 2 * d1_sq * d2_sq))
+            expected = aligned_gain(scene, k, x, wave) ** 2
             worst_power = max(worst_power, abs(power - expected) / expected)
 
     elapsed = time.perf_counter() - start
@@ -147,30 +126,9 @@ def test_02_resolution_and_ambiguity_numbers(wave):
     assert ok, line
 
 
-def test_03_fim_matches_numerical_oracle(scene, wave, grid):
+def test_03_fim_matches_numerical_oracle(run_config):
     start = time.perf_counter()
-    rng = np.random.default_rng(SEED)
-    worst = 0.0
-    for mode in ("ris", "reflector", "scatterer"):
-        done = 0
-        while done < 50:
-            p = np.array([rng.uniform(*grid.x_range),
-                          rng.uniform(*grid.y_range)])
-            try:
-                allocation = None
-                if mode == "ris":
-                    allocation = build_allocation(scene, p, wave,
-                                                  (1,) * len(scene.ris))
-                paths = build_pathset(scene, allocation, p, wave, mode)
-            except DegeneratePositionError:
-                continue
-            done += 1
-            reference = fim_numerical(paths, wave)
-            scale = np.linalg.norm(reference)
-            if scale == 0.0:
-                continue
-            error = np.linalg.norm(fim_total(paths, wave).total - reference)
-            worst = max(worst, error / scale)
+    worst = fim_oracle(run_config, np.random.default_rng(SEED), per_mode=50)
     elapsed = time.perf_counter() - start
     ok = worst < 1e-5 and elapsed < 10.0
     line = report(3, "FIM matches numerical oracle", ok,
@@ -309,21 +267,7 @@ def test_07_selection_matches_brute_force(wave):
         assert sum(chosen.active) <= k_bar
         assert d_min(chosen.active) > constraints.min_gap
 
-        best = None
-        for bits in itertools.product((0, 1), repeat=ris_count):
-            if sum(bits) > k_bar:
-                continue
-            ones = [i for i, bit in enumerate(bits) if bit]
-            if len(ones) > 1:
-                gap = min(b - a for a, b in zip(ones, ones[1:]))
-                if gap <= constraints.min_gap:
-                    continue
-            allocation = build_allocation(trial_scene, x, wave, bits)
-            paths = build_pathset(trial_scene, allocation, x, wave, "ris")
-            key = (peb(fim_total(paths, wave)).value, bits, sum(bits))
-            if best is None or key < best:
-                best = key
-        if chosen.active != best[1]:
+        if chosen.active != best_pattern(trial_scene, x, wave, constraints)[1]:
             mismatches += 1
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and elapsed < 30.0

@@ -1,8 +1,9 @@
 """Phase optimization and activation selection.
 
-Frozen selection results below were cross-checked against an inline
-brute-force enumeration (also exercised directly in
-TestSelect::test_matches_brute_force). The frozen bounds come from
+Selection is compared against rispeb.checks.best_pattern, an exhaustive
+search with one pathset per pattern that calls none of the batched core
+(TestSelect::test_oracle_is_independent_of_the_core breaks the core and
+still finds the frozen selections below). The frozen bounds come from
 scripts/derive_frozen_values.py, which imports nothing from the package:
 path gains from the link-budget formulas, the FIM from the analytic
 position derivative of the per-subcarrier observation, both evaluated at
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rispeb.allocation as allocation_module
+import rispeb.checks as checks
 from rispeb.allocation import (
     MAX_EXHAUSTIVE_RIS,
     Allocation,
@@ -31,6 +33,7 @@ from rispeb.allocation import (
     select_ris,
 )
 from rispeb.channel import build_pathset, gain_ris
+from rispeb.checks import aligned_gain, best_pattern
 from rispeb.fim import fim_total, peb
 from rispeb.geometry import RisDescriptor, Scene
 
@@ -47,6 +50,22 @@ FROZEN_SELECTIONS = {
 def tight_constraints(k_bar, scene, wave):
     return SelectionConstraints(k_bar=k_bar,
                                 min_gap=gap_threshold(scene, wave))
+
+
+def frozen_tolerance(scene, wave, active):
+    """Relative tolerance of a frozen bound at X_HAT under pattern active.
+
+    A relative error delta in each FIM entry moves det by at most
+    delta * trace^2 and the bound by about delta/2 * trace^2/det. With
+    every surface off the FIM is nearly rank one (trace^2/det about
+    2.7e5), so double precision cannot hold 1e-12 there; allow delta =
+    2 eps, and 1e-12 wherever the FIM is well conditioned.
+    """
+    allocation = build_allocation(scene, X_HAT, wave, active)
+    j = fim_total(build_pathset(scene, allocation, X_HAT, wave, "ris"), wave).total
+    trace = j[0, 0] + j[1, 1]
+    det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+    return max(1e-12, trace**2 / det * np.finfo(float).eps)
 
 
 class TestDmin:
@@ -78,15 +97,9 @@ class TestOptimalPhases:
 
     def test_achieves_full_element_gain(self, scene, wave):
         allocation = build_allocation(scene, X_HAT, wave, (1, 1, 1, 1, 1))
-        for k, ris in enumerate(scene.ris):
+        for k in range(len(scene.ris)):
             triple = gain_ris(scene, k, allocation.profiles[k], X_HAT, wave)
-            d1 = math.hypot(ris.center_x, scene.wall_offset)
-            d2 = math.hypot(X_HAT[0] - ris.center_x,
-                            X_HAT[1] - scene.wall_offset)
-            cosines = (scene.wall_offset / d1) * (
-                (scene.wall_offset - X_HAT[1]) / d2)
-            bound = (ris.element_count * wave.wavelength ** 2
-                     * math.sqrt(cosines) / (16 * math.pi * d1 * d2))
+            bound = aligned_gain(scene, k, X_HAT, wave)
             assert abs(abs(triple) - bound) / bound < 1e-12
 
 
@@ -186,16 +199,7 @@ class TestSelect:
                                        tight_constraints(0, scene, wave))
         bits, expected = FROZEN_SELECTIONS[0]
         assert allocation.bits == bits
-        # A relative error delta in each FIM entry moves det by at most
-        # delta * trace^2 and the bound by about delta/2 * trace^2/det.
-        # With every surface off the FIM is nearly rank one (trace^2/det
-        # about 2.7e5), so double precision cannot hold 1e-12 here; allow
-        # delta = 2 eps, and 1e-12 wherever the FIM is well conditioned.
-        j = fim_total(build_pathset(scene, allocation, X_HAT, wave, "ris"),
-                      wave).total
-        trace = j[0, 0] + j[1, 1]
-        det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-        tolerance = max(1e-12, trace**2 / det * np.finfo(float).eps)
+        tolerance = frozen_tolerance(scene, wave, allocation.active)
         assert abs(value.value - expected) / expected < tolerance
 
     def test_frozen_values_match_derivation(self, derived):
@@ -203,6 +207,23 @@ class TestSelect:
             derived_bits, derived_value, _ = derived[f"select_k{k_bar}"]
             assert derived_bits == bits
             assert abs(float(derived_value) - expected) / expected < 1e-15
+
+    def test_oracle_is_independent_of_the_core(self, scene, wave, monkeypatch):
+        """checks.best_pattern enumerates and scores patterns itself: with
+        the batched core and its pattern list broken it still finds the
+        frozen selections."""
+        def broken(*args, **kwargs):
+            raise AssertionError("the oracle reached the code it checks")
+
+        for name in ("_score", "_patterns", "feasible_activations"):
+            monkeypatch.setattr(allocation_module, name, broken)
+            monkeypatch.setattr(checks, name, broken, raising=False)
+        for k_bar, (bits, expected) in FROZEN_SELECTIONS.items():
+            bound, active = best_pattern(scene, X_HAT, wave,
+                                         tight_constraints(k_bar, scene, wave))
+            assert "".join(map(str, active)) == bits
+            assert (abs(bound - expected) / expected
+                    < frozen_tolerance(scene, wave, active))
 
     def test_larger_budget_never_hurts(self, scene, wave):
         _, one = select_ris(scene, X_HAT, wave, tight_constraints(1, scene, wave))
@@ -212,13 +233,8 @@ class TestSelect:
     def test_matches_brute_force(self, scene, wave):
         point = np.array([8.0, 4.0])
         constraints = tight_constraints(2, scene, wave)
-        best = math.inf
-        for bits in feasible_activations(len(scene.ris), constraints):
-            allocation = build_allocation(scene, point, wave, bits)
-            paths = build_pathset(scene, allocation, point, wave, "ris")
-            best = min(best, peb(fim_total(paths, wave)).value)
         _, value = select_ris(scene, point, wave, constraints)
-        assert value.value == best
+        assert value.value == best_pattern(scene, point, wave, constraints)[0]
 
     def test_selected_allocation_reproduces_value(self, scene, wave):
         constraints = tight_constraints(2, scene, wave)
@@ -323,18 +339,6 @@ def test_selection_respects_constraints(x, k_bar):
     assert value.value > 0.0
 
 
-def brute_force(scene, point, wave, constraints):
-    """(bound, bits) of the best feasible pattern, one pathset per pattern."""
-    best = None
-    for bits in feasible_activations(len(scene.ris), constraints):
-        allocation = build_allocation(scene, point, wave, bits)
-        paths = build_pathset(scene, allocation, point, wave, "ris")
-        key = (peb(fim_total(paths, wave)).value, bits)
-        if best is None or key < best:
-            best = key
-    return best
-
-
 @settings(max_examples=25, deadline=None)
 @given(x=st.tuples(st.floats(-6.0, 14.0), st.floats(0.5, 9.5)).map(np.array),
        k_bar=st.integers(0, 4))
@@ -347,7 +351,7 @@ def test_mixed_element_counts_match_brute_force(x, k_bar, wave):
                   ris_spacing=1.0)
     constraints = SelectionConstraints(k_bar=k_bar, min_gap=gap_threshold(mixed, wave))
     allocation, value = select_ris(mixed, x, wave, constraints)
-    assert (value.value, allocation.active) == brute_force(mixed, x, wave, constraints)
+    assert (value.value, allocation.active) == best_pattern(mixed, x, wave, constraints)
     assert [len(p) for p in allocation.profiles] == [16, 100, 40, 64, 7]
 
 

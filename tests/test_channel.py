@@ -2,12 +2,13 @@
 
 Gain magnitudes and one full complex value are frozen from independent
 stdlib computations of the link-budget formulas (lambda over 4 pi
-distance products, carrier phase e^{-j 2 pi f_c tau}). RIS gains use the
-projected-aperture element lambda^2 sqrt(cos(theta) cos(psi)) / (16 pi
+distance products, carrier phase e^{-j 2 pi f_c tau}). The frozen RIS
+gains come from scripts/derive_frozen_values.py, which
+test_ris_values_match_derivation runs again. Aligned RIS gains at random
+positions, grazing ones included, are compared against
+rispeb.checks.aligned_gain: M lambda^2 sqrt(cos(theta) cos(psi)) / (16 pi
 d1 d2), with cos(theta) = L/d1 and cos(psi) = (L - y)/d2 taken from the
-geometry, times the element sum written out term by term; they come from
-scripts/derive_frozen_values.py, which test_ris_values_match_derivation
-runs again.
+geometry.
 """
 
 import math
@@ -24,6 +25,8 @@ from rispeb.channel import (
     gain_ris,
     gain_scatter,
 )
+from rispeb.checks import aligned_gain, fim_gap
+from rispeb.fim import fim_total, peb
 from rispeb.geometry import SPEED_OF_LIGHT, Scene, RisDescriptor, ris_angles
 
 
@@ -132,7 +135,8 @@ class TestPathset:
 )
 def test_optimal_profile_achieves_full_array_gain(x, k):
     """With the aligned profile the cascaded array factor has magnitude
-    exactly M, so the gain equals M times the element gain."""
+    exactly M, so the gain equals M times the element gain (the closed
+    form checks.aligned_gain)."""
     scene = Scene(wall_offset=10.0,
                   ris=tuple(RisDescriptor(1.5 + i, 25) for i in range(5)),
                   ris_spacing=1.0)
@@ -141,12 +145,7 @@ def test_optimal_profile_achieves_full_array_gain(x, k):
                           subcarrier_count=129)
     theta, psi = ris_angles(scene, k, x)
     value = gain_ris(scene, k, optimal_phases(theta, psi, 25), x, wave)
-    lam = SPEED_OF_LIGHT / wave.carrier_hz
-    d1 = math.hypot(1.5 + k, 10.0)
-    d2 = math.hypot(x[0] - (1.5 + k), x[1] - 10.0)
-    cosines = (10.0 / d1) * ((10.0 - x[1]) / d2)
-    unit = lam ** 2 * math.sqrt(cosines) / (16 * math.pi * d1 * d2)
-    assert rel(abs(value), 25 * unit) < 1e-9
+    assert rel(abs(value), aligned_gain(scene, k, x, wave)) < 1e-9
 
 
 def test_zero_profile_reflects_specularly(scene, wave):
@@ -161,3 +160,21 @@ def test_zero_profile_reflects_specularly(scene, wave):
     flat = np.zeros(scene.ris[k].element_count)
     gains = [abs(gain_ris(scene, k, flat, [x, row], wave)) for x in xs]
     assert abs(xs[int(np.argmax(gains))] - specular_x) < 0.05
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=st.floats(-5.0, 15.0), depth=st.floats(1e-5, 1e-2))
+def test_grazing_departure_stays_finite_and_accurate(x, depth, scene, wave):
+    """Users just below the wall see every RIS at psi near +-pi/2, where
+    the projected aperture cos(psi) nearly vanishes: the gains stay
+    finite and aligned, the FIM matches numerical differentiation and
+    the bound is never nan."""
+    point = np.array([x, scene.wall_offset - depth])
+    allocation = build_allocation(scene, point, wave, (1,) * len(scene.ris))
+    paths = build_pathset(scene, allocation, point, wave, "ris")
+    assert all(np.isfinite(path.alpha) for path in paths)
+    for path in paths[1:]:
+        expected = aligned_gain(scene, path.index, point, wave)
+        assert rel(abs(path.alpha), expected) < 1e-9
+    assert fim_gap(paths, wave) < 1e-5
+    assert not math.isnan(peb(fim_total(paths, wave)).value)

@@ -10,6 +10,7 @@ import os
 import pytest
 
 import rispeb.fim
+import rispeb.sweep
 from rispeb.channel import build_pathset
 from rispeb.cli import main
 from rispeb.config import default_config, dump_config
@@ -170,6 +171,7 @@ class TestValidate:
         assert "check phase_gain: ok" in out
         assert "check fim_oracle: ok" in out
         assert "check selection_oracle: ok" in out
+        assert "check sweep_oracle: ok" in out
 
     def test_detects_injected_kernel_fault(self, capsys, monkeypatch):
         true_kernel = rispeb.fim.delay_kernel
@@ -179,6 +181,19 @@ class TestValidate:
         assert code == 1
         assert "check fim_oracle: FAIL" in out
         assert "check phase_gain: ok" in out
+
+    def test_detects_injected_sweep_fault(self, capsys, monkeypatch):
+        """A sweep that scores the patterns in reverse order names the
+        wrong winner; select_ris, which has its own argmin, is unaffected."""
+        true_score = rispeb.sweep._score
+        monkeypatch.setattr(
+            rispeb.sweep, "_score",
+            lambda scene, points, cfg, patterns: true_score(scene, points, cfg,
+                                                            patterns[::-1]))
+        code, out, _ = run(capsys, "validate")
+        assert code == 1
+        assert "check sweep_oracle: FAIL" in out
+        assert "check selection_oracle: ok" in out
 
 
 class TestConfigStability:

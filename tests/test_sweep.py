@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rispeb.allocation import SelectionConstraints, gap_threshold, select_ris
+from rispeb.allocation import SelectionConstraints, gap_threshold
+from rispeb.checks import best_pattern
 from rispeb.sweep import (
     CDF_HEADER,
     FLAG_CAPPED,
@@ -133,19 +134,19 @@ class TestDegenerateCells:
 class TestSelectionMap:
     @pytest.mark.parametrize("k_bar", [0, 1, 2])
     def test_cells_match_select_ris(self, scene, wave, k_bar):
-        """A cell's bits and bound are those of select_ris at the cell."""
+        """A cell's bits and bound are those of the exhaustive search at
+        the cell (what select_ris must return), one pathset per pattern."""
         grid = GridSpec(x_range=(-5.0, 15.0), y_range=(0.5, 9.5), nx=6, ny=5)
         constraints = budget(k_bar, scene, wave)
         result = peb_map(scene, grid, wave, "ris", constraints)
         for ix, x in enumerate(grid.xs):
             for iy, y in enumerate(grid.ys):
-                allocation, value = select_ris(scene, [x, y], wave, constraints)
-                assert result.allocation_bits[ix, iy] == allocation.bits
-                if result.path_count[ix, iy] <= 1 or math.isinf(value.value):
+                bound, bits = best_pattern(scene, np.array([x, y]), wave, constraints)
+                assert result.allocation_bits[ix, iy] == "".join(map(str, bits))
+                if result.path_count[ix, iy] <= 1 or math.isinf(bound):
                     assert math.isinf(result.peb[ix, iy])
                 else:
-                    assert (abs(result.peb[ix, iy] - value.value)
-                            <= 1e-12 * value.value)
+                    assert abs(result.peb[ix, iy] - bound) <= 1e-12 * bound
 
 
 class TestPathCountMap:
