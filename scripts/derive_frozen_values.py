@@ -7,10 +7,12 @@ starting from the file's double-precision inputs:
 
 - path gains from the link-budget formulas: LOS lambda/(4 pi d); RIS
   element lambda^2 sqrt(cos(theta) cos(psi)) / (16 pi d1 d2) times the
-  element sum h_m exp(j phi_m) g_m written out term by term, with
-  h_m = exp(j pi m sin(theta)), g_m = exp(-j pi m sin(psi)), the aligned
-  profile phi_m = -pi m (sin(theta) - sin(psi)) on active surfaces and
-  phi_m = 0 on inactive ones; every gain carries exp(-j 2 pi f_c tau);
+  element sum h_n exp(j phi_n) g_n written out term by term over n
+  centered on the array, in the carrier's sign: h_n =
+  exp(-j pi n sin(theta)), g_n = exp(j pi n sin(psi)), the profile
+  phi_n = pi n (sin(theta) - sin(psi)) at the design point X_HAT on
+  active surfaces and phi_n = 0 on inactive ones; every gain carries
+  exp(-j 2 pi f_c tau), tau measured at the array center;
 - the 2x2 position FIM from the analytic position derivative of the
   per-subcarrier observation sum_k alpha_k sqrt(E_s)
   exp(-j 2 pi n W tau_k / (N+1)), summed over subcarriers n directly
@@ -95,12 +97,14 @@ def ris_element(s, t):
 
 
 def element_sum(s, t, design, active):
-    """sum_m h_m exp(j phi_m) g_m, with phi aligned for `design` if active."""
+    """sum_n h_n exp(j phi_n) g_n over n centered on the array, with phi
+    aligned for `design` if active."""
     total = mp.mpc(0)
     for m in range(s["elements"]):
-        phase = mp.pi * m * (t["sin_theta"] - t["sin_psi"])
+        n = m - mp.mpf(s["elements"] - 1) / 2
+        phase = -mp.pi * n * (t["sin_theta"] - t["sin_psi"])
         if active:
-            phase -= mp.pi * m * (design["sin_theta"] - design["sin_psi"])
+            phase += mp.pi * n * (design["sin_theta"] - design["sin_psi"])
         total += mp.expj(phase)
     return total
 
@@ -186,6 +190,7 @@ def derive():
             "ris0_aligned_gain": abs(ris_gain(s, 0, x, True)),
             "ris0_element_gain": ris_element(s, t),
             "ris0_zero_profile_array_factor": abs(element_sum(s, t, t, False)),
+            "ris0_inactive_gain": ris_gain(s, 0, x, False),
         }
         for k_bar in (0, 1, 2):
             out[f"select_k{k_bar}"] = select(s, x, k_bar)
@@ -202,6 +207,9 @@ def main() -> int:
     }
     for name, test in where.items():
         print(f"{name} = {float(values[name])!r}  ({test})")
+    inactive = complex(values["ris0_inactive_gain"])
+    print(f"ris0_inactive_gain = {inactive!r}  "
+          "(test_channel.py::test_ris_gain_inactive_complex_value)")
     for k_bar in (0, 1, 2):
         bits, value, sensitivity = values[f"select_k{k_bar}"]
         print(f"k_bar={k_bar}: bits {bits}, peb {float(value)!r} m, "

@@ -3,11 +3,13 @@
 
 Writes, per mode, a position-error-bound map and its region CDF; plus
 RIS-mode resolvable-path-count maps at the configured bandwidth and at
-1 GHz. Prints a coverage summary table. All outputs are CSV files under
+1 GHz. Prints a coverage summary table and how many cells of the RIS
+map chose each allocation bit pattern. All outputs are CSV files under
 the configured output directory.
 """
 
 import argparse
+import collections
 import dataclasses
 import os
 import sys
@@ -41,6 +43,7 @@ def main(argv=None) -> int:
     os.makedirs(config.out_dir, exist_ok=True)
 
     print(f"{'mode':<10} {'<=1.0 m':>8} {'<=2.5 m':>8} {'finite':>8}")
+    patterns = collections.Counter()
     for mode in MODES:
         constraints = config.selection_constraints() if mode == "ris" else None
         result = peb_map(scene, grid, wave, mode, constraints,
@@ -54,6 +57,11 @@ def main(argv=None) -> int:
               f" {cdf.finite_fraction:>8.3f}")
         print(f"wrote {map_path}", file=sys.stderr)
         print(f"wrote {cdf_path}", file=sys.stderr)
+        if mode == "ris":
+            patterns.update(result.allocation_bits.ravel())
+
+    print("ris allocation bits: " + ", ".join(
+        f"{bits or 'none'} {count}" for bits, count in sorted(patterns.items())))
 
     for label, bandwidth in (("100MHz", 1e8), ("1GHz", 1e9)):
         counts = path_count_map(

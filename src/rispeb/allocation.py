@@ -1,7 +1,8 @@
 """RIS phase optimization and activation-subset selection.
 
 Per-RIS phases have a closed-form optimum that aligns every element's
-cascaded response, giving the full M^2 gain. Which RIS to activate is a
+cascaded response, giving the full M^2 gain; an allocation stores it as
+one design steering difference per surface. Which RIS to activate is a
 small combinatorial problem: activation patterns are enumerated
 exhaustively under a budget on the number of active RIS and a minimum
 index gap that keeps the activated paths separable in delay. Every
@@ -17,9 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import PathSet, build_pathset, gain_ris
+from .channel import PathSet, _steering, build_pathset, gain_ris
 from .fim import PebValue, fim_total, peb
-from .geometry import SPEED_OF_LIGHT, Scene, _as_point, ris_angles
+from .geometry import SPEED_OF_LIGHT, Scene, _as_point, _require_below_wall
 from .waveform import WaveformConfig
 
 # Beyond this many RIS the exhaustive enumeration is off the table.
@@ -32,23 +33,25 @@ _BATCH_ENTRIES = 1 << 18
 
 @dataclass(frozen=True)
 class Allocation:
-    """Activation bits plus the per-RIS phase profiles actually applied.
+    """Activation bits plus the design steering difference of each RIS.
 
-    Inactive RIS carry the all-zero (all-ones phasor) profile: they keep
-    reflecting specularly rather than disappearing.
+    An active RIS is phased for sin(theta) - sin(psi) at its design
+    point (optimal_phases gives the profile). Inactive RIS carry design
+    0, the flat surface: they keep reflecting specularly rather than
+    disappearing.
     """
 
     active: tuple[int, ...]
-    profiles: tuple[np.ndarray, ...]
+    design: tuple[float, ...]
 
     def __post_init__(self):
         if any(bit not in (0, 1) for bit in self.active):
             raise ValueError("activation entries must be 0 or 1")
-        if len(self.profiles) != len(self.active):
-            raise ValueError("one phase profile per RIS is required")
-        for bit, profile in zip(self.active, self.profiles):
-            if not bit and np.any(profile != 0.0):
-                raise ValueError("inactive RIS must carry the all-zero profile")
+        if len(self.design) != len(self.active):
+            raise ValueError("one design steering per RIS is required")
+        for bit, design in zip(self.active, self.design):
+            if not bit and np.any(design != 0.0):
+                raise ValueError("inactive RIS must carry design 0, the flat surface")
 
     @property
     def bits(self) -> str:
@@ -86,15 +89,17 @@ def gap_threshold(scene: Scene, cfg: WaveformConfig) -> float:
 
 
 def optimal_phases(theta, psi, element_count: int) -> np.ndarray:
-    """Element phases -pi*m*(sin(theta) - sin(psi)) aligning the cascade.
+    """Element phases pi*n*(sin(theta) - sin(psi)) aligning the cascade,
+    n centered on the array: the profile of design steering
+    sin(theta) - sin(psi).
 
     Cancels the combined steering phase of the arrival and departure
     responses so all M element contributions add coherently. The profile
     is all zero exactly at the specular angle psi = theta. Angle arrays
     give profiles with the elements along a new last axis.
     """
-    m = np.arange(element_count)
-    return np.multiply.outer(-math.pi * (np.sin(theta) - np.sin(psi)), m)
+    n = np.arange(element_count) - 0.5 * (element_count - 1)
+    return np.multiply.outer(math.pi * (np.sin(theta) - np.sin(psi)), n)
 
 
 def d_min(active) -> float:
@@ -106,21 +111,15 @@ def d_min(active) -> float:
 
 
 def build_allocation(scene: Scene, x_hat, cfg: WaveformConfig, active) -> Allocation:
-    """Allocation with phases optimal for x_hat on the active RIS; a batch
-    of positions gives profiles with the elements along the last axis."""
+    """Allocation steered for x_hat on the active RIS; a batch of
+    positions gives one design per position on each active RIS."""
     p = _as_point(x_hat)
+    _require_below_wall(scene, p)
     bits = tuple(int(bool(bit)) for bit in active)
     if len(bits) != len(scene.ris):
         raise ValueError("activation length must match the RIS count")
-    profiles = []
-    for k, bit in enumerate(bits):
-        count = scene.ris[k].element_count
-        if bit:
-            theta, psi = ris_angles(scene, k, p)
-            profiles.append(optimal_phases(theta, psi, count))
-        else:
-            profiles.append(np.zeros(count))
-    return Allocation(active=bits, profiles=tuple(profiles))
+    design = tuple(_steering(scene, k, p)[3] if bit else 0.0 for k, bit in enumerate(bits))
+    return Allocation(active=bits, design=design)
 
 
 def feasible_activations(ris_count: int, constraints: SelectionConstraints):
@@ -164,8 +163,7 @@ def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
     column = points[:, None, :]
     aligned = build_allocation(scene, column, cfg, (1,) * len(scene.ris))
     paths = build_pathset(scene, aligned, column, cfg, "ris")
-    inactive = [gain_ris(scene, k, np.zeros(ris.element_count), column, cfg)
-                for k, ris in enumerate(scene.ris)]
+    inactive = [gain_ris(scene, k, 0.0, column, cfg) for k in range(len(scene.ris))]
     # Patterns per batch, so that the (points x patterns x paths x paths)
     # arrays stay near _BATCH_ENTRIES entries.
     step = max(1, _BATCH_ENTRIES // (len(points) * len(paths) ** 2))

@@ -11,9 +11,9 @@ given a batch of positions, a Path holds arrays of delays, gains and
 directions, one entry per position.
 
 Per the inactive-RIS convention, a deactivated RIS is not removed from
-the channel: it keeps reflecting with the all-ones (zero-phase) profile,
-acting as a flat mirror whose array factor peaks at the specular angle
-psi = theta.
+the channel: it keeps reflecting with design steering 0, the flat
+(zero-phase) surface, acting as a mirror whose array factor peaks at the
+specular angle psi = theta.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .geometry import (
     _require_below_wall,
     _separation,
     incidence_point,
-    ris_angles,
     ris_center,
     scatter_position,
     virtual_anchor,
@@ -121,53 +120,44 @@ def gain_los(x, cfg: WaveformConfig) -> complex:
     return _carrier(tau, cfg) * cfg.wavelength / (4.0 * math.pi * dist)
 
 
-def gain_ris(scene: Scene, k: int, phases: np.ndarray, x, cfg: WaveformConfig) -> complex:
-    """Cascaded BS-RIS-user gain for RIS k under the given phase profile.
+def _steering(scene: Scene, k: int, x):
+    """Legs d1 and d2, delay and steering difference sin(theta) - sin(psi)
+    of RIS k at x, with sin(theta) = c_x/d1 and sin(psi) = (x - c_x)/d2."""
+    center = scene.ris[k].center_x
+    _, leg_in, leg_out, tau = _leg(scene, "ris", k, x)
+    return leg_in, leg_out, tau, center / leg_in - (x[..., 0] - center) / leg_out
 
-    Each element is a (lambda/2)^2 aperture: it captures the BS wave with
-    effective area (lambda/2)^2*cos(theta) and reradiates toward the user
-    with gain pi*cos(psi), so one element contributes
-    lambda^2*sqrt(cos(theta)*cos(psi)) / (16*pi*d1*d2) in amplitude
-    (Ellingson 2019; Tang et al., IEEE TWC 2021). The projected-aperture
-    cosines vanish at grazing angles, where a flat surface cannot
-    reradiate along itself. The element sum h^T diag(exp(j*phases)) g is
-    evaluated directly; its magnitude is bounded by the element count M
-    and reaches M exactly when the profile cancels the steering phases.
 
-    The arrival response is h_m = exp(j*pi*m*sin(theta)), the departure
-    response g_m = exp(-j*pi*m*sin(psi)). Element m sits m half-wavelengths
-    toward +x, which lengthens the incoming leg by m*(lambda/2)*sin(theta)
-    but shortens the outgoing leg by m*(lambda/2)*sin(psi), so the two
-    carry opposite signs and the zero-phase surface reflects specularly
-    (psi = theta). That relative sign alone sets every cascade magnitude.
-    The common sign and the reference do not follow the carrier: under
-    exp(-j*2*pi*f_c*tau) a longer leg gives exp(-j*pi*m*sin(theta)), so
-    the pair is the complex conjugate of the physical one, and it is
-    referenced to element 0 rather than to the array center where tau is
-    measured. This changes only the phase of a cascade that is not
-    aligned: an inactive RIS, or an active one seen away from its design
-    point.
+def _array_factor(spread, count: int):
+    """D_M(x) = sin(M*x/2)/sin(x/2) at x = pi*spread, reduced exactly to
+    |x| <= pi by D_M(x + 2*pi) = (-1)^(M-1)*D_M(x): sin(x/2) then vanishes
+    only at x = 0, where the limit is M, so grating lobes come out exact."""
+    turns = np.round(0.5 * np.asarray(spread))
+    half = 0.5 * math.pi * (spread - 2.0 * turns)
+    with np.errstate(invalid="ignore"):
+        ratio = np.where(half == 0.0, count, np.sin(count * half) / np.sin(half))
+    return np.where((count - 1) * turns % 2.0, -ratio, ratio)
 
-    The last axis of phases runs over the elements; its leading axes
-    broadcast against those of x.
+
+def gain_ris(scene: Scene, k: int, design, x, cfg: WaveformConfig) -> complex:
+    """Cascaded BS-RIS-user gain of RIS k phased for steering difference
+    design (0: the flat surface); design broadcasts against x's leading axes.
+
+    Under the carrier exp(-j*2*pi*f_c*tau), tau measured at the array
+    center, the element n half-wavelengths toward +x of the center adds
+    exp(-j*pi*n*(u - design)) with u = sin(theta) - sin(psi): the cascade
+    is the real D_M(pi*(u - design)), M when aligned. Each element is a (lambda/2)^2 aperture of amplitude
+    lambda^2*sqrt(cos(theta)*cos(psi))/(16*pi*d1*d2) (Ellingson 2019; Tang
+    et al., IEEE TWC 2021), with cos(theta) = L/d1, cos(psi) = (L - y)/d2.
     """
     p = _as_point(x)
-    count = scene.ris[k].element_count
-    profile = np.asarray(phases, dtype=float)
-    if profile.shape[-1:] != (count,):
-        raise ValueError("phase profile length must match the element count")
-    _, leg_in, leg_out, tau = _leg(scene, "ris", k, p)
-    theta, psi = ris_angles(scene, k, p)
-    m = np.arange(count)
-    h = np.exp(1j * math.pi * np.sin(theta) * m)
-    g = np.exp(np.multiply.outer(-1j * math.pi * np.sin(psi), m))
-    triple = np.sum(h * np.exp(1j * profile) * g, axis=-1)
-    element = (cfg.wavelength**2 * np.sqrt(np.cos(theta) * np.cos(psi))
+    _require_below_wall(scene, p)
+    leg_in, leg_out, tau, steering = _steering(scene, k, p)
+    wall = scene.wall_offset
+    element = (cfg.wavelength**2 * np.sqrt((wall / leg_in) * ((wall - p[..., 1]) / leg_out))
                / (16.0 * math.pi * leg_in * leg_out))
-    # np.multiply, not *: numpy's scalar complex product (one position) can
-    # round differently from its array loop (a batch), and a point must get
-    # the same bits alone as inside a batch.
-    return np.multiply(_carrier(tau, cfg) * element, triple)
+    count = scene.ris[k].element_count
+    return _carrier(tau, cfg) * (element * _array_factor(steering - design, count))
 
 
 def gain_reflector(scene: Scene, x, cfg: WaveformConfig) -> complex:
@@ -195,11 +185,11 @@ def build_pathset(scene: Scene, allocation: "Allocation | None", x,
     """LOS path plus the mode's reradiated paths at user position x.
 
     mode "ris" needs an allocation and emits one path per RIS, active or
-    not (inactive ones reflect with the all-ones profile). The baseline
-    modes emit the single reflector path (zero gain outside the hit
-    region) or the single scatterer path; allocation is ignored there.
-    For positions with leading axes each path field holds one entry per
-    position, and the allocation's profiles broadcast against them.
+    not (inactive ones reflect as the flat surface). The baseline modes
+    emit the single reflector path (zero gain outside the hit region) or
+    the single scatterer path; allocation is ignored there. For
+    positions with leading axes each path field holds one entry per
+    position, and the allocation's design broadcasts against them.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -209,10 +199,10 @@ def build_pathset(scene: Scene, allocation: "Allocation | None", x,
     if mode == "ris":
         if allocation is None:
             raise ValueError("RIS mode needs an allocation")
-        if len(allocation.profiles) != len(scene.ris):
+        if len(allocation.design) != len(scene.ris):
             raise ValueError("allocation does not match the scene's RIS count")
         for k in range(len(scene.ris)):
-            alpha = gain_ris(scene, k, allocation.profiles[k], p, cfg)
+            alpha = gain_ris(scene, k, allocation.design[k], p, cfg)
             paths.append(_make_path(scene, "ris", k, alpha, p))
     elif mode == "reflector":
         paths.append(_make_path(scene, "reflector", None, gain_reflector(scene, p, cfg), p))

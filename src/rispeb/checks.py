@@ -18,13 +18,18 @@ from .geometry import DegeneratePositionError
 from .sweep import FLAG_INVALID, peb_map
 
 
+def element_sum(theta, psi, phases) -> complex:
+    """h^T diag(exp(j*phases)) g with n centered on the array, in the
+    carrier's sign: h_n = exp(-j*pi*n*sin(theta)), g_n = exp(j*pi*n*sin(psi))."""
+    n = np.arange(len(phases)) - 0.5 * (len(phases) - 1)
+    h = np.exp(-1j * math.pi * n * math.sin(theta))
+    g = np.exp(1j * math.pi * n * math.sin(psi))
+    return complex(np.sum(h * np.exp(1j * np.asarray(phases)) * g))
+
+
 def misalignment(theta, psi, count: int) -> float:
-    """Relative shortfall of |h^T diag(exp(j*phases)) g| from M under
-    optimal_phases, h and g of opposite sign as in channel.gain_ris."""
-    steering = np.arange(count)
-    h = np.exp(1j * math.pi * math.sin(theta) * steering)
-    g = np.exp(-1j * math.pi * math.sin(psi) * steering)
-    gain = abs(np.sum(h * np.exp(1j * optimal_phases(theta, psi, count)) * g))
+    """Relative shortfall of |element_sum| from M under optimal_phases."""
+    gain = abs(element_sum(theta, psi, optimal_phases(theta, psi, count)))
     return abs(gain - count) / count
 
 
@@ -92,17 +97,18 @@ def fim_oracle(config, rng, per_mode: int = 8) -> float:
 
 
 def selection_oracle(config, rng) -> float:
-    """Points, of three random ones, where select_ris misses the best bits."""
+    """Points, of three random ones, where select_ris's bits or bound
+    differ from best_pattern."""
     scene, cfg, grid = config.scene(), config.waveform(), config.grid()
     constraints = config.selection_constraints()
     mismatches = 0
     for _ in range(3):
         p = np.array([rng.uniform(*grid.x_range), rng.uniform(*grid.y_range)])
         try:
-            chosen, _ = select_ris(scene, p, cfg, constraints)
+            chosen, value = select_ris(scene, p, cfg, constraints)
         except DegeneratePositionError:
             continue
-        mismatches += chosen.active != best_pattern(scene, p, cfg, constraints)[1]
+        mismatches += (value.value, chosen.active) != best_pattern(scene, p, cfg, constraints)
     return float(mismatches)
 
 

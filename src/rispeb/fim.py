@@ -139,8 +139,9 @@ def count_resolvable_paths(paths: PathSet, cfg: WaveformConfig) -> int:
 
     Paths closer than 1/W in delay cannot be separated; the closest pair
     of clusters is merged repeatedly (cluster delay = mean of its member
-    delays) until every pair is at least 1/W apart. Zero-gain paths (a
-    missed reflector) do not exist in the channel and are not counted.
+    delays) until every pair is at least 1/W apart; in sorted order the
+    closest pair is always adjacent. Zero-gain paths (a missed
+    reflector) do not exist in the channel and are not counted.
 
     The delay kernel repeats every (N+1)/W, so delays that span more than
     (N+1)/W - 1/W may alias onto each other: such path sets raise
@@ -152,25 +153,19 @@ def count_resolvable_paths(paths: PathSet, cfg: WaveformConfig) -> int:
 def _count_clusters(taus, cfg: WaveformConfig) -> int:
     """count_resolvable_paths on the delays of the paths that exist."""
     limit = 1.0 / cfg.bandwidth_hz
-    clusters = [(tau, 1) for tau in taus]
     span = (max(taus) - min(taus)) * SPEED_OF_LIGHT if taus else 0.0
     allowed = unambiguous_range(cfg) - delay_resolution(cfg)
     if span > allowed:
         raise ValueError(f"path lengths span {span:.6g} m, more than the "
                          f"{allowed:.6g} m the delay kernel separates without aliasing")
+    clusters = [(tau, 1) for tau in sorted(taus)]
     while len(clusters) > 1:
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                gap = abs(clusters[i][0] / clusters[i][1] - clusters[j][0] / clusters[j][1])
-                if best is None or gap < best[0]:
-                    best = (gap, i, j)
-        gap, i, j = best
+        means = [total / size for total, size in clusters]
+        gap, i = min((abs(b - a), i) for i, (a, b) in enumerate(zip(means, means[1:])))
         if gap >= limit:
             break
-        merged = (clusters[i][0] + clusters[j][0], clusters[i][1] + clusters[j][1])
-        clusters = [c for idx, c in enumerate(clusters) if idx not in (i, j)]
-        clusters.append(merged)
+        (first, size1), (second, size2) = clusters[i:i + 2]
+        clusters[i:i + 2] = [(first + second, size1 + size2)]
     return len(clusters)
 
 

@@ -93,7 +93,7 @@ def test_01_phase_optimality_full_array_gain(scene, wave):
         for k in range(len(scene.ris)):
             alloc = build_allocation(scene, x, wave,
                                      tuple(int(i == k) for i in range(5)))
-            power = abs(gain_ris(scene, k, alloc.profiles[k], x, wave)) ** 2
+            power = abs(gain_ris(scene, k, alloc.design[k], x, wave)) ** 2
             expected = aligned_gain(scene, k, x, wave) ** 2
             worst_power = max(worst_power, abs(power - expected) / expected)
 

@@ -3,21 +3,23 @@
 Gain magnitudes and one full complex value are frozen from independent
 stdlib computations of the link-budget formulas (lambda over 4 pi
 distance products, carrier phase e^{-j 2 pi f_c tau}). The frozen RIS
-gains come from scripts/derive_frozen_values.py, which
-test_ris_values_match_derivation runs again. Aligned RIS gains at random
-positions, grazing ones included, are compared against
-rispeb.checks.aligned_gain: M lambda^2 sqrt(cos(theta) cos(psi)) / (16 pi
-d1 d2), with cos(theta) = L/d1 and cos(psi) = (L - y)/d2 taken from the
-geometry.
+gains, one complex inactive cascade among them, come from
+scripts/derive_frozen_values.py, which test_ris_values_match_derivation
+runs again. Aligned RIS gains at random positions, grazing ones
+included, are compared against rispeb.checks.aligned_gain: M lambda^2
+sqrt(cos(theta) cos(psi)) / (16 pi d1 d2), with cos(theta) = L/d1 and
+cos(psi) = (L - y)/d2 taken from the geometry. The closed-form cascade
+D_M is compared with rispeb.checks.element_sum, the element sum written
+out term by term.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rispeb.allocation import build_allocation, optimal_phases
+from rispeb.allocation import build_allocation
 from rispeb.channel import (
     build_pathset,
     gain_los,
@@ -25,7 +27,7 @@ from rispeb.channel import (
     gain_ris,
     gain_scatter,
 )
-from rispeb.checks import aligned_gain, fim_gap
+from rispeb.checks import aligned_gain, element_sum, fim_gap
 from rispeb.fim import fim_total, peb
 from rispeb.geometry import SPEED_OF_LIGHT, Scene, RisDescriptor, ris_angles
 
@@ -34,6 +36,7 @@ from rispeb.geometry import SPEED_OF_LIGHT, Scene, RisDescriptor, ris_angles
 RIS0_ALIGNED_GAIN = 4.013234195310467e-06
 RIS0_ELEMENT_GAIN = 4.0132341953104664e-08
 RIS0_ZERO_PROFILE_ARRAY_FACTOR = 1.3430916596536853
+RIS0_INACTIVE_GAIN = 4.188001321175121e-08 + 3.39326818666824e-08j
 
 
 def rel(a, b):
@@ -47,23 +50,29 @@ class TestFrozenGains:
         assert rel(value, expected) < 1e-12
 
     def test_ris_gain_optimal_profile(self, scene, wave):
-        theta, psi = ris_angles(scene, 0, [3.5, 5.0])
-        phases = optimal_phases(theta, psi, 100)
-        value = gain_ris(scene, 0, phases, [3.5, 5.0], wave)
+        design = build_allocation(scene, [3.5, 5.0], wave, (1, 0, 0, 0, 0)).design[0]
+        value = gain_ris(scene, 0, design, [3.5, 5.0], wave)
         assert rel(abs(value), RIS0_ALIGNED_GAIN) < 1e-12
 
     def test_ris_gain_zero_profile(self, scene, wave):
-        value = gain_ris(scene, 0, np.zeros(100), [3.5, 5.0], wave)
+        value = gain_ris(scene, 0, 0.0, [3.5, 5.0], wave)
         # element magnitude times the frozen array-factor magnitude
         # |sum_m exp(j pi m (sin(theta) - sin(psi)))|
         expected = RIS0_ELEMENT_GAIN * RIS0_ZERO_PROFILE_ARRAY_FACTOR
         assert rel(abs(value), expected) < 1e-10
+
+    def test_ris_gain_inactive_complex_value(self, scene, wave):
+        """The phase of a cascade that is not aligned follows the carrier
+        convention: the only frozen value that can tell."""
+        value = gain_ris(scene, 0, 0.0, [3.5, 5.0], wave)
+        assert rel(value, RIS0_INACTIVE_GAIN) < 1e-12
 
     def test_ris_values_match_derivation(self, derived):
         assert rel(float(derived["ris0_aligned_gain"]), RIS0_ALIGNED_GAIN) < 1e-15
         assert rel(float(derived["ris0_element_gain"]), RIS0_ELEMENT_GAIN) < 1e-15
         assert rel(float(derived["ris0_zero_profile_array_factor"]),
                    RIS0_ZERO_PROFILE_ARRAY_FACTOR) < 1e-15
+        assert rel(complex(derived["ris0_inactive_gain"]), RIS0_INACTIVE_GAIN) < 1e-15
 
     def test_reflector_complex_value(self, scene, wave):
         value = gain_reflector(scene, [8.0, 2.0], wave)
@@ -101,10 +110,6 @@ class TestPathset:
     def test_unknown_mode(self, scene, wave):
         with pytest.raises(ValueError):
             build_pathset(scene, None, [3.5, 5.0], wave, "mirror")
-
-    def test_profile_length_checked(self, scene, wave):
-        with pytest.raises(ValueError):
-            gain_ris(scene, 0, np.zeros(7), [3.5, 5.0], wave)
 
     def test_path_delay_decomposition(self, scene, wave):
         """fixed_leg + distance(anchor, x) must reproduce c*tau for every
@@ -144,7 +149,7 @@ def test_optimal_profile_achieves_full_array_gain(x, k):
     wave = WaveformConfig(carrier_hz=28e9, bandwidth_hz=1e8,
                           subcarrier_count=129)
     theta, psi = ris_angles(scene, k, x)
-    value = gain_ris(scene, k, optimal_phases(theta, psi, 25), x, wave)
+    value = gain_ris(scene, k, np.sin(theta) - np.sin(psi), x, wave)
     assert rel(abs(value), aligned_gain(scene, k, x, wave)) < 1e-9
 
 
@@ -157,8 +162,7 @@ def test_zero_profile_reflects_specularly(scene, wave):
     wall = scene.wall_offset
     specular_x = center * (2.0 * wall - row) / wall
     xs = np.arange(-5.0, 15.0, 0.01)
-    flat = np.zeros(scene.ris[k].element_count)
-    gains = [abs(gain_ris(scene, k, flat, [x, row], wave)) for x in xs]
+    gains = [abs(gain_ris(scene, k, 0.0, [x, row], wave)) for x in xs]
     assert abs(xs[int(np.argmax(gains))] - specular_x) < 0.05
 
 
@@ -178,3 +182,42 @@ def test_grazing_departure_stays_finite_and_accurate(x, depth, scene, wave):
         assert rel(abs(path.alpha), expected) < 1e-9
     assert fim_gap(paths, wave) < 1e-5
     assert not math.isnan(peb(fim_total(paths, wave)).value)
+
+
+@pytest.mark.parametrize("depth", [1e-9, 1e-12])
+def test_aligned_gain_exact_at_grazing(depth, scene, wave):
+    """Users 1 nm and 1 pm below the wall: cos(psi) = (L - y)/d2 keeps
+    the aligned gain to rounding, where an angle's cosine would not."""
+    xs = np.linspace(-4.9, 14.9, 41)
+    points = np.stack([xs, np.full_like(xs, scene.wall_offset - depth)], axis=-1)
+    for point in points:
+        allocation = build_allocation(scene, point, wave, (1,) * len(scene.ris))
+        for k in range(len(scene.ris)):
+            value = gain_ris(scene, k, allocation.design[k], point, wave)
+            assert rel(abs(value), aligned_gain(scene, k, point, wave)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(theta=st.floats(-1.4, 1.4), psi=st.floats(-1.4, 1.4),
+       design=st.floats(-2.0, 2.0), count=st.sampled_from([1, 7, 100]),
+       lobe=st.sampled_from([None, 0.0, 2.0, -2.0]))
+@example(theta=0.0, psi=0.0, design=0.0, count=100, lobe=None)
+@example(theta=0.0, psi=0.0, design=2.0, count=100, lobe=None)
+@example(theta=0.0, psi=0.0, design=-2.0, count=7, lobe=None)
+def test_cascade_matches_element_sum(theta, psi, design, count, lobe, wave):
+    """gain_ris is the carrier times the element amplitude times D_M; D_M
+    equals the centered element sum under the profile pi*n*design, on the
+    main lobe (u - design = 0) and the grating lobes (u - design = +-2)
+    too. lobe sets design = u - lobe with u the steering at the user."""
+    wall, reach = 10.0, 5.0
+    center = wall * math.tan(theta)
+    scene = Scene(wall_offset=wall, ris=(RisDescriptor(center, count),))
+    point = np.array([center + reach * math.sin(psi), wall - reach * math.cos(psi)])
+    if lobe is not None:
+        design = build_allocation(scene, point, wave, (1,)).design[0] - lobe
+    value = gain_ris(scene, 0, design, point, wave)
+    path = math.hypot(center, wall) + math.hypot(*(point - [center, wall]))
+    carrier = np.exp(-2j * math.pi * wave.carrier_hz * path / SPEED_OF_LIGHT)
+    cascade = value / (carrier * aligned_gain(scene, 0, point, wave) / count)
+    n = np.arange(count) - 0.5 * (count - 1)
+    assert abs(cascade - element_sum(theta, psi, math.pi * n * design)) < 1e-9 * count

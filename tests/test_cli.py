@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+import rispeb.allocation
 import rispeb.fim
 import rispeb.sweep
 from rispeb.channel import build_pathset
@@ -35,7 +36,7 @@ class TestPoint:
         assert "path ris[0]: " in out
         assert "resolvable_paths: " in out
         assert "fim_m2: [[" in out
-        assert "peb_m: 0.942385068" in out
+        assert "peb_m: 0.949073577" in out
 
     def test_reflector_mode_has_no_allocation(self, capsys):
         code, out, _ = run(capsys, "point", "7.0", "3.0",
@@ -74,7 +75,7 @@ class TestSelect:
         assert code == 0
         assert "allocation_bits: 10000" in out
         assert "active_count: 1 (budget 1)" in out
-        assert "peb_m: 0.942385068" in out
+        assert "peb_m: 0.949073577" in out
 
     def test_kbar_override(self, capsys):
         code, out, _ = run(capsys, "select", "3.5", "5.0", "--kbar", "2")
@@ -194,6 +195,20 @@ class TestValidate:
         assert code == 1
         assert "check sweep_oracle: FAIL" in out
         assert "check selection_oracle: ok" in out
+
+    def test_detects_injected_selection_bound_fault(self, capsys, monkeypatch):
+        """A core that scales every bound by 1 + 1e-9 keeps every argmin:
+        selection_oracle sees it in the bound that select_ris returns."""
+        true_score = rispeb.allocation._score
+
+        def scaled(*args):
+            values, paths = true_score(*args)
+            return values * (1.0 + 1e-9), paths
+
+        monkeypatch.setattr(rispeb.allocation, "_score", scaled)
+        code, out, _ = run(capsys, "validate")
+        assert code == 1
+        assert "check selection_oracle: FAIL" in out
 
 
 class TestConfigStability:
