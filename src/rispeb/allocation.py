@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import PathSet, _steering, build_pathset, gain_ris
+from .channel import PathSet, _leg, _los_path, _make_path, _steering, gain_ris
 from .fim import PebValue, fim_total, peb
 from .geometry import SPEED_OF_LIGHT, Scene, _as_point, _require_below_wall
 from .waveform import WaveformConfig
@@ -118,7 +118,8 @@ def build_allocation(scene: Scene, x_hat, cfg: WaveformConfig, active) -> Alloca
     bits = tuple(int(bool(bit)) for bit in active)
     if len(bits) != len(scene.ris):
         raise ValueError("activation length must match the RIS count")
-    design = tuple(_steering(scene, k, p)[3] if bit else 0.0 for k, bit in enumerate(bits))
+    design = tuple(_steering(scene, k, p, _leg(scene, "ris", k, p)) if bit else 0.0
+                   for k, bit in enumerate(bits))
     return Allocation(active=bits, design=design)
 
 
@@ -135,9 +136,11 @@ def feasible_activations(ris_count: int, constraints: SelectionConstraints):
 
 
 def _patterns(scene: Scene, constraints: SelectionConstraints | None) -> np.ndarray:
-    """Feasible patterns as rows of a boolean array, in lexicographic
-    order, so the first minimum breaks ties toward the smallest bits;
-    without constraints, the single all-active pattern."""
+    """Feasible patterns as rows of a boolean array, in the lexicographic
+    order of feasible_activations, so the first minimum breaks ties
+    toward the smallest bits; without constraints, the single all-active
+    pattern. Built from the index sets of at most k_bar surfaces, not
+    from all 2^n bit vectors."""
     ris_count = len(scene.ris)
     if constraints is None:
         return np.ones((1, ris_count), dtype=bool)
@@ -145,7 +148,14 @@ def _patterns(scene: Scene, constraints: SelectionConstraints | None) -> np.ndar
         raise ValueError(
             f"exhaustive search budget exceeded: {ris_count} RIS > {MAX_EXHAUSTIVE_RIS}"
         )
-    return np.array(list(feasible_activations(ris_count, constraints)), dtype=bool)
+    chosen = [ones for size in range(min(constraints.k_bar, ris_count) + 1)
+              for ones in itertools.combinations(range(ris_count), size)
+              if all(b - a > constraints.min_gap for a, b in zip(ones, ones[1:]))]
+    patterns = np.zeros((len(chosen), ris_count), dtype=bool)
+    for row, ones in zip(patterns, chosen):
+        row[list(ones)] = True
+    # np.lexsort sorts by its last key first: the first surface's bit.
+    return patterns[np.lexsort(patterns.T[::-1])]
 
 
 def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
@@ -155,15 +165,21 @@ def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
 
     Delays, directions, the LOS gain and each RIS's aligned and inactive
     gain do not depend on the pattern: they are computed once per point,
-    and the kernel once per batch of patterns (a single batch unless the
-    patterns are many). Inactive RIS stay in the channel.
+    from one _leg per path, and the kernel once per batch of patterns (a
+    single batch unless the patterns are many). Inactive RIS stay in the
+    channel.
     Returns the (points x patterns) bounds and the all-active pathset of
     the points, whose fields have the shape (points, 1).
     """
     column = points[:, None, :]
-    aligned = build_allocation(scene, column, cfg, (1,) * len(scene.ris))
-    paths = build_pathset(scene, aligned, column, cfg, "ris")
-    inactive = [gain_ris(scene, k, 0.0, column, cfg) for k in range(len(scene.ris))]
+    _require_below_wall(scene, column)
+    legs = [_leg(scene, "ris", k, column) for k in range(len(scene.ris))]
+    aligned = [gain_ris(scene, k, _steering(scene, k, column, leg), column, cfg, leg)
+               for k, leg in enumerate(legs)]
+    paths = PathSet((_los_path(column, cfg), *(
+        _make_path("ris", k, alpha, column, leg)
+        for k, (alpha, leg) in enumerate(zip(aligned, legs)))))
+    inactive = [gain_ris(scene, k, 0.0, column, cfg, leg) for k, leg in enumerate(legs)]
     # Patterns per batch, so that the (points x patterns x paths x paths)
     # arrays stay near _BATCH_ENTRIES entries.
     step = max(1, _BATCH_ENTRIES // (len(points) * len(paths) ** 2))

@@ -107,25 +107,32 @@ def _carrier(tau, cfg: WaveformConfig):
     return np.exp(-2j * math.pi * cfg.carrier_hz * tau)
 
 
-def _make_path(scene: Scene | None, kind: str, index: int | None, alpha, x) -> Path:
-    anchor, fixed_leg, dist, tau = _leg(scene, kind, index, x)
+def _make_path(kind: str, index: int | None, alpha, x, leg) -> Path:
+    """The path of kind at x from its _leg and its gain."""
+    anchor, fixed_leg, dist, tau = leg
     return Path(kind=kind, index=index, tau=tau, alpha=alpha,
                 direction=(x - anchor) / dist[..., None], anchor=anchor,
                 fixed_leg=fixed_leg)
 
 
+def _los_path(x, cfg: WaveformConfig) -> Path:
+    leg = _leg(None, "los", None, x)
+    _, _, dist, tau = leg
+    alpha = _carrier(tau, cfg) * cfg.wavelength / (4.0 * math.pi * dist)
+    return _make_path("los", None, alpha, x, leg)
+
+
 def gain_los(x, cfg: WaveformConfig) -> complex:
     """Free-space LOS gain with carrier phase: magnitude lambda/(4*pi*||x||)."""
-    _, _, dist, tau = _leg(None, "los", None, _as_point(x))
-    return _carrier(tau, cfg) * cfg.wavelength / (4.0 * math.pi * dist)
+    return _los_path(_as_point(x), cfg).alpha
 
 
-def _steering(scene: Scene, k: int, x):
-    """Legs d1 and d2, delay and steering difference sin(theta) - sin(psi)
-    of RIS k at x, with sin(theta) = c_x/d1 and sin(psi) = (x - c_x)/d2."""
+def _steering(scene: Scene, k: int, x, leg):
+    """Steering difference sin(theta) - sin(psi) of RIS k at x, from its
+    _leg: sin(theta) = c_x/d1 and sin(psi) = (x - c_x)/d2."""
     center = scene.ris[k].center_x
-    _, leg_in, leg_out, tau = _leg(scene, "ris", k, x)
-    return leg_in, leg_out, tau, center / leg_in - (x[..., 0] - center) / leg_out
+    _, leg_in, leg_out, _ = leg
+    return center / leg_in - (x[..., 0] - center) / leg_out
 
 
 def _array_factor(spread, count: int):
@@ -139,9 +146,10 @@ def _array_factor(spread, count: int):
     return np.where((count - 1) * turns % 2.0, -ratio, ratio)
 
 
-def gain_ris(scene: Scene, k: int, design, x, cfg: WaveformConfig) -> complex:
+def gain_ris(scene: Scene, k: int, design, x, cfg: WaveformConfig, leg=None) -> complex:
     """Cascaded BS-RIS-user gain of RIS k phased for steering difference
     design (0: the flat surface); design broadcasts against x's leading axes.
+    leg is the surface's _leg at x, for a caller that has it already.
 
     Under the carrier exp(-j*2*pi*f_c*tau), tau measured at the array
     center, the element n half-wavelengths toward +x of the center adds
@@ -152,7 +160,10 @@ def gain_ris(scene: Scene, k: int, design, x, cfg: WaveformConfig) -> complex:
     """
     p = _as_point(x)
     _require_below_wall(scene, p)
-    leg_in, leg_out, tau, steering = _steering(scene, k, p)
+    if leg is None:
+        leg = _leg(scene, "ris", k, p)
+    _, leg_in, leg_out, tau = leg
+    steering = _steering(scene, k, p, leg)
     wall = scene.wall_offset
     element = (cfg.wavelength**2 * np.sqrt((wall / leg_in) * ((wall - p[..., 1]) / leg_out))
                / (16.0 * math.pi * leg_in * leg_out))
@@ -195,17 +206,16 @@ def build_pathset(scene: Scene, allocation: "Allocation | None", x,
         raise ValueError(f"unknown mode {mode!r}")
     p = _as_point(x)
     _require_below_wall(scene, p)
-    paths = [_make_path(scene, "los", None, gain_los(p, cfg), p)]
+    paths = [_los_path(p, cfg)]
     if mode == "ris":
         if allocation is None:
             raise ValueError("RIS mode needs an allocation")
         if len(allocation.design) != len(scene.ris):
             raise ValueError("allocation does not match the scene's RIS count")
-        for k in range(len(scene.ris)):
-            alpha = gain_ris(scene, k, allocation.design[k], p, cfg)
-            paths.append(_make_path(scene, "ris", k, alpha, p))
-    elif mode == "reflector":
-        paths.append(_make_path(scene, "reflector", None, gain_reflector(scene, p, cfg), p))
+        for k, design in enumerate(allocation.design):
+            leg = _leg(scene, "ris", k, p)
+            paths.append(_make_path("ris", k, gain_ris(scene, k, design, p, cfg, leg), p, leg))
     else:
-        paths.append(_make_path(scene, "scatterer", None, gain_scatter(scene, p, cfg), p))
+        gain = gain_reflector if mode == "reflector" else gain_scatter
+        paths.append(_make_path(mode, None, gain(scene, p, cfg), p, _leg(scene, mode, None, p)))
     return PathSet(tuple(paths))

@@ -1,7 +1,9 @@
 """Reference implementations shared by `rispeb validate` and the tests.
 
 Each is written apart from the code it checks, and none calls
-allocation._score, _patterns, feasible_activations or sweep internals.
+allocation._score, _patterns, feasible_activations or sweep internals:
+kernel_sum is the explicit subcarrier sum behind waveform's closed form,
+count_clusters the one-cell merge behind fim's batched one.
 CHECKS is validate's table of (name, check(config, rng) -> worst, tolerance).
 """
 
@@ -14,8 +16,15 @@ import numpy as np
 from .allocation import build_allocation, optimal_phases, select_ris
 from .channel import MODES, build_pathset
 from .fim import fim_numerical, fim_total, peb
-from .geometry import DegeneratePositionError
+from .geometry import SPEED_OF_LIGHT, DegeneratePositionError
 from .sweep import FLAG_INVALID, peb_map
+from .waveform import (
+    _TAYLOR_LIMIT,
+    delay_kernel,
+    delay_kernel_peak,
+    delay_resolution,
+    unambiguous_range,
+)
 
 
 def element_sum(theta, psi, phases) -> complex:
@@ -53,6 +62,50 @@ def fim_gap(paths, cfg) -> float:
     if scale == 0.0:
         return 0.0
     return float(np.linalg.norm(fim_total(paths, cfg).total - reference) / scale)
+
+
+def kernel_sum(cfg, delta):
+    """The delay kernel as its explicit subcarrier sum
+    (1/N0) * sum_n E_s * (2*pi*n*W/((N+1)*c))^2 * exp(-2j*pi*n*delta*W/(N+1)),
+    complex, for a scalar or an array of offsets delta (seconds)."""
+    n = cfg.subcarrier_indices
+    step = 2.0 * math.pi * cfg.bandwidth_hz / (cfg.subcarrier_count * SPEED_OF_LIGHT)
+    weights = (cfg.pilot_energy / cfg.noise_psd_w_hz) * (step * n) ** 2
+    d = np.asarray(delta, dtype=float)
+    phase = (-2j * math.pi * cfg.bandwidth_hz / cfg.subcarrier_count) * d[..., None] * n
+    return np.exp(phase) @ weights
+
+
+def count_clusters(taus, cfg) -> int:
+    """Resolvable delay clusters among the delays taus of the paths that
+    exist: over the sorted delays, merge the closest adjacent pair of
+    clusters (the first on a tie; a cluster's delay is its members' mean)
+    until every adjacent pair is at least 1/W apart. Raises ValueError
+    when the delays span more than the kernel separates without aliasing."""
+    limit = 1.0 / cfg.bandwidth_hz
+    span = (max(taus) - min(taus)) * SPEED_OF_LIGHT if taus else 0.0
+    allowed = unambiguous_range(cfg) - delay_resolution(cfg)
+    if span > allowed:
+        raise ValueError(f"path lengths span {span:.6g} m, more than the "
+                         f"{allowed:.6g} m the delay kernel separates without aliasing")
+    clusters = [(tau, 1) for tau in sorted(taus)]
+    while len(clusters) > 1:
+        means = [total / size for total, size in clusters]
+        gap, i = min((abs(b - a), i) for i, (a, b) in enumerate(zip(means, means[1:])))
+        if gap >= limit:
+            break
+        (first, size1), (second, size2) = clusters[i:i + 2]
+        clusters[i:i + 2] = [(first + second, size1 + size2)]
+    return len(clusters)
+
+
+def conditioning_error(j) -> float:
+    """eps * trace^2/det of a 2x2 FIM j: a relative error delta in each
+    entry moves det = a*d - b^2 by up to delta * trace^2, so a bound from
+    a nearly rank-one FIM carries about this much relative rounding."""
+    trace = j[0, 0] + j[1, 1]
+    det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
+    return float(trace**2 / det * np.finfo(float).eps)
 
 
 def best_pattern(scene, x, cfg, constraints) -> tuple[float, tuple[int, ...]]:
@@ -131,9 +184,30 @@ def sweep_oracle(config, rng) -> float:
     return float(mismatches)
 
 
+def kernel_oracle(config, rng) -> float:
+    """Largest |delay_kernel - kernel_sum| over the peak at random offsets
+    x = 2*pi*W*delta/(N+1): uniform ones, |x| near 1.6e-5 (where the
+    closed form cancels), around the switch to the Taylor series, near
+    +-pi, and zero; a quarter of them shifted by whole kernel periods."""
+    cfg = config.waveform()
+    switch = 2.0 * _TAYLOR_LIMIT / max(cfg.subcarrier_count - 1, 1)
+    x = np.concatenate([
+        rng.uniform(-math.pi, math.pi, 16),
+        1.6e-5 * rng.uniform(0.5, 2.0, 8),
+        switch * rng.uniform(0.9, 1.1, 8),
+        math.pi * (1.0 - rng.uniform(0.0, 1e-6, 8)),
+        [0.0],
+    ]) * rng.choice([-1.0, 1.0], 41)
+    x[::4] += 2.0 * math.pi * rng.integers(-2, 3, len(x[::4]))
+    delta = x * cfg.subcarrier_count / (2.0 * math.pi * cfg.bandwidth_hz)
+    error = np.abs(delay_kernel(cfg, delta) - kernel_sum(cfg, delta))
+    return float(np.max(error) / delay_kernel_peak(cfg))
+
+
 CHECKS = (
     ("phase_gain", phase_gain, 1e-9),
     ("fim_oracle", fim_oracle, 1e-5),
     ("selection_oracle", selection_oracle, 0.5),
     ("sweep_oracle", sweep_oracle, 0.5),
+    ("kernel_oracle", kernel_oracle, 1e-12),
 )

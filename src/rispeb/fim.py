@@ -70,12 +70,12 @@ def _direct(alpha, directions, cfg: WaveformConfig) -> np.ndarray:
 
 
 def _interference(alpha, tau, directions, cfg: WaveformConfig) -> np.ndarray:
-    # The kernel is Hermitian, so the summand is symmetric in the pair:
-    # the kernel is evaluated on the pairs k < k' only.
+    # The kernel is real and even, so the summand is symmetric in the
+    # pair: the kernel is evaluated on the pairs k < k' only.
     pairs = itertools.combinations(range(alpha.shape[-1]), 2)
     first, second = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
     kernel = delay_kernel(cfg, tau[..., first] - tau[..., second])
-    upper = (alpha[..., first] * alpha[..., second].conj() * kernel).real
+    upper = (alpha[..., first] * alpha[..., second].conj()).real * kernel
     cross = np.zeros(upper.shape[:-1] + (alpha.shape[-1],) * 2)
     cross[..., first, second] = upper
     cross[..., second, first] = upper
@@ -92,7 +92,8 @@ def fim_interference(paths: PathSet, cfg: WaveformConfig) -> np.ndarray:
     """Cross-path information from overlapping delay responses.
 
     Entry pattern: sum over ordered pairs k != k' of
-    Re{alpha_k * conj(alpha_k') * kernel(tau_k - tau_k')} * e_k e_k'^T.
+    Re{alpha_k * conj(alpha_k')} * kernel(tau_k - tau_k') * e_k e_k'^T,
+    the kernel being real.
     """
     return _interference(*_path_arrays(paths), cfg)
 
@@ -134,39 +135,72 @@ def peb(fim) -> PebValue:
     return PebValue(value, deficient)
 
 
+class _AliasedDelays(ValueError):
+    """Delays spanning more than the kernel separates; row is the first
+    such row of the batch."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 def count_resolvable_paths(paths: PathSet, cfg: WaveformConfig) -> int:
     """Number of separable delay clusters among the nonzero-gain paths.
 
-    Paths closer than 1/W in delay cannot be separated; the closest pair
-    of clusters is merged repeatedly (cluster delay = mean of its member
-    delays) until every pair is at least 1/W apart; in sorted order the
-    closest pair is always adjacent. Zero-gain paths (a missed
-    reflector) do not exist in the channel and are not counted.
+    Paths closer than 1/W in delay cannot be separated. Over the sorted
+    delays, the closest pair of adjacent clusters (the first such pair
+    on a tie) is merged repeatedly, a cluster's delay being the mean of
+    its members' delays, until every adjacent pair is at least 1/W
+    apart; in 1-D the closest pair of clusters is always adjacent.
+    Zero-gain paths (a missed reflector) do not exist in the channel and
+    are not counted.
 
     The delay kernel repeats every (N+1)/W, so delays that span more than
     (N+1)/W - 1/W may alias onto each other: such path sets raise
-    ValueError instead of being counted.
+    ValueError instead of being counted. Sweeps count whole blocks of
+    cells at once through the same merge.
     """
-    return _count_clusters([p.tau for p in paths if p.alpha != 0], cfg)
+    tau = np.array([[p.tau for p in paths]], dtype=float)
+    exists = np.array([[p.alpha != 0 for p in paths]])
+    return int(_count_clusters(tau, exists, cfg)[0])
 
 
-def _count_clusters(taus, cfg: WaveformConfig) -> int:
-    """count_resolvable_paths on the delays of the paths that exist."""
-    limit = 1.0 / cfg.bandwidth_hz
-    span = (max(taus) - min(taus)) * SPEED_OF_LIGHT if taus else 0.0
+def _count_clusters(tau: np.ndarray, exists: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
+    """count_resolvable_paths of every row of tau (rows x paths), over the
+    entries where exists; a row with no such entry counts 0. Raises
+    _AliasedDelays, a ValueError, naming the first row that aliases."""
+    count = exists.sum(axis=1)
+    ordered = np.sort(np.where(exists, tau, np.inf), axis=1)
+    # -inf for a row where no path exists.
+    span = (np.where(exists, tau, -np.inf).max(axis=1) - ordered[:, 0]) * SPEED_OF_LIGHT
     allowed = unambiguous_range(cfg) - delay_resolution(cfg)
-    if span > allowed:
-        raise ValueError(f"path lengths span {span:.6g} m, more than the "
-                         f"{allowed:.6g} m the delay kernel separates without aliasing")
-    clusters = [(tau, 1) for tau in sorted(taus)]
-    while len(clusters) > 1:
-        means = [total / size for total, size in clusters]
-        gap, i = min((abs(b - a), i) for i, (a, b) in enumerate(zip(means, means[1:])))
-        if gap >= limit:
+    aliased = span > allowed
+    if aliased.any():
+        row = int(np.argmax(aliased))
+        raise _AliasedDelays(f"path lengths span {span[row]:.6g} m, more than the "
+                             f"{allowed:.6g} m the delay kernel separates without aliasing",
+                             row)
+    # Cluster totals and sizes in sorted order, the first count of each
+    # row in use (padding: total 0, size 1); merging the pair (j, j+1)
+    # shifts the later ones left.
+    column = np.arange(tau.shape[1])
+    totals = np.where(column < count[:, None], ordered, 0.0)
+    sizes = np.ones(tau.shape)
+    limit = 1.0 / cfg.bandwidth_hz
+    while tau.shape[1] > 1:
+        means = totals / sizes
+        gaps = np.abs(means[:, 1:] - means[:, :-1])
+        gaps[column[1:] >= count[:, None]] = np.inf
+        merge = gaps.min(axis=1) < limit
+        if not merge.any():
             break
-        (first, size1), (second, size2) = clusters[i:i + 2]
-        clusters[i:i + 2] = [(first + second, size1 + size2)]
-    return len(clusters)
+        j = np.where(merge, np.argmin(gaps, axis=1), tau.shape[1])[:, None]
+        for values, pad in ((totals, 0.0), (sizes, 1.0)):
+            later = np.concatenate([values[:, 1:], np.full((len(values), 1), pad)], axis=1)
+            values[...] = np.where(column < j, values,
+                                   np.where(column == j, values + later, later))
+        count = count - merge
+    return count
 
 
 def fim_numerical(paths: PathSet, cfg: WaveformConfig, step: float = 1e-6) -> np.ndarray:

@@ -4,10 +4,11 @@ Produces the four output families used in the experiments: resolvable-path
 maps, position-error-bound maps, empirical CDFs over a deployment region,
 and per-path information directions at a single point. Each grid column
 is one batch of the array core (paths, FIM and bound broadcast over the
-column's cells, and in RIS mode over the feasible activation patterns);
-columns are evaluated in order (optionally in parallel, one column per
-task) and gathered by index, so serial and parallel runs emit identical
-bytes.
+column's cells, and in RIS mode over the feasible activation patterns,
+enumerated once per sweep); columns are evaluated in order (optionally
+in parallel, one column per task) and gathered by index, so serial and
+parallel runs emit identical bytes. Resolvable paths are then counted
+and cells flagged over the gathered grid, in blocks of cells.
 """
 
 from __future__ import annotations
@@ -21,11 +22,16 @@ import numpy as np
 
 from .allocation import SelectionConstraints, _patterns, _score, build_allocation
 from .channel import MODES, _leg, build_pathset
-from .fim import _count_clusters, _path_arrays, fim_total, peb
+from .fim import _AliasedDelays, _count_clusters, _path_arrays, fim_total, peb
 from .geometry import DegeneratePositionError, Scene
 from .waveform import WaveformConfig, delay_kernel_peak
 
 DEFAULT_PEB_CAP = 5.0
+
+# Delays per block of the resolvable-path count. On the 100x100 1 GHz
+# RIS count map the whole grid at once peaks at 4.9 MB of temporaries
+# against 1.5 MB, and one column per block takes a fifth more time.
+_COUNT_ENTRIES = 8192
 
 FLAG_OK = "ok"
 FLAG_CAPPED = "capped"
@@ -132,63 +138,49 @@ class CdfResult:
         return float(self.fractions[-1]) if self.fractions.size else 0.0
 
 
-def _evaluate_column(scene, cfg, mode, constraints, cap, count_only, points):
-    """Cells of one grid column: (peb, flag, resolvable path count,
-    allocation bit string) per row of points.
+def _evaluate_column(scene, cfg, mode, patterns, count_only, points):
+    """Cells of one grid column, as arrays over the rows of points: the
+    bound (nan when count_only), the allocation bit strings, and the
+    delays of the paths with whether each exists (nonzero gain).
 
     The column is one batch of the array core; if a cell coincides with
-    an anchor, the cells are evaluated one by one so that only that cell
-    is marked invalid.
+    an anchor, the cells are evaluated one by one, and that cell gets no
+    existing path, which marks it invalid.
     """
     try:
-        values, bits, delays = _evaluate_batch(scene, cfg, mode, constraints, count_only,
-                                               points)
+        return _evaluate_batch(scene, cfg, mode, patterns, count_only, points)
     except DegeneratePositionError:
         if len(points) == 1:
-            return [(math.nan, FLAG_INVALID, 0, "")]
-        return [cell for p in points
-                for cell in _evaluate_column(scene, cfg, mode, constraints, cap,
-                                             count_only, p[None, :])]
-    cells = []
-    for p, value, cell_bits, cell_delays in zip(points, values, bits, delays):
-        try:
-            count = _count_clusters(cell_delays, cfg)
-        except ValueError as exc:
-            raise ValueError(f"cell ({_fmt(p[0])}, {_fmt(p[1])}): {exc}") from None
-        if count_only:
-            flag = FLAG_OK
-        elif count <= 1:
-            # One resolvable delay pins the user to a circle, not a point.
-            value, flag = math.inf, FLAG_INF
-        elif math.isinf(value):
-            flag = FLAG_INF
-        else:
-            flag = FLAG_CAPPED if value > cap else FLAG_OK
-        cells.append((float(value), flag, count, cell_bits))
-    return cells
+            width = 1 + (len(scene.ris) if mode == "ris" else 1)
+            return (np.array([math.nan]), np.array([""], dtype=object),
+                    np.zeros((1, width)), np.zeros((1, width), dtype=bool))
+        cells = [_evaluate_column(scene, cfg, mode, patterns, count_only, p[None, :])
+                 for p in points]
+        return tuple(np.concatenate(field) for field in zip(*cells))
 
 
-def _evaluate_batch(scene, cfg, mode, constraints, count_only, points):
-    """Per-point bound (nan when count_only), allocation bits and the
-    delays of the paths that exist (nonzero gain)."""
+def _evaluate_batch(scene, cfg, mode, patterns, count_only, points):
+    """_evaluate_column of cells that coincide with no anchor."""
     nan = np.full(len(points), math.nan)
     if mode == "ris" and count_only:
         # Every RIS path has a nonzero gain: the counts need the delays only.
         legs = [_leg(scene, "los", None, points)]
         legs += [_leg(scene, "ris", k, points) for k in range(len(scene.ris))]
-        delays = np.stack([leg[3] for leg in legs], axis=-1).tolist()
-        return nan, ["1" * len(scene.ris)] * len(points), delays
+        delays = np.stack([leg[3] for leg in legs], axis=-1)
+        return (nan, np.array(["1" * len(scene.ris)] * len(points), dtype=object), delays,
+                np.ones(delays.shape, dtype=bool))
     if mode == "ris":
-        patterns = _patterns(scene, constraints)
         scores, paths = _score(scene, points, cfg, patterns)
         best = np.argmin(scores, axis=1)
-        names = ["".join(map(str, row)) for row in patterns.astype(int)]
-        delays = _path_arrays(paths)[1][:, 0].tolist()
-        return scores[np.arange(len(points)), best], [names[q] for q in best], delays
+        names = np.array(["".join(map(str, row)) for row in patterns.astype(int)],
+                         dtype=object)
+        delays = _path_arrays(paths)[1][:, 0]
+        return (scores[np.arange(len(points)), best], names[best], delays,
+                np.ones(delays.shape, dtype=bool))
     paths = build_pathset(scene, None, points, cfg, mode)
     alpha, tau, _ = _path_arrays(paths)
-    delays = [row[keep].tolist() for row, keep in zip(tau, alpha != 0)]
-    return (nan if count_only else peb(fim_total(paths, cfg)).value), [""] * len(points), delays
+    return ((nan if count_only else peb(fim_total(paths, cfg)).value),
+            np.array([""] * len(points), dtype=object), tau, alpha != 0)
 
 
 def _sweep(scene, grid, cfg, mode, constraints, cap, workers,
@@ -197,23 +189,41 @@ def _sweep(scene, grid, cfg, mode, constraints, cap, workers,
         raise ValueError(f"unknown mode {mode!r}")
     if grid.y_range[1] >= scene.wall_offset:
         raise ValueError("grid must stay strictly below the wall")
-    evaluate = functools.partial(_evaluate_column, scene, cfg, mode, constraints,
-                                 cap, count_only)
+    patterns = _patterns(scene, constraints) if mode == "ris" and not count_only else None
+    evaluate = functools.partial(_evaluate_column, scene, cfg, mode, patterns, count_only)
     ys = grid.ys
     columns = (np.stack([np.full(grid.ny, x), ys], axis=-1) for x in grid.xs)
     if workers is not None and workers > 1:
         # One column of cells per task; results come back in grid order.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = [cell for column in pool.map(evaluate, columns) for cell in column]
+            cells = list(pool.map(evaluate, columns))
     else:
-        cells = [cell for column in map(evaluate, columns) for cell in column]
-    values, flags, counts, bits = zip(*cells)
+        cells = list(map(evaluate, columns))
+    values, bits, delays, exists = map(np.concatenate, zip(*cells))
+    del cells
+    counts = np.empty(len(delays), dtype=int)
+    step = max(1, _COUNT_ENTRIES // delays.shape[1])
+    for start in range(0, len(delays), step):
+        block = slice(start, start + step)
+        try:
+            counts[block] = _count_clusters(delays[block], exists[block], cfg)
+        except _AliasedDelays as exc:
+            ix, iy = divmod(start + exc.row, grid.ny)
+            raise ValueError(f"cell ({_fmt(grid.xs[ix])}, {_fmt(ys[iy])}): {exc}") from None
+    # Flags as indices into names, so that cells share one str per flag.
+    names = np.array([FLAG_OK, FLAG_INVALID, FLAG_INF, FLAG_CAPPED], dtype=object)
+    invalid = ~exists.any(axis=1)
+    if count_only:
+        flags = invalid.astype(int)
+    else:
+        # One resolvable delay pins the user to a circle, not a point.
+        values = np.where((counts <= 1) & ~invalid, math.inf, values)
+        flags = np.select([invalid, np.isinf(values), values > cap], [1, 2, 3], 0)
     shape = (grid.nx, grid.ny)
-    return MapResult(grid=grid, mode=mode,
-                     peb=np.array(values, dtype=float).reshape(shape),
-                     flags=np.array(flags, dtype=object).reshape(shape),
-                     path_count=np.array(counts, dtype=int).reshape(shape),
-                     allocation_bits=np.array(bits, dtype=object).reshape(shape))
+    return MapResult(grid=grid, mode=mode, peb=values.reshape(shape),
+                     flags=names[flags].reshape(shape),
+                     path_count=counts.reshape(shape),
+                     allocation_bits=bits.reshape(shape))
 
 
 def path_count_map(scene: Scene, grid: GridSpec, cfg: WaveformConfig,

@@ -1,6 +1,6 @@
 """OFDM pilot parameters and the delay-domain information kernel.
 
-The pilot comb spans subcarrier_count = N+1 subcarriers at indices
+The pilot comb spans subcarrier_count = M = N+1 subcarriers at indices
 -N/2..N/2 (the count must be odd so the index set is symmetric), each
 carrying constant energy E_s = P/W. Delay information enters the Fisher
 information through the kernel
@@ -10,12 +10,31 @@ information through the kernel
 
 whose peak kernel(0) is the per-path information intensity scale (1/m^2)
 and whose off-peak values quantify inter-path interference.
+
+The weights are even in n, so the kernel is real: with
+x = 2*pi*W*delta/(N+1) it is scale * sum_n n^2 cos(n*x) = scale * -D''(x),
+the second derivative of the Dirichlet kernel
+D(x) = sum_n cos(n*x) = sin(M*x/2)/sin(x/2). delay_kernel evaluates
+
+    -D''(x) = [S*((M^2+1)*s^2 - 2) + 2*M*C*c*s] / (4*s^3),
+
+with s, c = sin, cos(x/2) and S, C = sin, cos(M*x/2), after reducing x
+exactly to [0, pi] (the kernel is even and 2*pi-periodic in x). Near
+x = 0 the terms of that form cancel, losing about 24*eps/(M*x)^2 of the
+peak, so where the outermost subcarrier's phase (N/2)*x is below
+_TAYLOR_LIMIT the kernel comes from its Taylor series in x^2, whose
+coefficients are the exact power sums (-1)^k * sum_n n^(2k+2) / (2k)!.
+rispeb.checks.kernel_sum keeps the explicit subcarrier sum as the
+reference.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,32 +89,74 @@ class WaveformConfig:
         return np.arange(-half, half + 1)
 
 
-def _kernel_weights(cfg: WaveformConfig) -> tuple[np.ndarray, np.ndarray]:
-    n = cfg.subcarrier_indices
-    scale = 2.0 * math.pi * cfg.bandwidth_hz / (cfg.subcarrier_count * SPEED_OF_LIGHT)
-    weights = (cfg.pilot_energy / cfg.noise_psd_w_hz) * (scale * n) ** 2
-    return n, weights
+# Phase (N/2)*x of the outermost subcarrier below which delay_kernel
+# sums the Taylor series: the closed form there keeps about 1e-13 of the
+# peak, the series' first omitted term less than 2^-60 of it.
+_TAYLOR_LIMIT = 0.125
+
+
+class _KernelConstants(NamedTuple):
+    scale: float  # (E_s/N0) * (2*pi*W/((N+1)*c))^2, the weight of n^2
+    turns: float  # W/(N+1): periods of the kernel per second of offset
+    switch: float  # half-angle x/2 below which the Taylor series is used
+    taylor: tuple[float, ...]  # series coefficients in (x/2)^2, scale included
+
+
+@functools.lru_cache(maxsize=16)
+def _kernel_constants(cfg: WaveformConfig) -> _KernelConstants:
+    half = (cfg.subcarrier_count - 1) // 2
+    step = 2.0 * math.pi * cfg.bandwidth_hz / (cfg.subcarrier_count * SPEED_OF_LIGHT)
+    scale = (cfg.pilot_energy / cfg.noise_psd_w_hz) * step**2
+    # One subcarrier carries no delay information: the series, all zero, everywhere.
+    switch = 0.5 * _TAYLOR_LIMIT / half if half else math.pi
+    # sum_n n^2 cos(2*n*u) = sum_k (-4)^k * P(2k+2) / (2k)! * u^(2k) with
+    # the power sums P(p) = sum_n n^p taken exactly (int / int rounds once).
+    peak = 2 * sum(n * n for n in range(1, half + 1))
+    taylor = []
+    for k in itertools.count():
+        power = 2 * sum(n ** (2 * k + 2) for n in range(1, half + 1))
+        coefficient = (-4) ** k * power / math.factorial(2 * k)
+        taylor.append(scale * coefficient)
+        if abs(coefficient) * switch ** (2 * k) <= peak * 2.0**-60:
+            break
+    return _KernelConstants(scale=scale, turns=cfg.bandwidth_hz / cfg.subcarrier_count,
+                            switch=switch, taylor=tuple(taylor))
 
 
 def delay_kernel(cfg: WaveformConfig, delta):
     """Information kernel at delay offset(s) delta (seconds).
 
-    Accepts a scalar or an ndarray of offsets and returns complex values of
-    matching shape. Hermitian in delta and periodic with period (N+1)/W.
+    Accepts a scalar or an ndarray of offsets and returns real values of
+    matching shape: the kernel is even in delta, so Hermitian with zero
+    imaginary part, and periodic with period (N+1)/W.
     """
-    n, weights = _kernel_weights(cfg)
-    d = np.asarray(delta, dtype=float)
-    phase = (-2j * math.pi * cfg.bandwidth_hz / cfg.subcarrier_count) * d[..., None] * n
-    out = np.exp(phase) @ weights
-    if d.ndim == 0:
-        return complex(out)
+    k = _kernel_constants(cfg)
+    count = cfg.subcarrier_count
+    # turns - round(turns) is exact and odd in delta, so the kernel is
+    # exactly even.
+    turns = np.asarray(delta, dtype=float) * k.turns
+    u = math.pi * np.abs(turns - np.round(turns))  # x/2, reduced to [0, pi/2]
+    # Below the switch s is held at its value there: the closed form's
+    # entries are then finite, and the series replaces them.
+    s = np.maximum(np.sin(u), math.sin(k.switch))
+    mu = count * u
+    out = ((np.sin(mu) * ((count * count + 1) * s * s - 2.0)
+            + (2 * count) * np.cos(mu) * np.cos(u) * s) * (0.25 * k.scale) / s**3)
+    near = u < k.switch
+    if near.any():
+        u2 = u * u
+        series = k.taylor[-1]
+        for coefficient in k.taylor[-2::-1]:
+            series = series * u2 + coefficient
+        out = np.where(near, series, out)
+    if out.ndim == 0:
+        return float(out)
     return out
 
 
 def delay_kernel_peak(cfg: WaveformConfig) -> float:
     """kernel(0), real and strictly positive: the information intensity scale."""
-    _, weights = _kernel_weights(cfg)
-    return float(weights.sum())
+    return _kernel_constants(cfg).taylor[0]
 
 
 def delay_resolution(cfg: WaveformConfig) -> float:

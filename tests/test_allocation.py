@@ -63,9 +63,7 @@ def frozen_tolerance(scene, wave, active):
     """
     allocation = build_allocation(scene, X_HAT, wave, active)
     j = fim_total(build_pathset(scene, allocation, X_HAT, wave, "ris"), wave).total
-    trace = j[0, 0] + j[1, 1]
-    det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-    return max(1e-12, trace**2 / det * np.finfo(float).eps)
+    return max(1e-12, checks.conditioning_error(j))
 
 
 class TestDmin:
@@ -247,6 +245,22 @@ class TestSelect:
         allocation, value = select_ris(scene, X_HAT, wave, constraints)
         paths = build_pathset(scene, allocation, X_HAT, wave, "ris")
         assert peb(fim_total(paths, wave)).value == value.value
+
+    @pytest.mark.parametrize("ris_count", [1, 2, 5, 9, 12])
+    def test_patterns_match_feasible_activations(self, ris_count):
+        """The patterns the core scores are feasible_activations' bit
+        vectors, in its lexicographic order, which sets the tie rule."""
+        scene = Scene(wall_offset=10.0,
+                      ris=tuple(RisDescriptor(0.5 * k, 4) for k in range(ris_count)),
+                      ris_spacing=0.5)
+        for k_bar in range(4):
+            for min_gap in (0.0, 0.5, 1.0, 1.5, 2.0, 3.7):
+                constraints = SelectionConstraints(k_bar=k_bar, min_gap=min_gap)
+                expected = np.array(list(feasible_activations(ris_count, constraints)),
+                                    dtype=bool)
+                got = allocation_module._patterns(scene, constraints)
+                assert got.dtype == bool
+                assert np.array_equal(got, expected), (k_bar, min_gap)
 
     def test_exhaustive_budget_guard(self, wave):
         many = Scene(wall_offset=10.0,

@@ -7,11 +7,13 @@ stdout/stderr routing are asserted exactly as a shell would see them.
 import dataclasses
 import os
 
+import numpy as np
 import pytest
 
 import rispeb.allocation
 import rispeb.fim
 import rispeb.sweep
+import rispeb.waveform
 from rispeb.channel import build_pathset
 from rispeb.cli import main
 from rispeb.config import default_config, dump_config
@@ -113,6 +115,26 @@ def small_config(tmp_path):
     return path, config
 
 
+def assert_first_aliased_cell_named(capsys, path, config):
+    scene, grid = config.scene(), config.grid()
+    wave = dataclasses.replace(config.waveform(), bandwidth_hz=1e10)
+    first = None
+    for x in grid.xs:
+        for y in grid.ys:
+            paths = build_pathset(scene, None, [x, y], wave, "reflector")
+            try:
+                count_resolvable_paths(paths, wave)
+            except ValueError:
+                first = first or (x, y)
+    assert first is not None
+    code, out, err = run(capsys, "sweep", "--config", str(path),
+                         "--mode", "reflector", "--bandwidth", "1e10")
+    assert code == 2
+    assert out == ""
+    assert f"cell ({first[0]:.9g}, {first[1]:.9g}): path lengths span" in err
+    assert not os.path.exists(config.out_dir)
+
+
 class TestSweep:
     def test_writes_map_and_cdf(self, capsys, small_config):
         path, config = small_config
@@ -138,24 +160,18 @@ class TestSweep:
     def test_aliased_cell_is_named(self, capsys, small_config):
         """At 10 GHz some reflector cells alias: the sweep stops with exit 2,
         writes nothing and names the first such cell in grid order."""
-        path, config = small_config
-        scene, grid = config.scene(), config.grid()
-        wave = dataclasses.replace(config.waveform(), bandwidth_hz=1e10)
-        first = None
-        for x in grid.xs:
-            for y in grid.ys:
-                paths = build_pathset(scene, None, [x, y], wave, "reflector")
-                try:
-                    count_resolvable_paths(paths, wave)
-                except ValueError:
-                    first = first or (x, y)
-        assert first is not None
-        code, out, err = run(capsys, "sweep", "--config", str(path),
-                             "--mode", "reflector", "--bandwidth", "1e10")
-        assert code == 2
-        assert out == ""
-        assert f"cell ({first[0]:.9g}, {first[1]:.9g}): path lengths span" in err
-        assert not os.path.exists(config.out_dir)
+        assert_first_aliased_cell_named(capsys, *small_config)
+
+    def test_aliased_cell_is_named_in_parallel(self, capsys, small_config, tmp_path,
+                                               monkeypatch):
+        """Two workers evaluate the columns and the counts run in blocks
+        of three cells; the cell named is still the first in grid order."""
+        monkeypatch.setattr(rispeb.sweep, "_COUNT_ENTRIES", 6)
+        _, config = small_config
+        config = dataclasses.replace(config, workers=2)
+        path = tmp_path / "parallel.cfg"
+        dump_config(config, path)
+        assert_first_aliased_cell_named(capsys, path, config)
 
     def test_mode_override_names_outputs(self, capsys, small_config):
         path, config = small_config
@@ -173,6 +189,7 @@ class TestValidate:
         assert "check fim_oracle: ok" in out
         assert "check selection_oracle: ok" in out
         assert "check sweep_oracle: ok" in out
+        assert "check kernel_oracle: ok" in out
 
     def test_detects_injected_kernel_fault(self, capsys, monkeypatch):
         true_kernel = rispeb.fim.delay_kernel
@@ -181,6 +198,26 @@ class TestValidate:
         code, out, _ = run(capsys, "validate")
         assert code == 1
         assert "check fim_oracle: FAIL" in out
+        assert "check phase_gain: ok" in out
+
+    @pytest.mark.parametrize("fault", ["no_taylor_branch", "flipped_closed_form"])
+    def test_detects_injected_closed_form_fault(self, capsys, monkeypatch, fault):
+        """The closed form with its Taylor branch dropped loses about 1e-9
+        of the peak near |x| = 1.6e-5; with its sign flipped (the series
+        kept) it is wrong everywhere else. kernel_oracle sees either."""
+        true_constants = rispeb.waveform._kernel_constants
+
+        def faulty(cfg):
+            constants = true_constants(cfg)
+            if fault == "no_taylor_branch":
+                return constants._replace(switch=0.0)
+            return constants._replace(scale=-constants.scale)
+
+        monkeypatch.setattr(rispeb.waveform, "_kernel_constants", faulty)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            code, out, _ = run(capsys, "validate")
+        assert code == 1
+        assert "check kernel_oracle: FAIL" in out
         assert "check phase_gain: ok" in out
 
     def test_detects_injected_sweep_fault(self, capsys, monkeypatch):

@@ -12,12 +12,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rispeb.allocation import build_allocation
 from rispeb.channel import Path, PathSet, build_pathset
-from rispeb.checks import fim_gap
+from rispeb.checks import count_clusters, fim_gap
 from rispeb.fim import (
+    _count_clusters,
     count_resolvable_paths,
     fim_direct,
     fim_interference,
@@ -199,6 +200,73 @@ def test_count_is_permutation_invariant(meters, order):
     order.shuffle(shuffled)
     assert count_resolvable_paths(chain([meters[0]] + shuffled), wave) == base
     assert 1 <= base <= len(meters)
+
+
+# Bandwidth 2^27 Hz makes 1/W = 2^-27 s and delays on a 2^-30 s lattice
+# exact, so rows hold exact duplicates, gaps of exactly 1/W (8 steps) and
+# exactly tied gaps below it.
+DYADIC = make_wave(2.0**27)
+STEP = 2.0**-30
+
+
+@st.composite
+def delay_rows(draw):
+    """Rows of (lattice step, exists) cells of one width, plus a row in
+    which no path exists."""
+    width = draw(st.integers(1, 6))
+    cell = st.tuples(st.integers(0, 40), st.booleans())
+    rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width),
+                         min_size=1, max_size=12))
+    return rows + [[(0, False)] * width]
+
+
+# Tied gaps below 1/W where merging the right pair first would give
+# another count: (0, 0, 5, 10), (0, 5, 9, 11) and (0, 6, 12, 19) steps.
+TIED = [[(0, True), (0, True), (5, True), (10, True)],
+        [(0, True), (5, True), (9, True), (11, True)],
+        [(0, True), (6, True), (12, True), (19, True)],
+        [(0, False)] * 4]
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=delay_rows())
+@example(rows=TIED)
+def test_batched_count_matches_reference_on_lattice(rows):
+    tau = np.array([[2.0**-25 + step * STEP for step, _ in row] for row in rows])
+    exists = np.array([[flag for _, flag in row] for row in rows])
+    counts = _count_clusters(tau, exists, DYADIC)
+    for r in range(len(rows)):
+        assert counts[r] == count_clusters(list(tau[r][exists[r]]), DYADIC)
+    assert counts[-1] == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 6).flatmap(lambda width: st.lists(
+    st.lists(st.tuples(st.floats(5.0, 300.0), st.booleans()),
+             min_size=width, max_size=width), min_size=1, max_size=12)))
+def test_batched_count_matches_reference(rows):
+    wave = make_wave()
+    tau = np.array([[meters / C for meters, _ in row] for row in rows])
+    exists = np.array([[flag for _, flag in row] for row in rows])
+    counts = _count_clusters(tau, exists, wave)
+    for r in range(len(rows)):
+        assert counts[r] == count_clusters(list(tau[r][exists[r]]), wave)
+
+
+def test_batched_count_names_first_aliased_row():
+    wave = make_wave()
+    allowed = unambiguous_range(wave) - delay_resolution(wave)
+    tau = np.array([[10.0, 20.0], [10.0, 10.0 + allowed + 1.0],
+                    [10.0, 10.0 + allowed + 2.0]]) / C
+    with pytest.raises(ValueError, match="aliasing") as caught:
+        _count_clusters(tau, np.ones(tau.shape, dtype=bool), wave)
+    assert caught.value.row == 1
+    with pytest.raises(ValueError) as single:
+        count_clusters(list(tau[1]), wave)
+    assert str(single.value) == str(caught.value)
+    # A missing path does not count toward the span.
+    exists = np.array([[True, True], [True, False], [True, False]])
+    assert list(_count_clusters(tau, exists, wave)) == [2, 1, 1]
 
 
 @settings(max_examples=25, deadline=None)

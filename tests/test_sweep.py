@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from rispeb.allocation import SelectionConstraints, gap_threshold
-from rispeb.checks import best_pattern
+from rispeb.channel import build_pathset
+from rispeb.checks import best_pattern, conditioning_error
+from rispeb.fim import count_resolvable_paths, fim_total, peb
 from rispeb.sweep import (
     CDF_HEADER,
+    DEFAULT_PEB_CAP,
     FLAG_CAPPED,
     FLAG_INF,
     FLAG_INVALID,
@@ -147,6 +150,31 @@ class TestSelectionMap:
                     assert math.isinf(result.peb[ix, iy])
                 else:
                     assert abs(result.peb[ix, iy] - bound) <= 1e-12 * bound
+
+
+@pytest.mark.parametrize("mode", ["reflector", "scatterer"])
+def test_baseline_map_matches_cells_one_by_one(cfg, scene, wave, mode):
+    """The batched sweep, with its block-wise counts and flags, against
+    count_resolvable_paths and peb(fim_total(...)) cell by cell: flags
+    and counts equal, finite bounds to 1e-9 relative, or to
+    16 * checks.conditioning_error on an ill-conditioned cell."""
+    grid = GridSpec(x_range=cfg.grid().x_range, y_range=cfg.grid().y_range, nx=25, ny=25)
+    result = peb_map(scene, grid, wave, mode)
+    for ix, x in enumerate(grid.xs):
+        for iy, y in enumerate(grid.ys):
+            paths = build_pathset(scene, None, [x, y], wave, mode)
+            count = count_resolvable_paths(paths, wave)
+            fim = fim_total(paths, wave)
+            value = peb(fim).value if count > 1 else math.inf
+            flag = (FLAG_INF if math.isinf(value)
+                    else FLAG_CAPPED if value > DEFAULT_PEB_CAP else FLAG_OK)
+            assert result.path_count[ix, iy] == count
+            assert result.flags[ix, iy] == flag
+            if math.isinf(value):
+                assert math.isinf(result.peb[ix, iy])
+            else:
+                tolerance = max(1e-9, 16.0 * conditioning_error(fim.total))
+                assert abs(result.peb[ix, iy] - value) <= tolerance * value
 
 
 class TestPathCountMap:

@@ -2,7 +2,8 @@
 
 The zero-lag value and two off-peak samples are frozen from an
 independent direct summation over subcarriers (stdlib complex math), so
-a sign or scaling slip in the vectorized kernel cannot hide.
+a sign or scaling slip in the closed-form kernel cannot hide; a property
+compares it with checks.kernel_sum, the explicit subcarrier sum.
 """
 
 import math
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rispeb.checks import kernel_sum
 from rispeb.waveform import (
     THERMAL_NOISE_PSD,
     WaveformConfig,
@@ -115,6 +117,25 @@ def test_kernel_periodicity(delta):
     a = delay_kernel(cfg, delta)
     b = delay_kernel(cfg, delta + period)
     assert abs(a - b) <= 1e-9 * delay_kernel_peak(cfg)
+
+
+# Offsets as x = 2*pi*W*delta/(N+1): anywhere in a period, near 1.6e-5
+# where the closed form cancels, and around its switch to the series
+# at (N/2) * x = 0.125, x = 1.95e-3.
+kernel_phases = st.one_of(st.floats(-math.pi, math.pi),
+                          st.floats(1e-6, 1e-4),
+                          st.floats(1.7e-3, 2.2e-3))
+
+
+@given(x=kernel_phases, periods=st.integers(-2, 2))
+def test_kernel_matches_subcarrier_sum(x, periods):
+    """The real closed form equals checks.kernel_sum, the explicit
+    subcarrier sum, to 1e-12 of the peak, imaginary part included."""
+    cfg = make_cfg()
+    delta = (x + 2.0 * math.pi * periods) * cfg.subcarrier_count / (
+        2.0 * math.pi * cfg.bandwidth_hz)
+    error = abs(delay_kernel(cfg, delta) - kernel_sum(cfg, delta))
+    assert error <= 1e-12 * delay_kernel_peak(cfg)
 
 
 def test_kernel_vectorization_matches_scalar(wave, rng):
