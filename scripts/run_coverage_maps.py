@@ -34,10 +34,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     config = load_config(args.config) if args.config else default_config()
-    if args.out is not None:
-        config = dataclasses.replace(config, out_dir=args.out)
-    if args.workers is not None:
-        config = dataclasses.replace(config, workers=args.workers)
+    # The replacement validates the overrides (ConfigError on a bad one).
+    config = dataclasses.replace(config, **{key: value for key, value in (
+        ("out_dir", args.out), ("workers", args.workers)) if value is not None})
 
     scene, wave, grid = config.scene(), config.waveform(), config.grid()
     os.makedirs(config.out_dir, exist_ok=True)

@@ -42,8 +42,6 @@ from .fim import (
     Fim2,
     PebValue,
     count_resolvable_paths,
-    fim_direct,
-    fim_interference,
     fim_numerical,
     fim_total,
     peb,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import PathSet, _leg, _los_path, _make_path, _steering, gain_ris
-from .fim import PebValue, fim_total, peb
+from .fim import PebValue, _require_unaliased, fim_total, peb
 from .geometry import SPEED_OF_LIGHT, Scene, _as_point, _require_below_wall
 from .waveform import WaveformConfig
 
@@ -124,24 +124,18 @@ def build_allocation(scene: Scene, x_hat, cfg: WaveformConfig, active) -> Alloca
 
 
 def feasible_activations(ris_count: int, constraints: SelectionConstraints):
-    """All activation patterns within budget and gap constraint, in
-    lexicographic order (the all-zero pattern is always first and always
-    feasible)."""
-    for bits in itertools.product((0, 1), repeat=ris_count):
-        if sum(bits) > constraints.k_bar:
-            continue
-        if not d_min(bits) > constraints.min_gap:
-            continue
-        yield bits
+    """All activation patterns within budget and gap constraint, as tuples
+    of 0/1 in lexicographic order (the all-zero pattern is always first
+    and always feasible)."""
+    return [tuple(row) for row in _patterns(ris_count, constraints).astype(int).tolist()]
 
 
-def _patterns(scene: Scene, constraints: SelectionConstraints | None) -> np.ndarray:
-    """Feasible patterns as rows of a boolean array, in the lexicographic
-    order of feasible_activations, so the first minimum breaks ties
-    toward the smallest bits; without constraints, the single all-active
-    pattern. Built from the index sets of at most k_bar surfaces, not
-    from all 2^n bit vectors."""
-    ris_count = len(scene.ris)
+def _patterns(ris_count: int, constraints: SelectionConstraints | None) -> np.ndarray:
+    """Feasible patterns of ris_count surfaces as rows of a boolean array,
+    in lexicographic order, so the first minimum breaks ties toward the
+    smallest bits; without constraints, the single all-active pattern.
+    Built from the index sets of at most k_bar surfaces whose consecutive
+    indices are more than min_gap apart, not from all 2^n bit vectors."""
     if constraints is None:
         return np.ones((1, ris_count), dtype=bool)
     if ris_count > MAX_EXHAUSTIVE_RIS:
@@ -151,11 +145,13 @@ def _patterns(scene: Scene, constraints: SelectionConstraints | None) -> np.ndar
     chosen = [ones for size in range(min(constraints.k_bar, ris_count) + 1)
               for ones in itertools.combinations(range(ris_count), size)
               if all(b - a > constraints.min_gap for a, b in zip(ones, ones[1:]))]
+    # Lexicographic order of the bits is the order of the binary number
+    # whose most significant bit is the first surface's.
+    chosen.sort(key=lambda ones: sum(1 << (ris_count - 1 - i) for i in ones))
     patterns = np.zeros((len(chosen), ris_count), dtype=bool)
     for row, ones in zip(patterns, chosen):
         row[list(ones)] = True
-    # np.lexsort sorts by its last key first: the first surface's bit.
-    return patterns[np.lexsort(patterns.T[::-1])]
+    return patterns
 
 
 def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
@@ -198,10 +194,13 @@ def select_ris(scene: Scene, x_hat, cfg: WaveformConfig,
                constraints: SelectionConstraints) -> tuple[Allocation, PebValue]:
     """Exhaustive activation search minimizing the full-FIM bound at x_hat,
     with phases optimal for x_hat; ties go to the lexicographically
-    smallest bit vector."""
+    smallest bit vector. Raises ValueError where the path delays alias,
+    as count_resolvable_paths does."""
     p = _as_point(x_hat)
-    patterns = _patterns(scene, constraints)
-    values, _ = _score(scene, p.reshape(1, 2), cfg, patterns)
+    patterns = _patterns(len(scene.ris), constraints)
+    values, paths = _score(scene, p.reshape(1, 2), cfg, patterns)
+    delays = np.concatenate([path.tau for path in paths], axis=-1)
+    _require_unaliased(delays, np.ones(delays.shape, dtype=bool), cfg)
     best = int(np.argmin(values[0]))
     value = float(values[0, best])
     return (build_allocation(scene, p, cfg, patterns[best]),
@@ -225,7 +224,7 @@ def robust_select(scene: Scene, samples, cfg: WaveformConfig,
     points = [_as_point(s) for s in samples]
     if not points:
         raise ValueError("robust selection needs at least one sample")
-    patterns = _patterns(scene, constraints)
+    patterns = _patterns(len(scene.ris), constraints)
     values, _ = _score(scene, np.array(points), cfg, patterns)
     if objective == "worst_case":
         scores = values.max(axis=0)

@@ -2,8 +2,9 @@
 
 Each is written apart from the code it checks, and none calls
 allocation._score, _patterns, feasible_activations or sweep internals:
-kernel_sum is the explicit subcarrier sum behind waveform's closed form,
-count_clusters the one-cell merge behind fim's batched one.
+all_patterns filters all 2^n bit vectors where _patterns combines index
+sets, kernel_sum is the explicit subcarrier sum behind waveform's closed
+form, count_clusters the one-cell merge behind fim's batched one.
 CHECKS is validate's table of (name, check(config, rng) -> worst, tolerance).
 """
 
@@ -13,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .allocation import build_allocation, optimal_phases, select_ris
+from .allocation import build_allocation, d_min, optimal_phases, select_ris
 from .channel import MODES, build_pathset
 from .fim import fim_numerical, fim_total, peb
 from .geometry import SPEED_OF_LIGHT, DegeneratePositionError
@@ -108,18 +109,21 @@ def conditioning_error(j) -> float:
     return float(trace**2 / det * np.finfo(float).eps)
 
 
+def all_patterns(ris_count, constraints) -> list[tuple[int, ...]]:
+    """Every bit vector of ris_count surfaces with at most k_bar ones and
+    d_min above min_gap, in lexicographic order, from all 2^n of them."""
+    return [bits for bits in itertools.product((0, 1), repeat=ris_count)
+            if sum(bits) <= constraints.k_bar and d_min(bits) > constraints.min_gap]
+
+
 def best_pattern(scene, x, cfg, constraints) -> tuple[float, tuple[int, ...]]:
     """(bound, bits) of the best activation at x by exhaustive search over
-    bit vectors with at most k_bar ones, consecutive ones more than
-    min_gap apart, one pathset each; ties go to the smallest bits."""
+    all_patterns, one pathset each; ties go to the smallest bits."""
     scored = []
-    for bits in itertools.product((0, 1), repeat=len(scene.ris)):
-        ones = [i for i, bit in enumerate(bits) if bit]
-        if len(ones) <= constraints.k_bar and all(
-                b - a > constraints.min_gap for a, b in zip(ones, ones[1:])):
-            allocation = build_allocation(scene, x, cfg, bits)
-            paths = build_pathset(scene, allocation, x, cfg, "ris")
-            scored.append((peb(fim_total(paths, cfg)).value, bits))
+    for bits in all_patterns(len(scene.ris), constraints):
+        allocation = build_allocation(scene, x, cfg, bits)
+        paths = build_pathset(scene, allocation, x, cfg, "ris")
+        scored.append((peb(fim_total(paths, cfg)).value, bits))
     return min(scored)
 
 

@@ -21,7 +21,7 @@ from .channel import MODES, build_pathset
 from .checks import CHECKS
 from .config import ConfigError, RunConfig, default_config, load_config
 from .fim import count_resolvable_paths, fim_total, peb
-from .geometry import SPEED_OF_LIGHT, DegeneratePositionError
+from .geometry import SPEED_OF_LIGHT
 from .sweep import peb_cdf, peb_map, write_cdf_csv, write_map_csv
 
 _VALIDATE_SEED = 20260819
@@ -34,22 +34,14 @@ def _amplitude_db(magnitude: float) -> float:
 
 
 def _load(args) -> RunConfig:
+    """The configured run with the command-line overrides applied; the
+    replacement validates them as a config file would be."""
     config = load_config(args.config) if args.config else default_config()
-    if args.mode is not None:
-        if args.mode not in MODES:
-            raise ConfigError(f"--mode must be one of {', '.join(MODES)}")
-        config = replace(config, mode=args.mode)
-    if args.kbar is not None:
-        config = replace(config, k_bar=args.kbar)
-    if args.bandwidth is not None:
-        config = replace(config, bandwidth_hz=args.bandwidth)
-    if args.out is not None:
-        config = replace(config, out_dir=args.out)
-    # Re-run cross-field validation after overrides.
-    config.scene()
-    config.waveform()
-    config.grid()
-    return config
+    overrides = {key: value for key, value in (
+        ("mode", args.mode), ("k_bar", args.kbar),
+        ("bandwidth_hz", args.bandwidth), ("out_dir", args.out),
+    ) if value is not None}
+    return replace(config, **overrides) if overrides else config
 
 
 def _point_report(config: RunConfig, x) -> str:
@@ -174,9 +166,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(config)
         return cmd_validate(config)
-    except (ConfigError, DegeneratePositionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # ConfigError and DegeneratePositionError are ValueErrors.
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

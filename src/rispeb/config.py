@@ -32,7 +32,9 @@ class RunConfig:
     """Complete description of one run: scene, waveform, grid, and task.
 
     Stores boundary units as given (dBm, dB); scene()/waveform()/grid()
-    build the validated model objects in SI units.
+    build the validated model objects in SI units. Construction validates
+    (ConfigError), so dataclasses.replace checks an override as loads_config
+    checks a file.
     """
 
     wall_offset_m: float
@@ -59,6 +61,27 @@ class RunConfig:
     peb_cap_m: float
     workers: int
     out_dir: str
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ConfigError(f"run.mode: expected one of {', '.join(MODES)}, "
+                              f"got {self.mode!r}")
+        if self.k_bar < 0:
+            raise ConfigError("run.k_bar must be nonnegative")
+        if self.workers < 1:
+            raise ConfigError("run.workers must be at least 1")
+        if not 0.0 < self.peb_cap_m < math.inf:
+            raise ConfigError("run.peb_cap_m must be positive and finite")
+        if not self.noise_figure_db >= 0.0:
+            raise ConfigError("waveform.noise_figure_db must be >= 0")
+        try:
+            scene = self.scene()
+            self.waveform()
+            grid = self.grid()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if grid.y_range[1] >= scene.wall_offset:
+            raise ConfigError("grid.y_max_m must lie below the wall")
 
     def scene(self) -> Scene:
         ris = tuple(
@@ -127,13 +150,6 @@ def _parse_float_list(raw: str, where: str) -> tuple[float, ...]:
     return tuple(_parse_float(item, where) for item in items if item)
 
 
-def _parse_mode(raw: str, where: str) -> str:
-    mode = raw.strip()
-    if mode not in MODES:
-        raise ConfigError(f"{where}: expected one of {', '.join(MODES)}, got {mode!r}")
-    return mode
-
-
 def _parse_text(raw: str, where: str) -> str:
     return raw.strip()
 
@@ -168,7 +184,7 @@ _SCHEMA = {
         ("ny", _parse_int, None),
     ),
     "run": (
-        ("mode", _parse_mode, None),
+        ("mode", _parse_text, None),
         ("k_bar", _parse_int, None),
         ("peb_cap_m", _parse_float, None),
         ("workers", _parse_int, None),
@@ -208,32 +224,15 @@ def loads_config(text: str, source: str = "<string>") -> RunConfig:
                 raise ConfigError(f"{source}: section [{name}] sets "
                                   f"{present[0]} but not {missing}")
 
-    config = RunConfig(**{
+    values = {
         key: parse(sections[name][key], f"{source}: {name}.{key}")
         if key in sections[name] else None
         for name, fields in _SCHEMA.items() for key, parse, _ in fields
-    })
-    _validate(config, source)
-    return config
-
-
-def _validate(config: RunConfig, source: str) -> None:
-    if config.k_bar < 0:
-        raise ConfigError(f"{source}: run.k_bar must be nonnegative")
-    if config.workers < 1:
-        raise ConfigError(f"{source}: run.workers must be at least 1")
-    if config.peb_cap_m <= 0.0:
-        raise ConfigError(f"{source}: run.peb_cap_m must be positive")
-    if config.noise_figure_db < 0.0:
-        raise ConfigError(f"{source}: waveform.noise_figure_db must be >= 0")
+    }
     try:
-        scene = config.scene()
-        config.waveform()
-        grid = config.grid()
-    except ValueError as exc:
+        return RunConfig(**values)
+    except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from None
-    if grid.y_range[1] >= scene.wall_offset:
-        raise ConfigError(f"{source}: grid.y_max_m must lie below the wall")
 
 
 def load_config(path) -> RunConfig:

@@ -70,6 +70,8 @@ def _direct(alpha, directions, cfg: WaveformConfig) -> np.ndarray:
 
 
 def _interference(alpha, tau, directions, cfg: WaveformConfig) -> np.ndarray:
+    # Sum over ordered pairs k != k' of
+    # Re{alpha_k * conj(alpha_k')} * kernel(tau_k - tau_k') * e_k e_k'^T.
     # The kernel is real and even, so the summand is symmetric in the
     # pair: the kernel is evaluated on the pairs k < k' only.
     pairs = itertools.combinations(range(alpha.shape[-1]), 2)
@@ -80,22 +82,6 @@ def _interference(alpha, tau, directions, cfg: WaveformConfig) -> np.ndarray:
     cross[..., first, second] = upper
     cross[..., second, first] = upper
     return np.swapaxes(directions, -1, -2) @ cross @ directions
-
-
-def fim_direct(paths: PathSet, cfg: WaveformConfig) -> np.ndarray:
-    """Sum of per-path rank-1 contributions |alpha|^2 * kernel(0) * e e^T."""
-    alpha, _, directions = _path_arrays(paths)
-    return _direct(alpha, directions, cfg)
-
-
-def fim_interference(paths: PathSet, cfg: WaveformConfig) -> np.ndarray:
-    """Cross-path information from overlapping delay responses.
-
-    Entry pattern: sum over ordered pairs k != k' of
-    Re{alpha_k * conj(alpha_k')} * kernel(tau_k - tau_k') * e_k e_k'^T,
-    the kernel being real.
-    """
-    return _interference(*_path_arrays(paths), cfg)
 
 
 def fim_total(paths: PathSet, cfg: WaveformConfig) -> Fim2:
@@ -165,14 +151,13 @@ def count_resolvable_paths(paths: PathSet, cfg: WaveformConfig) -> int:
     return int(_count_clusters(tau, exists, cfg)[0])
 
 
-def _count_clusters(tau: np.ndarray, exists: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
-    """count_resolvable_paths of every row of tau (rows x paths), over the
-    entries where exists; a row with no such entry counts 0. Raises
-    _AliasedDelays, a ValueError, naming the first row that aliases."""
-    count = exists.sum(axis=1)
-    ordered = np.sort(np.where(exists, tau, np.inf), axis=1)
+def _require_unaliased(tau: np.ndarray, exists: np.ndarray, cfg: WaveformConfig) -> None:
+    """Raise _AliasedDelays naming the first row of tau (rows x paths)
+    whose delays, over the entries where exists, span more path length
+    than the delay kernel separates without aliasing: (N+1)/W - 1/W."""
     # -inf for a row where no path exists.
-    span = (np.where(exists, tau, -np.inf).max(axis=1) - ordered[:, 0]) * SPEED_OF_LIGHT
+    span = (np.where(exists, tau, -np.inf).max(axis=1)
+            - np.where(exists, tau, np.inf).min(axis=1)) * SPEED_OF_LIGHT
     allowed = unambiguous_range(cfg) - delay_resolution(cfg)
     aliased = span > allowed
     if aliased.any():
@@ -180,6 +165,15 @@ def _count_clusters(tau: np.ndarray, exists: np.ndarray, cfg: WaveformConfig) ->
         raise _AliasedDelays(f"path lengths span {span[row]:.6g} m, more than the "
                              f"{allowed:.6g} m the delay kernel separates without aliasing",
                              row)
+
+
+def _count_clusters(tau: np.ndarray, exists: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
+    """count_resolvable_paths of every row of tau (rows x paths), over the
+    entries where exists; a row with no such entry counts 0. Raises
+    _AliasedDelays, a ValueError, naming the first row that aliases."""
+    _require_unaliased(tau, exists, cfg)
+    count = exists.sum(axis=1)
+    ordered = np.sort(np.where(exists, tau, np.inf), axis=1)
     # Cluster totals and sizes in sorted order, the first count of each
     # row in use (padding: total 0, size 1); merging the pair (j, j+1)
     # shifts the later ones left.

@@ -56,8 +56,8 @@ class ReflectorDescriptor:
     gamma: float
 
     def __post_init__(self):
-        if not self.h1 < self.h2:
-            raise ValueError("reflector needs h1 < h2")
+        if not -math.inf < self.h1 < self.h2 < math.inf:
+            raise ValueError("reflector needs finite h1 < h2")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("reflection coefficient must lie in [0, 1]")
 
@@ -70,8 +70,9 @@ class ScatterDescriptor:
     rcs: float
 
     def __post_init__(self):
-        if self.rcs < 0.0:
-            raise ValueError("radar cross section must be nonnegative")
+        if not (math.isfinite(self.x) and 0.0 <= self.rcs < math.inf):
+            raise ValueError("scatterer needs a finite x and a finite, nonnegative "
+                             "radar cross section")
 
 
 @dataclass(frozen=True)

@@ -189,7 +189,7 @@ def _sweep(scene, grid, cfg, mode, constraints, cap, workers,
         raise ValueError(f"unknown mode {mode!r}")
     if grid.y_range[1] >= scene.wall_offset:
         raise ValueError("grid must stay strictly below the wall")
-    patterns = _patterns(scene, constraints) if mode == "ris" and not count_only else None
+    patterns = _patterns(len(scene.ris), constraints) if mode == "ris" and not count_only else None
     evaluate = functools.partial(_evaluate_column, scene, cfg, mode, patterns, count_only)
     ys = grid.ys
     columns = (np.stack([np.full(grid.ny, x), ys], axis=-1) for x in grid.xs)

@@ -65,14 +65,14 @@ class WaveformConfig:
     noise_psd_w_hz: float = THERMAL_NOISE_PSD
 
     def __post_init__(self):
-        if self.carrier_hz <= 0.0 or self.bandwidth_hz <= 0.0:
-            raise ValueError("carrier and bandwidth must be positive")
+        if not (0.0 < self.carrier_hz < math.inf and 0.0 < self.bandwidth_hz < math.inf):
+            raise ValueError("carrier and bandwidth must be positive and finite")
         if self.subcarrier_count < 1 or self.subcarrier_count % 2 == 0:
             raise ValueError(
                 "subcarrier count must be odd so indices span -N/2..N/2"
             )
-        if self.tx_power_w <= 0.0 or self.noise_psd_w_hz <= 0.0:
-            raise ValueError("power and noise PSD must be positive")
+        if not (0.0 < self.tx_power_w < math.inf and 0.0 < self.noise_psd_w_hz < math.inf):
+            raise ValueError("power and noise PSD must be positive and finite")
 
     @property
     def wavelength(self) -> float:

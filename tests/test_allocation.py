@@ -33,7 +33,7 @@ from rispeb.allocation import (
     select_ris,
 )
 from rispeb.channel import build_pathset, gain_ris
-from rispeb.checks import aligned_gain, best_pattern
+from rispeb.checks import aligned_gain, all_patterns, best_pattern
 from rispeb.fim import fim_total, peb
 from rispeb.geometry import RisDescriptor, Scene
 
@@ -246,21 +246,25 @@ class TestSelect:
         paths = build_pathset(scene, allocation, X_HAT, wave, "ris")
         assert peb(fim_total(paths, wave)).value == value.value
 
-    @pytest.mark.parametrize("ris_count", [1, 2, 5, 9, 12])
+    @pytest.mark.parametrize("ris_count", [0, 1, 2, 5, 9, 12])
     def test_patterns_match_feasible_activations(self, ris_count):
-        """The patterns the core scores are feasible_activations' bit
-        vectors, in its lexicographic order, which sets the tie rule."""
-        scene = Scene(wall_offset=10.0,
-                      ris=tuple(RisDescriptor(0.5 * k, 4) for k in range(ris_count)),
-                      ris_spacing=0.5)
+        """The patterns the core scores, and feasible_activations' tuples,
+        are the brute-force enumeration's bit vectors in its lexicographic
+        order, which sets the tie rule."""
         for k_bar in range(4):
             for min_gap in (0.0, 0.5, 1.0, 1.5, 2.0, 3.7):
                 constraints = SelectionConstraints(k_bar=k_bar, min_gap=min_gap)
-                expected = np.array(list(feasible_activations(ris_count, constraints)),
-                                    dtype=bool)
-                got = allocation_module._patterns(scene, constraints)
+                expected = all_patterns(ris_count, constraints)
+                got = allocation_module._patterns(ris_count, constraints)
                 assert got.dtype == bool
-                assert np.array_equal(got, expected), (k_bar, min_gap)
+                assert np.array_equal(got, np.array(expected, dtype=bool)), (k_bar, min_gap)
+                assert feasible_activations(ris_count, constraints) == expected
+
+    def test_aliased_delays_rejected(self, scene, wave):
+        """At 5 GHz the paths at X_HAT span more than the kernel separates."""
+        wide = dataclasses.replace(wave, bandwidth_hz=5e9)
+        with pytest.raises(ValueError, match="path lengths span"):
+            select_ris(scene, X_HAT, wide, tight_constraints(1, scene, wide))
 
     def test_exhaustive_budget_guard(self, wave):
         many = Scene(wall_offset=10.0,
@@ -272,6 +276,8 @@ class TestSelect:
             select_ris(many, X_HAT, wave, constraints)
         with pytest.raises(ValueError, match="exhaustive"):
             robust_select(many, [X_HAT], wave, constraints)
+        with pytest.raises(ValueError, match="exhaustive"):
+            feasible_activations(len(many.ris), constraints)
 
 
 class TestRobustSelect:

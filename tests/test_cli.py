@@ -85,6 +85,15 @@ class TestSelect:
         assert "allocation_bits: 10010" in out
         assert "active_count: 2 (budget 2)" in out
 
+    def test_aliased_delays_rejected(self, capsys):
+        """At 5 GHz the paths at (3.5, 5) span 10.69 m, beyond the 7.67 m
+        the kernel separates without aliasing: select stops as point does."""
+        code, out, err = run(capsys, "select", "3.5", "5.0", "--bandwidth", "5e9")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: path lengths span")
+        assert run(capsys, "point", "3.5", "5.0", "--bandwidth", "5e9") == (2, "", err)
+
     def test_requires_ris_mode(self, capsys):
         code, _, err = run(capsys, "select", "3.5", "5.0",
                            "--mode", "reflector")
@@ -104,6 +113,22 @@ class TestBadInput:
                            "--bandwidth", "-5.0")
         assert code == 2
         assert "error: " in err
+
+    @pytest.mark.parametrize("command", ["point", "select"])
+    @pytest.mark.parametrize("bandwidth", ["nan", "inf"])
+    def test_nonfinite_bandwidth_override(self, capsys, command, bandwidth):
+        code, out, err = run(capsys, command, "3.5", "5.0", "--bandwidth", bandwidth)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
+
+    def test_negative_budget_override(self, capsys):
+        """The budget is checked even where the mode does not use it."""
+        code, out, err = run(capsys, "point", "3.5", "5.0",
+                             "--mode", "reflector", "--kbar", "-1")
+        assert code == 2
+        assert out == ""
+        assert "k_bar" in err
 
 
 @pytest.fixture

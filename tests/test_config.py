@@ -1,6 +1,7 @@
 """Configuration parsing, validation, and round-tripping."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -146,8 +147,19 @@ class TestErrors:
             loads_config(broken(replace_key="k_bar", value="-1"))
 
     def test_zero_workers(self):
-        with pytest.raises(ConfigError, match="workers"):
-            loads_config(broken(replace_key="workers", value="0"))
+        with pytest.raises(ConfigError, match=r"^run\.cfg: run\.workers"):
+            loads_config(broken(replace_key="workers", value="0"), source="run.cfg")
+
+    @pytest.mark.parametrize("key, value", [
+        ("workers", 0), ("mode", "mirror"), ("peb_cap_m", math.inf),
+        ("scatter_rcs_m2", math.nan), ("scatter_x_m", math.inf),
+        ("reflector_h1_m", -math.inf), ("power_dbm", math.nan),
+    ])
+    def test_replace_rejects(self, key, value):
+        """An override made with dataclasses.replace is checked as a
+        parsed file is."""
+        with pytest.raises(ConfigError):
+            dataclasses.replace(default_config(), **{key: value})
 
     def test_grid_reaching_wall(self):
         with pytest.raises(ConfigError, match="below the wall"):

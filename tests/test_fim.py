@@ -20,8 +20,6 @@ from rispeb.checks import count_clusters, fim_gap
 from rispeb.fim import (
     _count_clusters,
     count_resolvable_paths,
-    fim_direct,
-    fim_interference,
     fim_total,
     peb,
 )
@@ -71,7 +69,7 @@ class TestSyntheticOracle:
     def test_total_is_direct_plus_interference(self):
         paths, wave = synthetic_pair(), make_wave()
         fim = fim_total(paths, wave)
-        recomposed = fim_direct(paths, wave) + fim_interference(paths, wave)
+        recomposed = fim.direct + fim.interference
         assert np.allclose(fim.total, 0.5 * (recomposed + recomposed.T),
                            rtol=1e-15, atol=0)
 
@@ -89,7 +87,7 @@ class TestSyntheticOracle:
 
     def test_direct_term_alone(self):
         paths, wave = synthetic_pair(), make_wave()
-        direct = fim_direct(paths, wave)
+        direct = fim_total(paths, wave).direct
         peak = delay_kernel_peak(wave)
         e0, e1 = np.array([1.0, 0.0]), np.array([0.6, 0.8])
         expected = (abs(1e-4) ** 2 * peak * np.outer(e0, e0)

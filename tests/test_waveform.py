@@ -86,6 +86,14 @@ class TestValidation:
             WaveformConfig(carrier_hz=28e9, bandwidth_hz=-1e8,
                            subcarrier_count=129)
 
+    @pytest.mark.parametrize("field", ["carrier_hz", "bandwidth_hz", "tx_power_w",
+                                       "noise_psd_w_hz"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_values(self, field, value):
+        fields = dict(carrier_hz=28e9, bandwidth_hz=1e8, subcarrier_count=129)
+        with pytest.raises(ValueError, match="finite"):
+            WaveformConfig(**{**fields, field: value})
+
     def test_indices_symmetric(self, wave):
         n = wave.subcarrier_indices
         assert n[0] == -64 and n[-1] == 64 and len(n) == 129
