@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PathSet, _leg, _los_path, _make_path, _steering, gain_ris
+from .channel import _leg, _steering, build_pathset
 from .fim import PebValue, _require_unaliased, fim_total, peb
 from .geometry import SPEED_OF_LIGHT, Scene, _as_point, _require_below_wall
 from .waveform import WaveformConfig
@@ -155,39 +155,28 @@ def _patterns(ris_count: int, constraints: SelectionConstraints | None) -> np.nd
 
 
 def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
-           patterns: np.ndarray) -> tuple[np.ndarray, PathSet]:
+           patterns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds of every pattern (rows of patterns) at every point (rows of
-    points), each with phases optimal for its point.
-
-    Delays, directions, the LOS gain and each RIS's aligned and inactive
-    gain do not depend on the pattern: they are computed once per point,
-    from one _leg per path, and the kernel once per batch of patterns (a
-    single batch unless the patterns are many). Inactive RIS stay in the
-    channel.
-    Returns the (points x patterns) bounds and the all-active pathset of
-    the points, whose fields have the shape (points, 1).
-    """
+    points), each with phases optimal for its point, as a (points x
+    patterns) array, and the (points x paths) delays, which do not depend
+    on the pattern. A pattern steers the surfaces it turns on at the
+    point, as build_allocation does, and leaves the others flat;
+    build_pathset evaluates one batch of patterns at a time (a single
+    batch unless the patterns are many)."""
     column = points[:, None, :]
-    _require_below_wall(scene, column)
-    legs = [_leg(scene, "ris", k, column) for k in range(len(scene.ris))]
-    aligned = [gain_ris(scene, k, _steering(scene, k, column, leg), column, cfg, leg)
-               for k, leg in enumerate(legs)]
-    paths = PathSet((_los_path(column, cfg), *(
-        _make_path("ris", k, alpha, column, leg)
-        for k, (alpha, leg) in enumerate(zip(aligned, legs)))))
-    inactive = [gain_ris(scene, k, 0.0, column, cfg, leg) for k, leg in enumerate(legs)]
+    steering = build_allocation(scene, column, cfg, (1,) * len(scene.ris)).design
     # Patterns per batch, so that the (points x patterns x paths x paths)
     # arrays stay near _BATCH_ENTRIES entries.
-    step = max(1, _BATCH_ENTRIES // (len(points) * len(paths) ** 2))
+    step = max(1, _BATCH_ENTRIES // (len(points) * (len(scene.ris) + 1) ** 2))
     values = []
     for start in range(0, len(patterns), step):
         chunk = patterns[start:start + step]
-        shape = (len(points), len(chunk))
-        los = replace(paths[0], alpha=np.broadcast_to(paths[0].alpha, shape))
-        ris = [replace(path, alpha=np.where(chunk[:, k], path.alpha, inactive[k]))
-               for k, path in enumerate(paths[1:])]
-        values.append(peb(fim_total(PathSet((los, *ris)), cfg)).value)
-    return np.concatenate(values, axis=-1), paths
+        # Every bit is set: a surface the pattern leaves off carries 0.0,
+        # the flat surface, which is what Allocation asks of an inactive one.
+        design = tuple(np.where(chunk[:, k], aligned, 0.0) for k, aligned in enumerate(steering))
+        paths = build_pathset(scene, Allocation((1,) * len(design), design), column, cfg, "ris")
+        values.append(peb(fim_total(paths, cfg)).value)
+    return np.concatenate(values, axis=-1), np.concatenate([p.tau for p in paths], axis=-1)
 
 
 def select_ris(scene: Scene, x_hat, cfg: WaveformConfig,
@@ -198,8 +187,7 @@ def select_ris(scene: Scene, x_hat, cfg: WaveformConfig,
     as count_resolvable_paths does."""
     p = _as_point(x_hat)
     patterns = _patterns(len(scene.ris), constraints)
-    values, paths = _score(scene, p.reshape(1, 2), cfg, patterns)
-    delays = np.concatenate([path.tau for path in paths], axis=-1)
+    values, delays = _score(scene, p.reshape(1, 2), cfg, patterns)
     _require_unaliased(delays, np.ones(delays.shape, dtype=bool), cfg)
     best = int(np.argmin(values[0]))
     value = float(values[0, best])
@@ -217,7 +205,7 @@ def robust_select(scene: Scene, samples, cfg: WaveformConfig,
     (infinite bounds poison a pattern), "expected" the mean with infinite
     bounds clamped at the cap so a single shadowed sample cannot flatten
     the comparison. The returned allocation carries phases built at the
-    sample centroid.
+    sample centroid. Raises ValueError where a sample's delays alias.
     """
     if objective not in ("worst_case", "expected"):
         raise ValueError(f"unknown robust objective {objective!r}")
@@ -225,7 +213,8 @@ def robust_select(scene: Scene, samples, cfg: WaveformConfig,
     if not points:
         raise ValueError("robust selection needs at least one sample")
     patterns = _patterns(len(scene.ris), constraints)
-    values, _ = _score(scene, np.array(points), cfg, patterns)
+    values, delays = _score(scene, np.array(points), cfg, patterns)
+    _require_unaliased(delays, np.ones(delays.shape, dtype=bool), cfg)
     if objective == "worst_case":
         scores = values.max(axis=0)
     else:

@@ -74,6 +74,11 @@ class RunConfig:
             raise ConfigError("run.peb_cap_m must be positive and finite")
         if not self.noise_figure_db >= 0.0:
             raise ConfigError("waveform.noise_figure_db must be >= 0")
+        for key in ("power_dbm", "noise_figure_db"):
+            try:
+                10.0 ** (getattr(self, key) / 10.0)
+            except OverflowError:
+                raise ConfigError(f"waveform.{key} overflows a float in linear units") from None
         try:
             scene = self.scene()
             self.waveform()

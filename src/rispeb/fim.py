@@ -56,9 +56,10 @@ class PebValue:
 
 
 def _path_arrays(paths: PathSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gains and delays with paths along the last axis, directions along
-    the second to last; each field has one shape across the paths."""
-    alpha = np.stack([np.asarray(p.alpha, dtype=complex) for p in paths], axis=-1)
+    """Gains (broadcast against each other) and delays with paths along
+    the last axis, directions along the second to last."""
+    alpha = np.stack(np.broadcast_arrays(*(np.asarray(p.alpha, dtype=complex) for p in paths)),
+                     axis=-1)
     tau = np.stack([np.asarray(p.tau, dtype=float) for p in paths], axis=-1)
     directions = np.stack([p.direction for p in paths], axis=-2)
     return alpha, tau, directions

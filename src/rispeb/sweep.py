@@ -170,11 +170,10 @@ def _evaluate_batch(scene, cfg, mode, patterns, count_only, points):
         return (nan, np.array(["1" * len(scene.ris)] * len(points), dtype=object), delays,
                 np.ones(delays.shape, dtype=bool))
     if mode == "ris":
-        scores, paths = _score(scene, points, cfg, patterns)
+        scores, delays = _score(scene, points, cfg, patterns)
         best = np.argmin(scores, axis=1)
         names = np.array(["".join(map(str, row)) for row in patterns.astype(int)],
                          dtype=object)
-        delays = _path_arrays(paths)[1][:, 0]
         return (scores[np.arange(len(points)), best], names[best], delays,
                 np.ones(delays.shape, dtype=bool))
     paths = build_pathset(scene, None, points, cfg, mode)

@@ -38,13 +38,18 @@ def rng():
     return np.random.default_rng(20260819)
 
 
+def load_script(name: str):
+    """The module of scripts/<name>.py, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture(scope="session")
 def derived():
     """Frozen values re-derived without the package by
     scripts/derive_frozen_values.py (40-digit mpmath)."""
     pytest.importorskip("mpmath")
-    path = Path(__file__).resolve().parents[1] / "scripts" / "derive_frozen_values.py"
-    spec = importlib.util.spec_from_file_location("derive_frozen_values", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.derive()
+    return load_script("derive_frozen_values").derive()

@@ -246,6 +246,26 @@ class TestSelect:
         paths = build_pathset(scene, allocation, X_HAT, wave, "ris")
         assert peb(fim_total(paths, wave)).value == value.value
 
+    @pytest.mark.parametrize("batch_entries", [allocation_module._BATCH_ENTRIES, 1])
+    def test_every_pattern_scores_its_pathset(self, scene, wave, monkeypatch,
+                                              batch_entries):
+        """Every entry of the core's score, not just the winner, is the
+        bound of the pattern's own allocation, and the delays are those
+        of its pathset; in one batch or one pattern per batch."""
+        monkeypatch.setattr(allocation_module, "_BATCH_ENTRIES", batch_entries)
+        points = np.array([X_HAT, [8.0, 4.0], [-2.0, 7.0]])
+        for constraints in [tight_constraints(k_bar, scene, wave) for k_bar in range(3)] + [
+                SelectionConstraints(k_bar=5)]:
+            patterns = allocation_module._patterns(len(scene.ris), constraints)
+            bounds, delays = allocation_module._score(scene, points, wave, patterns)
+            assert bounds.shape == (len(points), len(patterns))
+            for i, point in enumerate(points):
+                for j, bits in enumerate(patterns):
+                    allocation = build_allocation(scene, point, wave, bits)
+                    paths = build_pathset(scene, allocation, point, wave, "ris")
+                    assert bounds[i, j] == peb(fim_total(paths, wave)).value, (i, bits)
+                    assert np.array_equal(delays[i], [path.tau for path in paths])
+
     @pytest.mark.parametrize("ris_count", [0, 1, 2, 5, 9, 12])
     def test_patterns_match_feasible_activations(self, ris_count):
         """The patterns the core scores, and feasible_activations' tuples,
@@ -265,6 +285,8 @@ class TestSelect:
         wide = dataclasses.replace(wave, bandwidth_hz=5e9)
         with pytest.raises(ValueError, match="path lengths span"):
             select_ris(scene, X_HAT, wide, tight_constraints(1, scene, wide))
+        with pytest.raises(ValueError, match="path lengths span"):
+            robust_select(scene, [X_HAT], wide, tight_constraints(1, scene, wide))
 
     def test_exhaustive_budget_guard(self, wave):
         many = Scene(wall_offset=10.0,

@@ -6,6 +6,7 @@ stdout/stderr routing are asserted exactly as a shell would see them.
 
 import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
@@ -129,6 +130,18 @@ class TestBadInput:
         assert code == 2
         assert out == ""
         assert "k_bar" in err
+
+    @pytest.mark.parametrize("key", ["power_dbm", "noise_figure_db"])
+    def test_overflowing_decibels(self, capsys, tmp_path, key):
+        """A dB value whose linear value overflows a float is bad input."""
+        path = tmp_path / "loud.cfg"
+        dump_config(default_config(), path)
+        text = re.sub(rf"^{key} = .*$", f"{key} = 4000", path.read_text(), flags=re.M)
+        path.write_text(text)
+        code, out, err = run(capsys, "point", "3.5", "5.0", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"waveform.{key}" in err
 
 
 @pytest.fixture
@@ -264,8 +277,8 @@ class TestValidate:
         true_score = rispeb.allocation._score
 
         def scaled(*args):
-            values, paths = true_score(*args)
-            return values * (1.0 + 1e-9), paths
+            values, delays = true_score(*args)
+            return values * (1.0 + 1e-9), delays
 
         monkeypatch.setattr(rispeb.allocation, "_score", scaled)
         code, out, _ = run(capsys, "validate")

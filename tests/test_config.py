@@ -154,6 +154,7 @@ class TestErrors:
         ("workers", 0), ("mode", "mirror"), ("peb_cap_m", math.inf),
         ("scatter_rcs_m2", math.nan), ("scatter_x_m", math.inf),
         ("reflector_h1_m", -math.inf), ("power_dbm", math.nan),
+        ("power_dbm", 4000.0), ("noise_figure_db", 4000.0),
     ])
     def test_replace_rejects(self, key, value):
         """An override made with dataclasses.replace is checked as a
