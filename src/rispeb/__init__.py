@@ -21,7 +21,6 @@ from .allocation import (
 )
 from .channel import (
     MODES,
-    Path,
     PathSet,
     build_pathset,
     gain_los,
@@ -39,10 +38,7 @@ from .config import (
     loads_config,
 )
 from .fim import (
-    Fim2,
-    PebValue,
     count_resolvable_paths,
-    fim_numerical,
     fim_total,
     peb,
 )
@@ -55,7 +51,6 @@ from .geometry import (
     ScatterDescriptor,
     Scene,
     incidence_point,
-    ris_angles,
     ris_center,
     scatter_position,
     virtual_anchor,

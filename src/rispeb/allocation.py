@@ -176,7 +176,7 @@ def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
         design = tuple(np.where(chunk[:, k], aligned, 0.0) for k, aligned in enumerate(steering))
         paths = build_pathset(scene, Allocation((1,) * len(design), design), column, cfg, "ris")
         values.append(peb(fim_total(paths, cfg)).value)
-    return np.concatenate(values, axis=-1), np.concatenate([p.tau for p in paths], axis=-1)
+    return np.concatenate(values, axis=-1), paths.tau[:, 0]
 
 
 def select_ris(scene: Scene, x_hat, cfg: WaveformConfig,

@@ -1,14 +1,14 @@
 """Path construction and complex gains for every propagation mechanism.
 
-A Path carries everything the information modules need: delay, complex
-gain, and the unit direction along which the path informs the position
-estimate. Paths also keep their generating anchor point and the fixed
-leg length ahead of it, so the delay can be re-evaluated at perturbed
-user positions (the numerical FIM cross-check relies on this).
+A PathSet holds, path by path, everything the information modules
+need: delay, complex gain, and the unit direction along which the path
+informs the position estimate. It also keeps each path's anchor point
+and the fixed leg length ahead of it, so the delay can be re-evaluated
+at perturbed user positions (the numerical FIM cross-check relies on
+this).
 
 Every function here broadcasts over the leading axes of the position:
-given a batch of positions, a Path holds arrays of delays, gains and
-directions, one entry per position.
+given a batch of positions, the arrays gain those axes.
 
 Per the inactive-RIS convention, a deactivated RIS is not removed from
 the channel: it keeps reflecting with design steering 0, the flat
@@ -19,6 +19,7 @@ specular angle psi = theta.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -46,7 +47,7 @@ MODES = ("ris", "reflector", "scatterer")
 
 @dataclass(frozen=True)
 class Path:
-    """One propagation path resolved at a user position (or a batch of them).
+    """One path of a PathSet, at a user position (or a batch of them).
 
     kind is one of "los", "ris", "reflector", "scatterer"; index is the RIS
     index for kind == "ris" and None otherwise. anchor is the last point the
@@ -66,22 +67,32 @@ class Path:
 
 @dataclass(frozen=True)
 class PathSet:
-    """Ordered paths for one candidate position (or batch); the LOS path comes first."""
+    """The K paths at a user position (or batch), the LOS path first, named
+    by kinds and indices as in Path: tau (..., K) and direction (..., K, 2)
+    over the position's leading axes, alpha (..., K) over those broadcast
+    against the design, anchor (K, 2), fixed_leg (K). An int index, or
+    iteration, gives Path views of the arrays."""
 
-    paths: tuple[Path, ...]
+    kinds: tuple[str, ...]
+    indices: tuple[int | None, ...]
+    tau: np.ndarray
+    alpha: np.ndarray
+    direction: np.ndarray
+    anchor: np.ndarray
+    fixed_leg: np.ndarray
 
     def __post_init__(self):
-        if not self.paths or self.paths[0].kind != "los":
+        if not self.kinds or self.kinds[0] != "los":
             raise ValueError("a path set starts with the LOS path")
 
-    def __iter__(self):
-        return iter(self.paths)
-
     def __len__(self):
-        return len(self.paths)
+        return len(self.kinds)
 
-    def __getitem__(self, i):
-        return self.paths[i]
+    def __getitem__(self, i) -> Path:
+        i = operator.index(i)
+        return Path(kind=self.kinds[i], index=self.indices[i], tau=self.tau[..., i],
+                    alpha=self.alpha[..., i], direction=self.direction[..., i, :],
+                    anchor=self.anchor[i], fixed_leg=self.fixed_leg[i])
 
 
 def _leg(scene: Scene | None, kind: str, index: int | None, x):
@@ -107,24 +118,13 @@ def _carrier(tau, cfg: WaveformConfig):
     return np.exp(-2j * math.pi * cfg.carrier_hz * tau)
 
 
-def _make_path(kind: str, index: int | None, alpha, x, leg) -> Path:
-    """The path of kind at x from its _leg and its gain."""
-    anchor, fixed_leg, dist, tau = leg
-    return Path(kind=kind, index=index, tau=tau, alpha=alpha,
-                direction=(x - anchor) / dist[..., None], anchor=anchor,
-                fixed_leg=fixed_leg)
-
-
-def _los_path(x, cfg: WaveformConfig) -> Path:
-    leg = _leg(None, "los", None, x)
+def gain_los(x, cfg: WaveformConfig, leg=None) -> complex:
+    """Free-space LOS gain with carrier phase: magnitude lambda/(4*pi*||x||).
+    leg is the LOS path's _leg at x, for a caller that has it already."""
+    if leg is None:
+        leg = _leg(None, "los", None, _as_point(x))
     _, _, dist, tau = leg
-    alpha = _carrier(tau, cfg) * cfg.wavelength / (4.0 * math.pi * dist)
-    return _make_path("los", None, alpha, x, leg)
-
-
-def gain_los(x, cfg: WaveformConfig) -> complex:
-    """Free-space LOS gain with carrier phase: magnitude lambda/(4*pi*||x||)."""
-    return _los_path(_as_point(x), cfg).alpha
+    return _carrier(tau, cfg) * cfg.wavelength / (4.0 * math.pi * dist)
 
 
 def _steering(scene: Scene, k: int, x, leg):
@@ -171,18 +171,24 @@ def gain_ris(scene: Scene, k: int, design, x, cfg: WaveformConfig, leg=None) -> 
     return _carrier(tau, cfg) * (element * _array_factor(steering - design, count))
 
 
-def gain_reflector(scene: Scene, x, cfg: WaveformConfig) -> complex:
-    """Specular-reflection gain; exactly zero outside the mirror-hit region."""
+def gain_reflector(scene: Scene, x, cfg: WaveformConfig, leg=None) -> complex:
+    """Specular-reflection gain; exactly zero outside the mirror-hit region.
+    leg is the reflector path's _leg at x, for a caller that has it already."""
     p = _as_point(x)
     hit = incidence_point(scene, p)[1]
-    _, _, dist, tau = _leg(scene, "reflector", None, p)
+    if leg is None:
+        leg = _leg(scene, "reflector", None, p)
+    _, _, dist, tau = leg
     alpha = _carrier(tau, cfg) * scene.reflector.gamma * cfg.wavelength / (4.0 * math.pi * dist)
     return np.where(hit, alpha, 0j)[()]
 
 
-def gain_scatter(scene: Scene, x, cfg: WaveformConfig) -> complex:
-    """Point-scatterer gain: lambda*sqrt(rcs) / ((4*pi)^1.5 * ||s|| * ||s-x||)."""
-    _, leg_in, leg_out, tau = _leg(scene, "scatterer", None, _as_point(x))
+def gain_scatter(scene: Scene, x, cfg: WaveformConfig, leg=None) -> complex:
+    """Point-scatterer gain: lambda*sqrt(rcs) / ((4*pi)^1.5 * ||s|| * ||s-x||).
+    leg is the scatterer path's _leg at x, for a caller that has it already."""
+    if leg is None:
+        leg = _leg(scene, "scatterer", None, _as_point(x))
+    _, leg_in, leg_out, tau = leg
     magnitude = (
         cfg.wavelength
         * math.sqrt(scene.scatterer.rcs)
@@ -198,24 +204,33 @@ def build_pathset(scene: Scene, allocation: "Allocation | None", x,
     mode "ris" needs an allocation and emits one path per RIS, active or
     not (inactive ones reflect as the flat surface). The baseline modes
     emit the single reflector path (zero gain outside the hit region) or
-    the single scatterer path; allocation is ignored there. For
-    positions with leading axes each path field holds one entry per
-    position, and the allocation's design broadcasts against them.
+    the single scatterer path; allocation is ignored there. Each path's
+    _leg is evaluated once and serves both its gain and its record. For
+    positions with leading axes the arrays gain those axes, and alpha
+    also broadcasts against the allocation's design.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     p = _as_point(x)
     _require_below_wall(scene, p)
-    paths = [_los_path(p, cfg)]
+    kinds, indices = ("los", mode), (None, None)
     if mode == "ris":
         if allocation is None:
             raise ValueError("RIS mode needs an allocation")
         if len(allocation.design) != len(scene.ris):
             raise ValueError("allocation does not match the scene's RIS count")
-        for k, design in enumerate(allocation.design):
-            leg = _leg(scene, "ris", k, p)
-            paths.append(_make_path("ris", k, gain_ris(scene, k, design, p, cfg, leg), p, leg))
+        kinds, indices = ("los",) + ("ris",) * len(scene.ris), (None, *range(len(scene.ris)))
+    legs = [_leg(scene, kind, index, p) for kind, index in zip(kinds, indices)]
+    gains = [gain_los(p, cfg, legs[0])]
+    if mode == "ris":
+        gains += [gain_ris(scene, k, design, p, cfg, leg)
+                  for k, (design, leg) in enumerate(zip(allocation.design, legs[1:]))]
     else:
         gain = gain_reflector if mode == "reflector" else gain_scatter
-        paths.append(_make_path(mode, None, gain(scene, p, cfg), p, _leg(scene, mode, None, p)))
-    return PathSet(tuple(paths))
+        gains.append(gain(scene, p, cfg, legs[1]))
+    anchors, fixed_legs, dists, taus = zip(*legs)
+    anchor, dist = np.array(anchors), np.stack(dists, axis=-1)
+    return PathSet(kinds, indices, tau=np.stack(taus, axis=-1),
+                   alpha=np.stack(np.broadcast_arrays(*gains), axis=-1),
+                   direction=(p[..., None, :] - anchor) / dist[..., None],
+                   anchor=anchor, fixed_leg=np.array(fixed_legs))

@@ -5,9 +5,9 @@ information |alpha|^2 * kernel(0) along its own direction) and an
 interference part coupling every pair of paths through the kernel at
 their delay difference. Path gains are treated as known constants: their
 dependence on position is deliberately not exploited, matching the
-bound's definition. fim_total and peb broadcast over leading axes of
-the path fields, so a batch of positions and activation patterns is one
-call with one kernel evaluation.
+bound's definition. fim_total and peb broadcast over the leading axes
+of the PathSet's arrays, so a batch of positions and activation
+patterns is one call with one kernel evaluation.
 
 fim_numerical is an independent cross-check: it differentiates the
 frequency-domain observation at each subcarrier with central differences
@@ -55,16 +55,6 @@ class PebValue:
     rank_deficient: bool
 
 
-def _path_arrays(paths: PathSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gains (broadcast against each other) and delays with paths along
-    the last axis, directions along the second to last."""
-    alpha = np.stack(np.broadcast_arrays(*(np.asarray(p.alpha, dtype=complex) for p in paths)),
-                     axis=-1)
-    tau = np.stack([np.asarray(p.tau, dtype=float) for p in paths], axis=-1)
-    directions = np.stack([p.direction for p in paths], axis=-2)
-    return alpha, tau, directions
-
-
 def _direct(alpha, directions, cfg: WaveformConfig) -> np.ndarray:
     weights = np.abs(alpha) ** 2 * delay_kernel_peak(cfg)
     return (np.swapaxes(directions, -1, -2) * weights[..., None, :]) @ directions
@@ -86,12 +76,11 @@ def _interference(alpha, tau, directions, cfg: WaveformConfig) -> np.ndarray:
 
 
 def fim_total(paths: PathSet, cfg: WaveformConfig) -> Fim2:
-    """Direct plus interference FIM. Paths whose fields carry leading axes
-    give a stack of 2x2 matrices over those axes, with one delay_kernel
+    """Direct plus interference FIM. A PathSet whose arrays carry leading
+    axes gives a stack of 2x2 matrices over those axes, with one delay_kernel
     call for the whole stack."""
-    alpha, tau, directions = _path_arrays(paths)
-    direct = _direct(alpha, directions, cfg)
-    interference = _interference(alpha, tau, directions, cfg)
+    direct = _direct(paths.alpha, paths.direction, cfg)
+    interference = _interference(paths.alpha, paths.tau, paths.direction, cfg)
     total = direct + interference
     return Fim2(direct=direct, interference=interference,
                 total=0.5 * (total + np.swapaxes(total, -1, -2)))
@@ -147,9 +136,7 @@ def count_resolvable_paths(paths: PathSet, cfg: WaveformConfig) -> int:
     ValueError instead of being counted. Sweeps count whole blocks of
     cells at once through the same merge.
     """
-    tau = np.array([[p.tau for p in paths]], dtype=float)
-    exists = np.array([[p.alpha != 0 for p in paths]])
-    return int(_count_clusters(tau, exists, cfg)[0])
+    return int(_count_clusters(paths.tau[None], (paths.alpha != 0)[None], cfg)[0])
 
 
 def _require_unaliased(tau: np.ndarray, exists: np.ndarray, cfg: WaveformConfig) -> None:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .allocation import SelectionConstraints, _patterns, _score, build_allocation
 from .channel import MODES, _leg, build_pathset
-from .fim import _AliasedDelays, _count_clusters, _path_arrays, fim_total, peb
+from .fim import _AliasedDelays, _count_clusters, fim_total, peb
 from .geometry import DegeneratePositionError, Scene
 from .waveform import WaveformConfig, delay_kernel_peak
 
@@ -177,9 +177,8 @@ def _evaluate_batch(scene, cfg, mode, patterns, count_only, points):
         return (scores[np.arange(len(points)), best], names[best], delays,
                 np.ones(delays.shape, dtype=bool))
     paths = build_pathset(scene, None, points, cfg, mode)
-    alpha, tau, _ = _path_arrays(paths)
     return ((nan if count_only else peb(fim_total(paths, cfg)).value),
-            np.array([""] * len(points), dtype=object), tau, alpha != 0)
+            np.array([""] * len(points), dtype=object), paths.tau, paths.alpha != 0)
 
 
 def _sweep(scene, grid, cfg, mode, constraints, cap, workers,
@@ -285,13 +284,14 @@ def _fmt(value: float) -> str:
 
 def write_map_csv(result: MapResult, path) -> None:
     """One row per cell, x-major: x,y,peb_m,flag,path_count,allocation_bits."""
-    xs, ys = result.grid.xs, result.grid.ys
+    xs = [_fmt(float(x)) for x in result.grid.xs]
+    ys = [_fmt(float(y)) for y in result.grid.ys]
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(MAP_HEADER + "\n")
         for ix, x in enumerate(xs):
             for iy, y in enumerate(ys):
                 row = (
-                    _fmt(float(x)), _fmt(float(y)),
+                    x, y,
                     _fmt(result.peb[ix, iy]), result.flags[ix, iy],
                     str(result.path_count[ix, iy]),
                     result.allocation_bits[ix, iy],

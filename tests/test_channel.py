@@ -13,14 +13,22 @@ D_M is compared with rispeb.checks.element_sum, the element sum written
 out term by term.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rispeb.allocation import build_allocation
+from rispeb import channel
+from rispeb.allocation import (
+    Allocation,
+    SelectionConstraints,
+    build_allocation,
+    select_ris,
+)
 from rispeb.channel import (
+    Path,
     build_pathset,
     gain_los,
     gain_reflector,
@@ -93,8 +101,8 @@ class TestPathset:
         paths = build_pathset(scene, allocation, [3.5, 5.0], wave, "ris")
         assert len(paths) == 6
         assert paths[0].kind == "los" and paths[0].index is None
-        assert [p.index for p in paths[1:]] == [0, 1, 2, 3, 4]
-        assert all(p.kind == "ris" for p in paths[1:])
+        assert [p.index for p in list(paths)[1:]] == [0, 1, 2, 3, 4]
+        assert all(p.kind == "ris" for p in list(paths)[1:])
 
     def test_baseline_modes_have_two_paths(self, scene, wave):
         for mode in ("reflector", "scatterer"):
@@ -131,6 +139,91 @@ class TestPathset:
     def test_los_direction(self, scene, wave):
         paths = build_pathset(scene, None, [3.0, 4.0], wave, "scatterer")
         assert np.allclose(paths[0].direction, [0.6, 0.8], rtol=1e-15)
+
+    def test_one_leg_per_path(self, scene, wave, monkeypatch):
+        """Each path's geometry is evaluated once, for its gain and its
+        record alike."""
+        x = np.array([8.0, 4.0])
+        allocation = build_allocation(scene, x, wave, (0, 1, 0, 1, 0))
+        calls, leg = [], channel._leg
+
+        def counted(*args):
+            calls.append(args[1])
+            return leg(*args)
+
+        monkeypatch.setattr(channel, "_leg", counted)
+        for mode, alloc in (("ris", allocation), ("reflector", None),
+                            ("scatterer", None)):
+            calls.clear()
+            paths = build_pathset(scene, alloc, x, wave, mode)
+            assert calls == list(paths.kinds)
+
+    def test_batch_shapes_and_entries(self, scene, wave):
+        """A column of points against a batch of designs: tau and direction
+        keep the points' axes, alpha also spans the designs, and every
+        entry is the pathset of that point and pattern alone."""
+        points = np.array([[3.5, 5.0], [8.0, 4.0], [-2.0, 7.5]])
+        patterns = [(0, 0, 0, 0, 0), (1, 0, 0, 0, 0), (0, 1, 0, 1, 0), (1, 1, 1, 1, 1)]
+        column = points[:, None, :]
+        steering = build_allocation(scene, column, wave, (1,) * 5).design
+        design = tuple(np.where(np.array(patterns)[:, k], aligned, 0.0)
+                       for k, aligned in enumerate(steering))
+        paths = build_pathset(scene, Allocation((1,) * 5, design), column, wave, "ris")
+        n, count = len(points), len(patterns)
+        assert paths.tau.shape == (n, 1, 6)
+        assert paths.alpha.shape == (n, count, 6)
+        assert paths.direction.shape == (n, 1, 6, 2)
+        assert paths.anchor.shape == (6, 2) and paths.fixed_leg.shape == (6,)
+        for i, point in enumerate(points):
+            for j, bits in enumerate(patterns):
+                one = build_pathset(scene, build_allocation(scene, point, wave, bits),
+                                    point, wave, "ris")
+                assert np.array_equal(paths.tau[i, 0], one.tau)
+                assert np.array_equal(paths.alpha[i, j], one.alpha)
+                assert np.array_equal(paths.direction[i, 0], one.direction)
+                assert np.array_equal(paths.anchor, one.anchor)
+                assert np.array_equal(paths.fixed_leg, one.fixed_leg)
+
+    def test_starts_with_los(self, scene, wave):
+        paths = build_pathset(scene, None, [8.0, 4.0], wave, "reflector")
+        with pytest.raises(ValueError, match="LOS"):
+            dataclasses.replace(paths, kinds=("reflector", "los"))
+        with pytest.raises(ValueError, match="LOS"):
+            dataclasses.replace(paths, kinds=())
+
+    def test_views(self, scene, wave):
+        """An int index or iteration gives Path views of the arrays; a
+        slice is not a path."""
+        allocation = build_allocation(scene, [3.5, 5.0], wave, (0, 0, 1, 0, 0))
+        paths = build_pathset(scene, allocation, [3.5, 5.0], wave, "ris")
+        with pytest.raises(TypeError):
+            paths[1:]
+        views = list(paths)
+        assert len(views) == len(paths) == 6
+        for i, path in enumerate(views):
+            assert isinstance(path, Path)
+            assert (path.kind, path.index) == (paths.kinds[i], paths.indices[i])
+            assert path.tau == paths.tau[i] and path.alpha == paths.alpha[i]
+            assert np.array_equal(path.direction, paths.direction[i])
+            assert np.array_equal(path.anchor, paths.anchor[i])
+            assert path.fixed_leg == paths.fixed_leg[i]
+
+
+def test_rebound_gain_ris_reaches_pathsets_and_selection(scene, wave, monkeypatch):
+    """build_pathset calls gain_ris through the module's binding, so
+    rebinding channel.gain_ris (as the benchmark's gain_x1e-6
+    perturbation does) moves the RIS gains and the selected bound."""
+    x = np.array([3.5, 5.0])
+    allocation = build_allocation(scene, x, wave, (1, 0, 0, 0, 0))
+    before = build_pathset(scene, allocation, x, wave, "ris").alpha
+    bound = select_ris(scene, x, wave, SelectionConstraints(k_bar=1))[1].value
+    original = channel.gain_ris
+    monkeypatch.setattr(channel, "gain_ris",
+                        lambda *args, **kwargs: original(*args, **kwargs) * (1.0 + 1e-6))
+    after = build_pathset(scene, allocation, x, wave, "ris").alpha
+    assert after[0] == before[0]
+    assert np.all(after[1:] != before[1:])
+    assert select_ris(scene, x, wave, SelectionConstraints(k_bar=1))[1].value != bound
 
 
 @settings(max_examples=40)
@@ -177,7 +270,7 @@ def test_grazing_departure_stays_finite_and_accurate(x, depth, scene, wave):
     allocation = build_allocation(scene, point, wave, (1,) * len(scene.ris))
     paths = build_pathset(scene, allocation, point, wave, "ris")
     assert all(np.isfinite(path.alpha) for path in paths)
-    for path in paths[1:]:
+    for path in list(paths)[1:]:
         expected = aligned_gain(scene, path.index, point, wave)
         assert rel(abs(path.alpha), expected) < 1e-9
     assert fim_gap(paths, wave) < 1e-5

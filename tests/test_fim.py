@@ -42,6 +42,18 @@ def synthetic_path(kind, tau, alpha, e, span=1.0, index=None):
                 anchor=X - span * e, fixed_leg=tau * C - span)
 
 
+def stack(paths):
+    """PathSet of Paths whose fields carry the same leading axes."""
+    return PathSet(
+        kinds=tuple(p.kind for p in paths), indices=tuple(p.index for p in paths),
+        tau=np.stack([np.asarray(p.tau, dtype=float) for p in paths], axis=-1),
+        alpha=np.stack(np.broadcast_arrays(*(np.asarray(p.alpha, dtype=complex)
+                                             for p in paths)), axis=-1),
+        direction=np.stack([p.direction for p in paths], axis=-2),
+        anchor=np.array([p.anchor for p in paths]),
+        fixed_leg=np.array([p.fixed_leg for p in paths]))
+
+
 def make_wave(bandwidth=1e8):
     return WaveformConfig(carrier_hz=28e9, bandwidth_hz=bandwidth,
                           subcarrier_count=129)
@@ -54,11 +66,11 @@ FROZEN_J = np.array([
 
 
 def synthetic_pair():
-    return PathSet(paths=(
+    return stack([
         synthetic_path("los", 20e-9, 1e-4 + 0j, (1.0, 0.0)),
         synthetic_path("ris", 30e-9, (3 + 4j) * 1e-5, (0.6, 0.8), span=2.0,
                        index=0),
-    ))
+    ])
 
 
 class TestSyntheticOracle:
@@ -129,7 +141,7 @@ def chain(meters, alphas=None):
     for i, m in enumerate(meters[1:]):
         paths.append(synthetic_path("ris", m / C, alphas[i + 1], (0.0, 1.0),
                                     index=i))
-    return PathSet(paths=tuple(paths))
+    return stack(paths)
 
 
 class TestResolvableCount:
@@ -302,7 +314,7 @@ def spec_pathset(specs):
         paths.append(synthetic_path(kind, meters / C, magnitude * np.exp(1j * phase),
                                     (math.cos(heading), math.sin(heading)),
                                     index=index))
-    return PathSet(paths=tuple(paths))
+    return stack(paths)
 
 
 @settings(max_examples=50, deadline=None)
@@ -334,12 +346,12 @@ def test_stacked_paths_match_one_by_one(specs):
     as the path sets evaluated one at a time."""
     wave = make_wave()
     sets = [spec_pathset(s) for s in specs]
-    stacked = PathSet(paths=tuple(
+    stacked = stack([
         dataclasses.replace(
             column[0], tau=np.array([p.tau for p in column]),
             alpha=np.array([p.alpha for p in column]),
             direction=np.array([p.direction for p in column]))
-        for column in zip(*sets)))
+        for column in zip(*sets)])
     fim = fim_total(stacked, wave)
     value = peb(fim)
     assert fim.total.shape == (len(sets), 2, 2)
