@@ -2,13 +2,18 @@
 
 Produces the four output families used in the experiments: resolvable-path
 maps, position-error-bound maps, empirical CDFs over a deployment region,
-and per-path information directions at a single point. Each grid column
-is one batch of the array core (paths, FIM and bound broadcast over the
-column's cells, and in RIS mode over the feasible activation patterns,
-enumerated once per sweep); columns are evaluated in order (optionally
-in parallel, one column per task) and gathered by index, so serial and
-parallel runs emit identical bytes. Resolvable paths are then counted
-and cells flagged over the gathered grid, in blocks of cells.
+and per-path information directions at a single point. The grid is
+flattened once into x-major cells, the order of the CSV rows, and each
+block of consecutive cells is one batch of the array core (paths, FIM
+and bound broadcast over the block's cells, and in RIS mode over the
+feasible activation patterns, enumerated once per sweep). A block holds
+no more cells than a block of the resolvable-path count, and no more
+than keep the core's largest array within its entry budget: 4,096 cells
+of a baseline map, 1,213 of a k_bar=1 RIS map. Blocks are evaluated in
+order (optionally in parallel, one block per task) and gathered by
+index, so serial and parallel runs emit identical bytes. Resolvable
+paths are then counted and cells flagged over the gathered grid, in
+blocks of cells.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import SelectionConstraints, _patterns, _score, build_allocation
+from .allocation import (_BATCH_ENTRIES, SelectionConstraints, _patterns, _score,
+                         build_allocation)
 from .channel import MODES, _leg, build_pathset
 from .fim import _AliasedDelays, _count_clusters, fim_total, peb
 from .geometry import DegeneratePositionError, Scene
@@ -28,9 +34,10 @@ from .waveform import WaveformConfig, delay_kernel_peak
 
 DEFAULT_PEB_CAP = 5.0
 
-# Delays per block of the resolvable-path count. On the 100x100 1 GHz
-# RIS count map the whole grid at once peaks at 4.9 MB of temporaries
-# against 1.5 MB, and one column per block takes a fifth more time.
+# Delays per block of the resolvable-path count, and at most per block
+# of cells that a sweep evaluates. On the 100x100 1 GHz RIS count map the
+# whole grid at once peaks at 4.9 MB of temporaries against 1.5 MB, and
+# one column per block takes a fifth more time.
 _COUNT_ENTRIES = 8192
 
 FLAG_OK = "ok"
@@ -138,14 +145,27 @@ class CdfResult:
         return float(self.fractions[-1]) if self.fractions.size else 0.0
 
 
-def _evaluate_column(scene, cfg, mode, patterns, count_only, points):
-    """Cells of one grid column, as arrays over the rows of points: the
-    bound (nan when count_only), the allocation bit strings, and the
+def _block_cells(scene, mode, patterns, count_only) -> int:
+    """Cells per block of a sweep: at most _COUNT_ENTRIES delays (cells x
+    paths), as in a block of the count, and where bounds are computed, at
+    most allocation._BATCH_ENTRIES entries of the (cells x patterns x
+    paths x paths) arrays of the core."""
+    paths = 1 + (len(scene.ris) if mode == "ris" else 1)
+    cells = _COUNT_ENTRIES // paths
+    if not count_only:
+        count = 1 if patterns is None else len(patterns)
+        cells = min(cells, _BATCH_ENTRIES // (count * paths ** 2))
+    return max(1, cells)
+
+
+def _evaluate_block(scene, cfg, mode, patterns, count_only, points):
+    """Cells of one block of the grid, as arrays over the rows of points:
+    the bound (nan when count_only), the allocation bit strings, and the
     delays of the paths with whether each exists (nonzero gain).
 
-    The column is one batch of the array core; if a cell coincides with
-    an anchor, the cells are evaluated one by one, and that cell gets no
-    existing path, which marks it invalid.
+    The block is one batch of the array core. If a cell coincides with an
+    anchor, the block is split in halves, recursively, down to that cell,
+    which gets no existing path: that marks it invalid.
     """
     try:
         return _evaluate_batch(scene, cfg, mode, patterns, count_only, points)
@@ -154,13 +174,14 @@ def _evaluate_column(scene, cfg, mode, patterns, count_only, points):
             width = 1 + (len(scene.ris) if mode == "ris" else 1)
             return (np.array([math.nan]), np.array([""], dtype=object),
                     np.zeros((1, width)), np.zeros((1, width), dtype=bool))
-        cells = [_evaluate_column(scene, cfg, mode, patterns, count_only, p[None, :])
-                 for p in points]
-        return tuple(np.concatenate(field) for field in zip(*cells))
+        half = len(points) // 2
+        parts = [_evaluate_block(scene, cfg, mode, patterns, count_only, p)
+                 for p in (points[:half], points[half:])]
+        return tuple(np.concatenate(field) for field in zip(*parts))
 
 
 def _evaluate_batch(scene, cfg, mode, patterns, count_only, points):
-    """_evaluate_column of cells that coincide with no anchor."""
+    """_evaluate_block of cells that coincide with no anchor."""
     nan = np.full(len(points), math.nan)
     if mode == "ris" and count_only:
         # Every RIS path has a nonzero gain: the counts need the delays only.
@@ -188,15 +209,17 @@ def _sweep(scene, grid, cfg, mode, constraints, cap, workers,
     if grid.y_range[1] >= scene.wall_offset:
         raise ValueError("grid must stay strictly below the wall")
     patterns = _patterns(len(scene.ris), constraints) if mode == "ris" and not count_only else None
-    evaluate = functools.partial(_evaluate_column, scene, cfg, mode, patterns, count_only)
-    ys = grid.ys
-    columns = (np.stack([np.full(grid.ny, x), ys], axis=-1) for x in grid.xs)
+    evaluate = functools.partial(_evaluate_block, scene, cfg, mode, patterns, count_only)
+    xs, ys = grid.xs, grid.ys
+    points = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    size = _block_cells(scene, mode, patterns, count_only)
+    blocks = (points[start:start + size] for start in range(0, len(points), size))
     if workers is not None and workers > 1:
-        # One column of cells per task; results come back in grid order.
+        # One block of cells per task; results come back in grid order.
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(evaluate, columns))
+            cells = list(pool.map(evaluate, blocks))
     else:
-        cells = list(map(evaluate, columns))
+        cells = list(map(evaluate, blocks))
     values, bits, delays, exists = map(np.concatenate, zip(*cells))
     del cells
     counts = np.empty(len(delays), dtype=int)
@@ -207,7 +230,7 @@ def _sweep(scene, grid, cfg, mode, constraints, cap, workers,
             counts[block] = _count_clusters(delays[block], exists[block], cfg)
         except _AliasedDelays as exc:
             ix, iy = divmod(start + exc.row, grid.ny)
-            raise ValueError(f"cell ({_fmt(grid.xs[ix])}, {_fmt(ys[iy])}): {exc}") from None
+            raise ValueError(f"cell ({_fmt(xs[ix])}, {_fmt(ys[iy])}): {exc}") from None
     # Flags as indices into names, so that cells share one str per flag.
     names = np.array([FLAG_OK, FLAG_INVALID, FLAG_INF, FLAG_CAPPED], dtype=object)
     invalid = ~exists.any(axis=1)
@@ -284,23 +307,19 @@ def _fmt(value: float) -> str:
 
 def write_map_csv(result: MapResult, path) -> None:
     """One row per cell, x-major: x,y,peb_m,flag,path_count,allocation_bits."""
-    xs = [_fmt(float(x)) for x in result.grid.xs]
-    ys = [_fmt(float(y)) for y in result.grid.ys]
+    ys = [_fmt(y) for y in result.grid.ys.tolist()]
+    columns = zip(result.grid.xs.tolist(), result.peb.tolist(), result.flags.tolist(),
+                  result.path_count.tolist(), result.allocation_bits.tolist())
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(MAP_HEADER + "\n")
-        for ix, x in enumerate(xs):
-            for iy, y in enumerate(ys):
-                row = (
-                    x, y,
-                    _fmt(result.peb[ix, iy]), result.flags[ix, iy],
-                    str(result.path_count[ix, iy]),
-                    result.allocation_bits[ix, iy],
-                )
-                fh.write(",".join(row) + "\n")
+        for x, values, flags, counts, bits in columns:
+            x = _fmt(x)
+            fh.write("".join(f"{x},{y},{value:.9g},{flag},{count},{b}\n"
+                             for y, value, flag, count, b in zip(ys, values, flags, counts, bits)))
 
 
 def write_cdf_csv(cdf: CdfResult, path) -> None:
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(CDF_HEADER + "\n")
-        for level, fraction in zip(cdf.levels, cdf.fractions):
-            fh.write(f"{_fmt(float(level))},{_fmt(float(fraction))}\n")
+        fh.write("".join(f"{level:.9g},{fraction:.9g}\n" for level, fraction
+                         in zip(cdf.levels.tolist(), cdf.fractions.tolist())))

@@ -1,10 +1,12 @@
 """Grid sweeps, CDFs, and CSV serialization."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import rispeb.sweep as sweep_module
 from rispeb.allocation import SelectionConstraints, gap_threshold
 from rispeb.channel import build_pathset
 from rispeb.checks import best_pattern, conditioning_error
@@ -110,8 +112,8 @@ class TestDegenerateCells:
         assert FLAG_INVALID not in others
 
     def test_anchor_cell_marked_invalid_under_selection(self, scene, wave):
-        """The coincident cell drops out of its column's batch alone: the
-        column's other cells are still scored."""
+        """The coincident cell drops out of its block's batch alone: the
+        block's other cells are still scored."""
         grid = GridSpec(x_range=(-1.0, 1.0), y_range=(0.0, 2.0), nx=3, ny=3)
         result = peb_map(scene, grid, wave, "ris", budget(1, scene, wave))
         assert result.flags[1, 0] == FLAG_INVALID
@@ -124,6 +126,30 @@ class TestDegenerateCells:
                     assert result.flags[ix, iy] != FLAG_INVALID
                     assert result.path_count[ix, iy] >= 1
                     assert len(result.allocation_bits[ix, iy]) == len(scene.ris)
+
+    @pytest.mark.parametrize("k_bar", [None, 1])
+    def test_anchor_cell_is_found_by_halving_its_block(self, scene, wave, monkeypatch, k_bar):
+        """A block of 420 cells holding the BS cell is split in halves
+        down to that cell: O(log cells) batches, not one per cell."""
+        grid = GridSpec(x_range=(-5.0, 15.0), y_range=(0.0, 9.5), nx=21, ny=20)
+        sizes = []
+
+        def counted(scene, cfg, mode, patterns, count_only, points):
+            sizes.append(len(points))
+            return evaluate_batch(scene, cfg, mode, patterns, count_only, points)
+
+        evaluate_batch = sweep_module._evaluate_batch
+        monkeypatch.setattr(sweep_module, "_evaluate_batch", counted)
+        if k_bar is None:
+            result = peb_map(scene, grid, wave, "reflector")
+        else:
+            result = peb_map(scene, grid, wave, "ris", budget(k_bar, scene, wave))
+        assert sizes[0] == grid.cell_count
+        assert len(sizes) <= 1 + 2 * math.ceil(math.log2(grid.cell_count))
+        invalid = np.argwhere(result.flags == FLAG_INVALID).tolist()
+        assert invalid == [[5, 0]]
+        assert math.isnan(result.peb[5, 0]) and result.path_count[5, 0] == 0
+        assert result.allocation_bits[5, 0] == ""
 
     def test_single_resolvable_delay_is_unbounded(self, scene, wave):
         near_scatterer = GridSpec(x_range=(3.4, 3.6), y_range=(9.4, 9.5),
@@ -188,6 +214,57 @@ class TestPathCountMap:
     def test_baseline_counts_at_most_two(self, scene, wave):
         result = path_count_map(scene, SMALL, wave, "scatterer")
         assert result.max_path_count <= 2
+
+
+class TestBlocks:
+    # Through the BS, so that the anchor cell's halving meets the blocks.
+    GRID = GridSpec(x_range=(-5.0, 15.0), y_range=(0.0, 9.0), nx=5, ny=4)
+
+    def csv_bytes(self, scene, wave, case, tmp_path):
+        if case == "count_1ghz":
+            result = path_count_map(scene, self.GRID,
+                                    dataclasses.replace(wave, bandwidth_hz=1e9), "ris")
+        elif case.startswith("ris"):
+            result = peb_map(scene, self.GRID, wave, "ris", budget(int(case[-1]), scene, wave))
+        else:
+            result = peb_map(scene, self.GRID, wave, case)
+        write_map_csv(result, tmp_path / "map.csv")
+        out = (tmp_path / "map.csv").read_bytes()
+        if case != "count_1ghz":
+            write_cdf_csv(peb_cdf(result), tmp_path / "cdf.csv")
+            out += (tmp_path / "cdf.csv").read_bytes()
+        return out
+
+    @pytest.mark.parametrize("case", ["ris_k1", "ris_k2", "reflector", "scatterer",
+                                      "count_1ghz"])
+    def test_outputs_do_not_depend_on_block_size(self, scene, wave, tmp_path, monkeypatch,
+                                                 case):
+        """One cell per block, blocks of 3 that end mid-column (ny = 4),
+        and the whole grid in one block write the same bytes."""
+        whole = self.csv_bytes(scene, wave, case, tmp_path)
+        for size in (1, 3, self.GRID.cell_count):
+            monkeypatch.setattr(sweep_module, "_block_cells", lambda *args, size=size: size)
+            assert self.csv_bytes(scene, wave, case, tmp_path) == whole
+
+    def test_maps_are_not_batched_per_column(self, cfg, scene, wave, monkeypatch):
+        """The default 100x100 maps take fewer core calls than columns."""
+        grid = cfg.grid()
+        calls = {"fim_total": 0, "_score": 0}
+
+        def counter(name):
+            original = getattr(sweep_module, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(sweep_module, name, counter(name))
+        peb_map(scene, grid, wave, "reflector")
+        peb_map(scene, grid, wave, "ris", budget(1, scene, wave))
+        assert 0 < calls["fim_total"] < grid.nx
+        assert 0 < calls["_score"] < grid.nx
 
 
 class TestParallel:
@@ -334,3 +411,34 @@ class TestCsv:
         assert len(lines) == cdf.levels.size + 1
         fractions = [float(line.split(",")[1]) for line in lines[1:]]
         assert fractions == sorted(fractions)
+
+    def test_pinned_bytes(self, tmp_path):
+        """Both writers against bytes written down by hand: a negative x,
+        every flag, .9g rounding (0.1 + 0.2 is written 0.3) and nan."""
+        grid = GridSpec(x_range=(-0.5, 1.0), y_range=(0.25, 2.0), nx=2, ny=3)
+        result = MapResult(
+            grid=grid, mode="ris",
+            peb=np.array([[0.1 + 0.2, 7.123456789123, math.inf],
+                          [math.nan, 1e-5, 123456789012.0]]),
+            flags=np.array([[FLAG_OK, FLAG_CAPPED, FLAG_INF],
+                            [FLAG_INVALID, FLAG_OK, FLAG_CAPPED]], dtype=object),
+            path_count=np.array([[2, 3, 1], [0, 4, 2]]),
+            allocation_bits=np.array([["10000", "01000", "00000"],
+                                      ["", "00100", "00010"]], dtype=object))
+        write_map_csv(result, tmp_path / "map.csv")
+        assert (tmp_path / "map.csv").read_bytes() == (
+            b"x,y,peb_m,flag,path_count,allocation_bits\n"
+            b"-0.5,0.25,0.3,ok,2,10000\n"
+            b"-0.5,1.125,7.12345679,capped,3,01000\n"
+            b"-0.5,2,inf,inf,1,00000\n"
+            b"1,0.25,nan,invalid,0,\n"
+            b"1,1.125,1e-05,ok,4,00100\n"
+            b"1,2,1.23456789e+11,capped,2,00010\n")
+        cdf = CdfResult(levels=np.array([1e-5, 0.1 + 0.2, 2.0 / 3.0]),
+                        fractions=np.array([1.0 / 6.0, 0.5, 2.0 / 3.0]), total_cells=6)
+        write_cdf_csv(cdf, tmp_path / "cdf.csv")
+        assert (tmp_path / "cdf.csv").read_bytes() == (
+            b"peb_m,cdf\n"
+            b"1e-05,0.166666667\n"
+            b"0.3,0.5\n"
+            b"0.666666667,0.666666667\n")
