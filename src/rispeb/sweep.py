@@ -7,13 +7,13 @@ flattened once into x-major cells, the order of the CSV rows, and each
 block of consecutive cells is one batch of the array core (paths, FIM
 and bound broadcast over the block's cells, and in RIS mode over the
 feasible activation patterns, enumerated once per sweep). A block holds
-no more cells than a block of the resolvable-path count, and no more
-than keep the core's largest array within its entry budget: 4,096 cells
-of a baseline map, 1,213 of a k_bar=1 RIS map. Blocks are evaluated in
-order (optionally in parallel, one block per task) and gathered by
-index, so serial and parallel runs emit identical bytes. Resolvable
-paths are then counted and cells flagged over the gathered grid, in
-blocks of cells.
+no more than 8,192 delays (cells x paths), and no more cells than keep
+the core's largest array within its entry budget: 4,096 cells of a
+baseline map, 1,213 of a k_bar=1 RIS map. Each block also counts its
+cells' resolvable paths and flags them, so that it returns finished
+cells. Blocks are evaluated in order (optionally in parallel, one block
+per task) and gathered by index, so serial and parallel runs emit
+identical bytes.
 """
 
 from __future__ import annotations
@@ -34,16 +34,18 @@ from .waveform import WaveformConfig, delay_kernel_peak
 
 DEFAULT_PEB_CAP = 5.0
 
-# Delays per block of the resolvable-path count, and at most per block
-# of cells that a sweep evaluates. On the 100x100 1 GHz RIS count map the
-# whole grid at once peaks at 4.9 MB of temporaries against 1.5 MB, and
-# one column per block takes a fifth more time.
+# Delays (cells x paths) at most per block of cells that a sweep
+# evaluates and counts. On the 100x100 1 GHz RIS count map the whole grid
+# in one block peaks at 4.9 MB of temporaries against 1.5 MB, and one
+# column per block takes a fifth more time.
 _COUNT_ENTRIES = 8192
 
 FLAG_OK = "ok"
 FLAG_CAPPED = "capped"
 FLAG_INF = "inf"
 FLAG_INVALID = "invalid"
+# Flags by the index that blocks return, so that cells share one str per flag.
+_FLAGS = np.array([FLAG_OK, FLAG_INVALID, FLAG_INF, FLAG_CAPPED], dtype=object)
 
 MAP_HEADER = "x,y,peb_m,flag,path_count,allocation_bits"
 CDF_HEADER = "peb_m,cdf"
@@ -145,43 +147,56 @@ class CdfResult:
         return float(self.fractions[-1]) if self.fractions.size else 0.0
 
 
-def _block_cells(scene, mode, patterns, count_only) -> int:
+def _block_cells(scene, mode, patterns) -> int:
     """Cells per block of a sweep: at most _COUNT_ENTRIES delays (cells x
-    paths), as in a block of the count, and where bounds are computed, at
-    most allocation._BATCH_ENTRIES entries of the (cells x patterns x
-    paths x paths) arrays of the core."""
+    paths), and where patterns are scored, at most
+    allocation._BATCH_ENTRIES entries of the (cells x patterns x paths x
+    paths) arrays of the core."""
     paths = 1 + (len(scene.ris) if mode == "ris" else 1)
     cells = _COUNT_ENTRIES // paths
-    if not count_only:
-        count = 1 if patterns is None else len(patterns)
-        cells = min(cells, _BATCH_ENTRIES // (count * paths ** 2))
+    if patterns is not None:
+        cells = min(cells, _BATCH_ENTRIES // (len(patterns) * paths ** 2))
     return max(1, cells)
 
 
-def _evaluate_block(scene, cfg, mode, patterns, count_only, points):
-    """Cells of one block of the grid, as arrays over the rows of points:
-    the bound (nan when count_only), the allocation bit strings, and the
-    delays of the paths with whether each exists (nonzero gain).
+def _evaluate_block(scene, cfg, mode, patterns, count_only, cap, points):
+    """Finished cells of one block of the grid, as arrays over the rows of
+    points: the bound (nan when count_only), the index of the flag in
+    _FLAGS, the resolvable-path count and the allocation bit strings.
 
     The block is one batch of the array core. If a cell coincides with an
     anchor, the block is split in halves, recursively, down to that cell,
-    which gets no existing path: that marks it invalid.
+    which is invalid: no bound, no path, no bits. A cell whose delays
+    alias stops the sweep with a ValueError naming it.
     """
     try:
-        return _evaluate_batch(scene, cfg, mode, patterns, count_only, points)
+        values, bits, delays, exists = _evaluate_batch(scene, cfg, mode, patterns,
+                                                       count_only, points)
     except DegeneratePositionError:
         if len(points) == 1:
-            width = 1 + (len(scene.ris) if mode == "ris" else 1)
-            return (np.array([math.nan]), np.array([""], dtype=object),
-                    np.zeros((1, width)), np.zeros((1, width), dtype=bool))
+            return np.array([math.nan]), np.array([1]), np.array([0]), np.array([""], dtype=object)
         half = len(points) // 2
-        parts = [_evaluate_block(scene, cfg, mode, patterns, count_only, p)
+        parts = [_evaluate_block(scene, cfg, mode, patterns, count_only, cap, p)
                  for p in (points[:half], points[half:])]
         return tuple(np.concatenate(field) for field in zip(*parts))
+    try:
+        counts = _count_clusters(delays, exists, cfg)
+    except _AliasedDelays as exc:
+        # A plain ValueError: _AliasedDelays does not survive pickling
+        # back from a worker.
+        x, y = points[exc.row]
+        raise ValueError(f"cell ({_fmt(x)}, {_fmt(y)}): {exc}") from None
+    if count_only:
+        return values, np.zeros(len(points), dtype=int), counts, bits
+    # One resolvable delay pins the user to a circle, not a point.
+    values = np.where(counts <= 1, math.inf, values)
+    return values, np.select([np.isinf(values), values > cap], [2, 3], 0), counts, bits
 
 
 def _evaluate_batch(scene, cfg, mode, patterns, count_only, points):
-    """_evaluate_block of cells that coincide with no anchor."""
+    """The bounds (nan when count_only), allocation bit strings, path
+    delays and whether each path exists (nonzero gain) of cells that
+    coincide with no anchor."""
     nan = np.full(len(points), math.nan)
     if mode == "ris" and count_only:
         # Every RIS path has a nonzero gain: the counts need the delays only.
@@ -209,41 +224,22 @@ def _sweep(scene, grid, cfg, mode, constraints, cap, workers,
     if grid.y_range[1] >= scene.wall_offset:
         raise ValueError("grid must stay strictly below the wall")
     patterns = _patterns(len(scene.ris), constraints) if mode == "ris" and not count_only else None
-    evaluate = functools.partial(_evaluate_block, scene, cfg, mode, patterns, count_only)
-    xs, ys = grid.xs, grid.ys
-    points = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
-    size = _block_cells(scene, mode, patterns, count_only)
-    blocks = (points[start:start + size] for start in range(0, len(points), size))
-    if workers is not None and workers > 1:
+    evaluate = functools.partial(_evaluate_block, scene, cfg, mode, patterns, count_only, cap)
+    points = np.stack(np.meshgrid(grid.xs, grid.ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    size = _block_cells(scene, mode, patterns)
+    blocks = [points[start:start + size] for start in range(0, len(points), size)]
+    # A pool starts all its workers at once: start no more than blocks.
+    workers = min(workers or 1, len(blocks))
+    if workers > 1:
         # One block of cells per task; results come back in grid order.
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(evaluate, blocks))
     else:
         cells = list(map(evaluate, blocks))
-    values, bits, delays, exists = map(np.concatenate, zip(*cells))
-    del cells
-    counts = np.empty(len(delays), dtype=int)
-    step = max(1, _COUNT_ENTRIES // delays.shape[1])
-    for start in range(0, len(delays), step):
-        block = slice(start, start + step)
-        try:
-            counts[block] = _count_clusters(delays[block], exists[block], cfg)
-        except _AliasedDelays as exc:
-            ix, iy = divmod(start + exc.row, grid.ny)
-            raise ValueError(f"cell ({_fmt(xs[ix])}, {_fmt(ys[iy])}): {exc}") from None
-    # Flags as indices into names, so that cells share one str per flag.
-    names = np.array([FLAG_OK, FLAG_INVALID, FLAG_INF, FLAG_CAPPED], dtype=object)
-    invalid = ~exists.any(axis=1)
-    if count_only:
-        flags = invalid.astype(int)
-    else:
-        # One resolvable delay pins the user to a circle, not a point.
-        values = np.where((counts <= 1) & ~invalid, math.inf, values)
-        flags = np.select([invalid, np.isinf(values), values > cap], [1, 2, 3], 0)
+    values, flags, counts, bits = map(np.concatenate, zip(*cells))
     shape = (grid.nx, grid.ny)
     return MapResult(grid=grid, mode=mode, peb=values.reshape(shape),
-                     flags=names[flags].reshape(shape),
-                     path_count=counts.reshape(shape),
+                     flags=_FLAGS[flags].reshape(shape), path_count=counts.reshape(shape),
                      allocation_bits=bits.reshape(shape))
 
 

@@ -202,9 +202,8 @@ class TestSweep:
 
     def test_aliased_cell_is_named_in_parallel(self, capsys, small_config, tmp_path,
                                                monkeypatch):
-        """Two workers evaluate the blocks of cells and the counts run in
-        blocks of three cells; the cell named is still the first in grid
-        order."""
+        """Two workers evaluate and count blocks of three cells; the cell
+        named is still the first in grid order."""
         monkeypatch.setattr(rispeb.sweep, "_COUNT_ENTRIES", 6)
         _, config = small_config
         config = dataclasses.replace(config, workers=2)

@@ -1,7 +1,13 @@
 """Smoke tests of the experiment scripts on a 6x6 grid of the default
-scenario: each exits 0 and writes every CSV it names, header first."""
+scenario: each exits 0 and writes every CSV it names, header first. And
+README's library example runs as written."""
 
 import dataclasses
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from conftest import load_script
@@ -40,3 +46,16 @@ def test_run_info_directions(small_config, tmp_path):
     script = load_script("run_info_directions")
     assert_writes(script, small_config, tmp_path / "arrows",
                   {"info_directions.csv": script.HEADER})
+
+
+def test_readme_library_example():
+    """README's python block exits 0 and prints the bits and bound that
+    its comment gives."""
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    [code] = re.findall(r"```python\n(.*?)```", readme, re.S)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("10000 0.949073577")

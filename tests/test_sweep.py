@@ -151,6 +151,18 @@ class TestDegenerateCells:
         assert math.isnan(result.peb[5, 0]) and result.path_count[5, 0] == 0
         assert result.allocation_bits[5, 0] == ""
 
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_aliased_cell_is_named_after_a_halved_block(self, scene, wave, monkeypatch,
+                                                        workers):
+        """At 10 GHz the first aliased cell in grid order is (2, 0). The
+        BS cell (0, 0) sits in an earlier block of three that is halved;
+        it is not the cell named."""
+        grid = GridSpec(x_range=(-2.0, 2.0), y_range=(0.0, 3.0), nx=5, ny=4)
+        monkeypatch.setattr(sweep_module, "_block_cells", lambda *args: 3)
+        wide = dataclasses.replace(wave, bandwidth_hz=1e10)
+        with pytest.raises(ValueError, match=r"^cell \(2, 0\): path lengths span"):
+            peb_map(scene, grid, wide, "reflector", workers=workers)
+
     def test_single_resolvable_delay_is_unbounded(self, scene, wave):
         near_scatterer = GridSpec(x_range=(3.4, 3.6), y_range=(9.4, 9.5),
                                   nx=2, ny=2)
@@ -268,7 +280,12 @@ class TestBlocks:
 
 
 class TestParallel:
-    def test_parallel_matches_serial(self, scene, wave, tmp_path):
+    """SMALL and the 12x12 RIS grid are one default block each, which runs
+    serially whatever the workers: the equivalence tests cut them into
+    blocks of a few cells to keep them crossing the pool."""
+
+    def test_parallel_matches_serial(self, scene, wave, tmp_path, monkeypatch):
+        monkeypatch.setattr(sweep_module, "_block_cells", lambda *args: 2)
         serial = peb_map(scene, SMALL, wave, "reflector", workers=None)
         parallel = peb_map(scene, SMALL, wave, "reflector", workers=2)
         assert np.array_equal(serial.peb, parallel.peb)
@@ -278,7 +295,9 @@ class TestParallel:
         write_map_csv(parallel, b)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_parallel_matches_serial_under_selection(self, scene, wave, tmp_path):
+    def test_parallel_matches_serial_under_selection(self, scene, wave, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.setattr(sweep_module, "_block_cells", lambda *args: 50)
         grid = GridSpec(x_range=(-5.0, 15.0), y_range=(0.5, 9.5), nx=12, ny=12)
         constraints = budget(1, scene, wave)
         serial = peb_map(scene, grid, wave, "ris", constraints, workers=None)
@@ -287,6 +306,33 @@ class TestParallel:
         write_map_csv(serial, a)
         write_map_csv(parallel, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_pool_has_no_more_workers_than_blocks(self, cfg, scene, wave, monkeypatch):
+        """A pool starts all its workers at once: a one-block grid starts
+        none, and 64 workers on the 3-block default reflector map ask for 3."""
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return None
+
+            def map(self, fn, blocks):
+                return map(fn, blocks)
+
+        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", Pool)
+        peb_map(scene, SMALL, wave, "reflector", workers=64)
+        assert sizes == []
+        grid = cfg.grid()
+        pooled = peb_map(scene, grid, wave, "reflector", workers=64)
+        assert sizes == [3]
+        assert np.array_equal(pooled.peb, peb_map(scene, grid, wave, "reflector").peb,
+                              equal_nan=True)
 
 
 class TestCdf:
