@@ -9,6 +9,7 @@ input (config, arguments, degenerate position, unwritable output).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -155,8 +156,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first call of main in a process
+    and reused: parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = _load(args)
         if args.command == "point":

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -231,7 +230,10 @@ def _sweep(scene, grid, cfg, mode, constraints, cap, workers,
     # A pool starts all its workers at once: start no more than blocks.
     workers = min(workers or 1, len(blocks))
     if workers > 1:
-        # One block of cells per task; results come back in grid order.
+        # Imported here: the pool pulls in multiprocessing, which no other
+        # run needs. One block of cells per task; results come back in
+        # grid order.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(evaluate, blocks))
     else:

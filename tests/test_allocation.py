@@ -246,7 +246,8 @@ class TestSelect:
         paths = build_pathset(scene, allocation, X_HAT, wave, "ris")
         assert peb(fim_total(paths, wave)).value == value.value
 
-    @pytest.mark.parametrize("batch_entries", [allocation_module._BATCH_ENTRIES, 1])
+    @pytest.mark.parametrize("batch_entries", [allocation_module._BATCH_ENTRIES, 1],
+                             ids=["budget", "one"])
     def test_every_pattern_scores_its_pathset(self, scene, wave, monkeypatch,
                                               batch_entries):
         """Every entry of the core's score, not just the winner, is the

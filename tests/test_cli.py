@@ -7,17 +7,22 @@ stdout/stderr routing are asserted exactly as a shell would see them.
 import dataclasses
 import os
 import re
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rispeb.allocation
+import rispeb.cli
 import rispeb.fim
 import rispeb.sweep
 import rispeb.waveform
 from rispeb.channel import build_pathset
 from rispeb.cli import main
-from rispeb.config import default_config, dump_config
+from rispeb.config import DEFAULT_CONFIG_RESOURCE, default_config, dump_config, loads_config
 from rispeb.fim import count_resolvable_paths
 from rispeb.sweep import CDF_HEADER, MAP_HEADER
 
@@ -296,3 +301,62 @@ class TestConfigStability:
                                   "--config", str(path))
         assert code == 0
         assert dumped_out == default_out
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(*code):
+    """A new interpreter with src on the path: python followed by code."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+class TestProcessReuse:
+    """main reuses one parser and the packaged config within a process."""
+
+    SEQUENCE = (("point", "3.5", "5", "--kbar", "2"), ("point", "3.5", "5"),
+                ("point", "bad", "1"), ("point", "3", "5", "--bandwidth", "-1"),
+                ("select", "8", "4"))
+
+    def test_each_call_matches_a_fresh_process(self, capsys):
+        """Each command, one after the other in this process, prints what
+        it prints alone in a new one and exits as it does, argparse errors
+        and overrides included; the overrides leave the default config
+        as the package file gives it."""
+        seen = []
+        for argv in self.SEQUENCE:
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            seen.append((code, capsys.readouterr().out))
+        assert [code for code, _ in seen] == [0, 0, 2, 2, 0]
+        for argv, (code, out) in zip(self.SEQUENCE, seen):
+            alone = run_fresh("-m", "rispeb.cli", *argv)
+            assert (code, out) == (alone.returncode, alone.stdout), argv
+        text = resources.files("rispeb").joinpath(DEFAULT_CONFIG_RESOURCE).read_text(
+            encoding="utf-8")
+        assert default_config() == loads_config(text)
+
+    def test_parser_is_built_at_most_once(self, capsys, monkeypatch):
+        built = []
+        build = rispeb.cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(rispeb.cli, "build_parser", counted)
+        for _ in range(3):
+            for argv in self.SEQUENCE[:2]:
+                assert main(list(argv)) == 0
+        assert len(built) <= 1
+
+    def test_no_process_pool_is_imported(self):
+        """Only a sweep with workers > 1 needs multiprocessing."""
+        done = run_fresh("-c", "import sys, rispeb, rispeb.cli; print(sorted("
+                         "{'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"

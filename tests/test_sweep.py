@@ -1,5 +1,6 @@
 """Grid sweeps, CDFs, and CSV serialization."""
 
+import concurrent.futures
 import dataclasses
 import math
 
@@ -325,7 +326,7 @@ class TestParallel:
             def map(self, fn, blocks):
                 return map(fn, blocks)
 
-        monkeypatch.setattr(sweep_module, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         peb_map(scene, SMALL, wave, "reflector", workers=64)
         assert sizes == []
         grid = cfg.grid()
