@@ -65,9 +65,9 @@ class SelectionConstraints:
     """Activation budget and delay-separation constraint for selection.
 
     min_gap is the real-valued threshold the index gap between any two
-    activated RIS must strictly exceed (c/(W*D) for spacing D); peb_cap is
-    the clamp applied to infinite bounds in expected-value robust scoring
-    and the over-cap marker threshold in maps.
+    activated RIS must strictly exceed (c/(W*D) for spacing D); peb_cap
+    only clamps the bounds that robust_select's "expected" objective
+    averages (maps take their cap as an argument of peb_map).
     """
 
     k_bar: int
@@ -157,16 +157,18 @@ def _patterns(ris_count: int, constraints: SelectionConstraints | None) -> np.nd
 
 
 def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
-           patterns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+           patterns: np.ndarray, steer_at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds of every pattern (rows of patterns) at every point (rows of
-    points), each with phases optimal for its point, as a (points x
-    patterns) array, and the (points x paths) delays, which do not depend
-    on the pattern. A pattern steers the surfaces it turns on at the
-    point, as build_allocation does, and leaves the others flat;
-    build_pathset evaluates one batch of patterns at a time (a single
-    batch unless the patterns are many)."""
+    points) as a (points x patterns) array, and the (points x paths)
+    delays, which do not depend on the pattern. A pattern steers the
+    surfaces it turns on at steer_at, as build_allocation does, and
+    leaves the others flat: steer_at is either one point for all, or
+    points itself for phases optimal at each. build_pathset evaluates one
+    batch of patterns at a time (a single batch unless the patterns are
+    many)."""
     column = points[:, None, :]
-    steering = build_allocation(scene, column, cfg, (1,) * len(scene.ris)).design
+    steering = build_allocation(scene, steer_at[..., None, :], cfg,
+                                (1,) * len(scene.ris)).design
     # Patterns per batch, so that the (points x patterns x paths x paths)
     # arrays stay near _BATCH_ENTRIES entries.
     step = max(1, _BATCH_ENTRIES // (len(points) * (len(scene.ris) + 1) ** 2))
@@ -184,17 +186,9 @@ def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
 def select_ris(scene: Scene, x_hat, cfg: WaveformConfig,
                constraints: SelectionConstraints) -> tuple[Allocation, PebValue]:
     """Exhaustive activation search minimizing the full-FIM bound at x_hat,
-    with phases optimal for x_hat; ties go to the lexicographically
-    smallest bit vector. Raises ValueError where the path delays alias,
-    as count_resolvable_paths does."""
-    p = _as_point(x_hat)
-    patterns = _patterns(len(scene.ris), constraints)
-    values, delays = _score(scene, p.reshape(1, 2), cfg, patterns)
-    _require_unaliased(delays, np.ones(delays.shape, dtype=bool), cfg)
-    best = int(np.argmin(values[0]))
-    value = float(values[0, best])
-    return (build_allocation(scene, p, cfg, patterns[best]),
-            PebValue(value, math.isinf(value)))
+    with phases optimal for x_hat: robust_select over the one sample."""
+    allocation, value = robust_select(scene, [x_hat], cfg, constraints)
+    return allocation, PebValue(value, math.isinf(value))
 
 
 def robust_select(scene: Scene, samples, cfg: WaveformConfig,
@@ -202,25 +196,27 @@ def robust_select(scene: Scene, samples, cfg: WaveformConfig,
                   objective: str = "worst_case") -> tuple[Allocation, float]:
     """Activation choice hedged over a set of candidate user positions.
 
-    Each pattern is scored sample-by-sample with phases re-optimized for
-    that sample, then aggregated: "worst_case" takes the maximum bound
-    (infinite bounds poison a pattern), "expected" the mean with infinite
-    bounds clamped at the cap so a single shadowed sample cannot flatten
-    the comparison. The returned allocation carries phases built at the
-    sample centroid. Raises ValueError where a sample's delays alias.
+    Every pattern carries phases built at the sample centroid, the
+    allocation it would return, and is scored at each sample; the scores
+    are then aggregated: "worst_case" takes the maximum bound (infinite
+    bounds poison a pattern), "expected" the mean with infinite bounds
+    clamped at the cap so a single shadowed sample cannot flatten the
+    comparison. Ties go to the lexicographically smallest bit vector.
+    Raises ValueError where a sample's delays alias, as
+    count_resolvable_paths does.
     """
     if objective not in ("worst_case", "expected"):
         raise ValueError(f"unknown robust objective {objective!r}")
     points = [_as_point(s) for s in samples]
     if not points:
         raise ValueError("robust selection needs at least one sample")
+    centroid = np.mean(points, axis=0)
     patterns = _patterns(len(scene.ris), constraints)
-    values, delays = _score(scene, np.array(points), cfg, patterns)
+    values, delays = _score(scene, np.array(points), cfg, patterns, centroid)
     _require_unaliased(delays, np.ones(delays.shape, dtype=bool), cfg)
     if objective == "worst_case":
         scores = values.max(axis=0)
     else:
         scores = np.minimum(values, constraints.peb_cap).sum(axis=0) / len(points)
     best = int(np.argmin(scores))
-    centroid = np.mean(points, axis=0)
     return build_allocation(scene, centroid, cfg, patterns[best]), float(scores[best])

@@ -105,12 +105,8 @@ class RunConfig:
             scatterer = ScatterDescriptor(
                 x=self.scatter_x_m, rcs=self.scatter_rcs_m2,
             )
-        spacing = None
-        if len(ris) >= 2:
-            spacing = self.ris_centers_x_m[1] - self.ris_centers_x_m[0]
         return Scene(wall_offset=self.wall_offset_m, ris=ris,
-                     reflector=reflector, scatterer=scatterer,
-                     ris_spacing=spacing)
+                     reflector=reflector, scatterer=scatterer)
 
     def waveform(self) -> WaveformConfig:
         return WaveformConfig(

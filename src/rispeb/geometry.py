@@ -4,8 +4,8 @@ The base station (BS) sits at the origin of a 2D plane. A wall parallel to
 the x-axis at height y = L carries every reradiating object: the RIS arrays,
 an optional specular reflector segment, and an optional point scatterer.
 Users live strictly below the wall (y < L). This module places the anchors
-and gives the RIS angles and the mirror hit test; channel builds each
-path's delay and direction from an anchor point.
+and gives the mirror hit test; channel builds each path's delay, direction
+and RIS angles from an anchor point.
 """
 
 from __future__ import annotations
@@ -79,30 +79,28 @@ class ScatterDescriptor:
 class Scene:
     """Static geometry: wall offset L plus the objects mounted on the wall.
 
-    ris_spacing is the common gap D between consecutive RIS centers; it is
-    checked against the centers when two or more RIS are present, and may be
-    omitted (None) for scenes with fewer than two RIS.
+    The RIS centers must be strictly increasing and evenly spaced.
     """
 
     wall_offset: float
     ris: tuple[RisDescriptor, ...] = ()
     reflector: ReflectorDescriptor | None = None
     scatterer: ScatterDescriptor | None = None
-    ris_spacing: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.wall_offset) and self.wall_offset > 0.0):
             raise ValueError("wall offset must be positive and finite")
         object.__setattr__(self, "ris", tuple(self.ris))
-        centers = [r.center_x for r in self.ris]
-        if any(b <= a for a, b in zip(centers, centers[1:])):
+        gaps = [b.center_x - a.center_x for a, b in zip(self.ris, self.ris[1:])]
+        if any(gap <= 0.0 for gap in gaps):
             raise ValueError("RIS centers must be strictly increasing")
-        if len(centers) >= 2:
-            if self.ris_spacing is None:
-                raise ValueError("ris_spacing is required with two or more RIS")
-            gaps = [b - a for a, b in zip(centers, centers[1:])]
-            if any(abs(g - self.ris_spacing) > 1e-9 for g in gaps):
-                raise ValueError("RIS centers are not spaced by ris_spacing")
+        if any(abs(gap - gaps[0]) > 1e-9 for gap in gaps):
+            raise ValueError("RIS centers must be evenly spaced")
+
+    @property
+    def ris_spacing(self) -> float | None:
+        """Gap D between consecutive RIS centers; None below two RIS."""
+        return self.ris[1].center_x - self.ris[0].center_x if len(self.ris) >= 2 else None
 
 
 def _as_point(x) -> np.ndarray:
@@ -135,24 +133,6 @@ def scatter_position(scene: Scene) -> np.ndarray:
     return np.array([scene.scatterer.x, scene.wall_offset])
 
 
-def ris_angles(scene: Scene, k: int, x):
-    """Arrival and departure angles (theta_k, psi_k) at RIS k.
-
-    Both angles are measured between the respective propagation ray and the
-    wall normal, signed positive when the ray leans toward increasing x:
-    theta_k for the incoming BS-to-RIS ray, psi_k for the outgoing
-    RIS-to-user ray. Both lie in (-pi/2, pi/2) for users below the wall.
-    psi_k has the leading shape of x; theta_k does not depend on x.
-    """
-    p = _as_point(x)
-    _require_below_wall(scene, p)
-    center = ris_center(scene, k)
-    _separation(p, center, f"RIS {k} center")
-    theta = np.arctan2(center[0] - BS_POSITION[0], center[1] - BS_POSITION[1])
-    psi = np.arctan2(p[..., 0] - center[0], center[1] - p[..., 1])
-    return theta, psi
-
-
 def virtual_anchor(scene: Scene) -> np.ndarray:
     """Mirror image [0, 2L] of the BS across the reflector's wall."""
     if scene.reflector is None:
@@ -163,10 +143,10 @@ def virtual_anchor(scene: Scene) -> np.ndarray:
 def incidence_point(scene: Scene, x):
     """Where the mirror ray meets the wall, and whether it hits the segment.
 
-    Returns (s, 1) with s on the wall when the line from the virtual anchor
-    to x crosses the reflector segment [h1, L]-[h2, L], else (None, 0).
-    For positions with leading axes it returns the crossing points and a
-    0/1 array instead, with the crossing given whether or not it hits.
+    Returns the point [s, L] where the line from the virtual anchor to x
+    crosses the wall, and a boolean that is true where the crossing lies
+    on the reflector segment [h1, L]-[h2, L]. Positions with leading axes
+    give points and booleans with those axes.
     """
     if scene.reflector is None:
         raise ValueError("scene has no reflector")
@@ -176,6 +156,4 @@ def incidence_point(scene: Scene, x):
     # Line from [0, 2L] to p crosses y = L at parameter t = L / (2L - y).
     crossing_x = p[..., 0] * wall / (2.0 * wall - p[..., 1])
     hit = (scene.reflector.h1 <= crossing_x) & (crossing_x <= scene.reflector.h2)
-    if p.ndim == 1:
-        return (np.array([crossing_x, wall]), 1) if hit else (None, 0)
-    return np.stack([crossing_x, np.full_like(crossing_x, wall)], axis=-1), hit.astype(int)
+    return np.stack([crossing_x, np.full_like(crossing_x, wall)], axis=-1), hit

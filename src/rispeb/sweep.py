@@ -205,7 +205,7 @@ def _evaluate_batch(scene, cfg, mode, patterns, count_only, points):
         return (nan, np.array(["1" * len(scene.ris)] * len(points), dtype=object), delays,
                 np.ones(delays.shape, dtype=bool))
     if mode == "ris":
-        scores, delays = _score(scene, points, cfg, patterns)
+        scores, delays = _score(scene, points, cfg, patterns, points)
         best = np.argmin(scores, axis=1)
         names = np.array(["".join(map(str, row)) for row in patterns.astype(int)],
                          dtype=object)
@@ -255,15 +255,13 @@ def path_count_map(scene: Scene, grid: GridSpec, cfg: WaveformConfig,
 
 def peb_map(scene: Scene, grid: GridSpec, cfg: WaveformConfig, mode: str,
             constraints: SelectionConstraints | None = None, *,
-            cap: float | None = None, workers: int | None = None) -> MapResult:
-    """Position-error-bound map.
+            cap: float = DEFAULT_PEB_CAP, workers: int | None = None) -> MapResult:
+    """Position-error-bound map; cells above cap are flagged capped.
 
     RIS mode runs the activation search per cell with the cell itself as
     the assumed user position when constraints are given, and activates
     every surface otherwise. Baseline modes evaluate their fixed pathset.
     """
-    if cap is None:
-        cap = constraints.peb_cap if constraints is not None else DEFAULT_PEB_CAP
     return _sweep(scene, grid, cfg, mode, constraints, cap, workers,
                   count_only=False)
 

@@ -253,7 +253,6 @@ def test_07_selection_matches_brute_force(wave):
             wall_offset=wall,
             ris=tuple(RisDescriptor(first + spacing * k, elements)
                       for k in range(ris_count)),
-            ris_spacing=spacing if ris_count >= 2 else None,
         )
         k_bar = int(rng.integers(0, ris_count + 1))
         constraints = SelectionConstraints(

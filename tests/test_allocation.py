@@ -258,7 +258,7 @@ class TestSelect:
         for constraints in [tight_constraints(k_bar, scene, wave) for k_bar in range(3)] + [
                 SelectionConstraints(k_bar=5)]:
             patterns = allocation_module._patterns(len(scene.ris), constraints)
-            bounds, delays = allocation_module._score(scene, points, wave, patterns)
+            bounds, delays = allocation_module._score(scene, points, wave, patterns, points)
             assert bounds.shape == (len(points), len(patterns))
             for i, point in enumerate(points):
                 for j, bits in enumerate(patterns):
@@ -292,8 +292,7 @@ class TestSelect:
     def test_exhaustive_budget_guard(self, wave):
         many = Scene(wall_offset=10.0,
                      ris=tuple(RisDescriptor(0.5 * k, 4)
-                               for k in range(MAX_EXHAUSTIVE_RIS + 1)),
-                     ris_spacing=0.5)
+                               for k in range(MAX_EXHAUSTIVE_RIS + 1)))
         constraints = SelectionConstraints(k_bar=1)
         with pytest.raises(ValueError, match="exhaustive"):
             select_ris(many, X_HAT, wave, constraints)
@@ -315,11 +314,8 @@ class TestRobustSelect:
         constraints = tight_constraints(1, scene, wave)
         samples = [np.array([3.0, 4.5]), np.array([4.0, 5.5])]
         allocation, score = robust_select(scene, samples, wave, constraints)
-        recomputed = []
-        for point in samples:
-            per_point = build_allocation(scene, point, wave, allocation.active)
-            paths = build_pathset(scene, per_point, point, wave, "ris")
-            recomputed.append(peb(fim_total(paths, wave)).value)
+        recomputed = [peb(fim_total(build_pathset(scene, allocation, point, wave, "ris"),
+                                    wave)).value for point in samples]
         assert score == max(recomputed)
 
     def test_expected_clamps_at_cap(self, scene, wave):
@@ -334,13 +330,38 @@ class TestRobustSelect:
         samples = [np.array([3.0, 4.5]), np.array([4.0, 5.5])]
         allocation, score = robust_select(scene, samples, wave, constraints,
                                           objective="expected")
-        recomputed = []
-        for point in samples:
-            per_point = build_allocation(scene, point, wave, allocation.active)
-            paths = build_pathset(scene, per_point, point, wave, "ris")
-            recomputed.append(min(peb(fim_total(paths, wave)).value,
-                                  constraints.peb_cap))
+        recomputed = [min(peb(fim_total(build_pathset(scene, allocation, point, wave, "ris"),
+                                        wave)).value, constraints.peb_cap)
+                      for point in samples]
         assert abs(score - sum(recomputed) / 2) < 1e-15
+
+    @pytest.mark.parametrize("objective", ["worst_case", "expected"])
+    def test_score_is_reached_by_the_returned_allocation(self, scene, wave, rng,
+                                                         objective):
+        """Sets of three samples 10 cm apart around random centers: the
+        score is the returned allocation's own worst (or capped mean)
+        bound over the samples, and no pattern steered at the centroid
+        does better."""
+        for k_bar in (1, 2):
+            constraints = tight_constraints(k_bar, scene, wave)
+            for _ in range(10):
+                center = np.array([rng.uniform(-4.0, 12.0), rng.uniform(1.0, 8.5)])
+                samples = center + 0.1 * rng.standard_normal((3, 2))
+                allocation, score = robust_select(scene, samples, wave, constraints,
+                                                  objective)
+                patterns = feasible_activations(len(scene.ris), constraints)
+                aggregates = []
+                for bits in patterns:
+                    candidate = build_allocation(scene, samples.mean(axis=0), wave, bits)
+                    bounds = [peb(fim_total(build_pathset(scene, candidate, s, wave, "ris"),
+                                            wave)).value for s in samples]
+                    aggregates.append(
+                        max(bounds) if objective == "worst_case"
+                        else sum(min(b, constraints.peb_cap) for b in bounds) / 3)
+                best = int(np.argmin(aggregates))
+                assert allocation == build_allocation(scene, samples.mean(axis=0), wave,
+                                                      patterns[best])
+                assert score == aggregates[best]
 
     def test_centroid_phasing(self, scene, wave):
         constraints = tight_constraints(1, scene, wave)
@@ -396,8 +417,7 @@ def test_mixed_element_counts_match_brute_force(x, k_bar, wave):
     each with its own element count, as the per-pattern pathsets do."""
     mixed = Scene(wall_offset=10.0,
                   ris=tuple(RisDescriptor(1.5 + k, m)
-                            for k, m in enumerate((16, 100, 40, 64, 7))),
-                  ris_spacing=1.0)
+                            for k, m in enumerate((16, 100, 40, 64, 7))))
     constraints = SelectionConstraints(k_bar=k_bar, min_gap=gap_threshold(mixed, wave))
     allocation, value = select_ris(mixed, x, wave, constraints)
     assert (value.value, allocation.active) == best_pattern(mixed, x, wave, constraints)

@@ -37,7 +37,7 @@ from rispeb.channel import (
 )
 from rispeb.checks import aligned_gain, element_sum, fim_gap
 from rispeb.fim import fim_total, peb
-from rispeb.geometry import SPEED_OF_LIGHT, Scene, RisDescriptor, ris_angles
+from rispeb.geometry import SPEED_OF_LIGHT, Scene, RisDescriptor
 
 
 # RIS 0 of the default scenario seen from [3.5, 5.0].
@@ -234,15 +234,17 @@ def test_rebound_gain_ris_reaches_pathsets_and_selection(scene, wave, monkeypatc
 def test_optimal_profile_achieves_full_array_gain(x, k):
     """With the aligned profile the cascaded array factor has magnitude
     exactly M, so the gain equals M times the element gain (the closed
-    form checks.aligned_gain)."""
+    form checks.aligned_gain). The aligned design sin(theta) - sin(psi)
+    is c/d1 - (x - c)/d2 for a surface centered at [c, L], d1 and d2 its
+    distances to the BS and to the user."""
     scene = Scene(wall_offset=10.0,
-                  ris=tuple(RisDescriptor(1.5 + i, 25) for i in range(5)),
-                  ris_spacing=1.0)
+                  ris=tuple(RisDescriptor(1.5 + i, 25) for i in range(5)))
     from rispeb.waveform import WaveformConfig
     wave = WaveformConfig(carrier_hz=28e9, bandwidth_hz=1e8,
                           subcarrier_count=129)
-    theta, psi = ris_angles(scene, k, x)
-    value = gain_ris(scene, k, np.sin(theta) - np.sin(psi), x, wave)
+    c, wall = scene.ris[k].center_x, scene.wall_offset
+    design = c / math.hypot(c, wall) - (x[0] - c) / math.hypot(x[0] - c, wall - x[1])
+    value = gain_ris(scene, k, design, x, wave)
     assert rel(abs(value), aligned_gain(scene, k, x, wave)) < 1e-9
 
 

@@ -269,8 +269,8 @@ class TestValidate:
         true_score = rispeb.sweep._score
         monkeypatch.setattr(
             rispeb.sweep, "_score",
-            lambda scene, points, cfg, patterns: true_score(scene, points, cfg,
-                                                            patterns[::-1]))
+            lambda scene, points, cfg, patterns, steer_at: true_score(
+                scene, points, cfg, patterns[::-1], steer_at))
         code, out, _ = run(capsys, "validate")
         assert code == 1
         assert "check sweep_oracle: FAIL" in out

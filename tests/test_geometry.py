@@ -24,7 +24,6 @@ from rispeb.geometry import (
     ScatterDescriptor,
     Scene,
     incidence_point,
-    ris_angles,
     ris_center,
     scatter_position,
     virtual_anchor,
@@ -61,24 +60,28 @@ class TestFrozenValues:
         assert rel(ris_paths(scene, [3.5, 5.0])[1].tau,
                    5.169255797359934e-08) < 1e-12
 
-    def test_ris_angles(self, scene):
-        theta, psi = ris_angles(scene, 2, [8.0, 2.0])
-        assert rel(theta, 0.33667481938672716) < 1e-12
-        assert rel(psi, 0.5123894603107377) < 1e-12
-
     def test_virtual_anchor(self, scene):
         assert np.allclose(virtual_anchor(scene), [0.0, 20.0], rtol=0, atol=0)
 
     def test_incidence_point_hit(self, scene):
-        point, indicator = incidence_point(scene, [8.0, 2.0])
-        assert indicator == 1
+        point, hit = incidence_point(scene, [8.0, 2.0])
+        assert hit.dtype == bool and hit
         assert rel(point[0], 4.444444444444445) < 1e-12
         assert point[1] == scene.wall_offset
 
     def test_incidence_point_miss(self, scene):
-        point, indicator = incidence_point(scene, [14.0, 2.0])
-        assert indicator == 0
-        assert point is None
+        point, hit = incidence_point(scene, [14.0, 2.0])
+        assert hit.dtype == bool and not hit
+        assert rel(point[0], 7.777777777777778) < 1e-12
+        assert point[1] == scene.wall_offset
+
+    def test_incidence_point_batch(self, scene):
+        """Leading axes carry through to the points and the hits."""
+        points, hits = incidence_point(scene, [[[8.0, 2.0], [14.0, 2.0]]])
+        assert points.shape == (1, 2, 2) and hits.shape == (1, 2) and hits.dtype == bool
+        assert hits.tolist() == [[True, False]]
+        for i, p in enumerate([[8.0, 2.0], [14.0, 2.0]]):
+            assert np.array_equal(points[0, i], incidence_point(scene, p)[0])
 
     def test_reflector_delay(self, scene):
         tau = build_pathset(scene, None, [8.0, 2.0], WAVE, "reflector")[1].tau
@@ -109,19 +112,20 @@ class TestSceneValidation:
     def test_centers_must_increase(self):
         with pytest.raises(ValueError):
             Scene(wall_offset=10.0,
-                  ris=(RisDescriptor(2.0, 8), RisDescriptor(1.0, 8)),
-                  ris_spacing=1.0)
+                  ris=(RisDescriptor(2.0, 8), RisDescriptor(1.0, 8)))
 
     def test_spacing_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="evenly spaced"):
             Scene(wall_offset=10.0,
-                  ris=(RisDescriptor(1.0, 8), RisDescriptor(2.5, 8)),
-                  ris_spacing=1.0)
+                  ris=(RisDescriptor(1.0, 8), RisDescriptor(2.0, 8),
+                       RisDescriptor(3.5, 8)))
 
-    def test_spacing_required(self):
-        with pytest.raises(ValueError):
-            Scene(wall_offset=10.0,
-                  ris=(RisDescriptor(1.0, 8), RisDescriptor(2.0, 8)))
+    def test_spacing_from_centers(self):
+        assert Scene(wall_offset=10.0).ris_spacing is None
+        assert Scene(wall_offset=10.0, ris=(RisDescriptor(1.0, 8),)).ris_spacing is None
+        assert Scene(wall_offset=10.0,
+                     ris=(RisDescriptor(1.0, 8), RisDescriptor(2.5, 8),
+                          RisDescriptor(4.0, 8))).ris_spacing == 1.5
 
     def test_wall_offset_positive(self):
         with pytest.raises(ValueError):
@@ -158,7 +162,7 @@ def test_image_distance_identity(p):
     scene = Scene(wall_offset=10.0,
                   reflector=ReflectorDescriptor(1.0, 6.0, 0.3))
     hit, indicator = incidence_point(scene, p)
-    if indicator == 0:
+    if not indicator:
         return
     broken = (math.hypot(hit[0], hit[1])
               + math.hypot(p[0] - hit[0], p[1] - hit[1]))
@@ -180,11 +184,14 @@ def test_unit_direction_is_unit(p):
 def test_incidence_point_on_segment(p):
     scene = Scene(wall_offset=10.0,
                   reflector=ReflectorDescriptor(1.0, 6.0, 0.3))
-    hit, indicator = incidence_point(scene, p)
-    if indicator:
-        assert scene.reflector.h1 <= hit[0] <= scene.reflector.h2
-    else:
-        assert hit is None
+    crossing, hit = incidence_point(scene, p)
+    assert hit == (scene.reflector.h1 <= crossing[0] <= scene.reflector.h2)
+    # The crossing lies on the line from the virtual anchor [0, 2L] to p.
+    anchor = virtual_anchor(scene)
+    assert crossing[1] == scene.wall_offset
+    cross = ((crossing[0] - anchor[0]) * (p[1] - anchor[1])
+             - (crossing[1] - anchor[1]) * (p[0] - anchor[0]))
+    assert abs(cross) < 1e-9
 
 
 def test_bs_position_is_origin():
