@@ -6,15 +6,16 @@ one design steering difference per surface. Which RIS to activate is a
 small combinatorial problem: activation patterns are enumerated
 exhaustively under a budget on the number of active RIS and a minimum
 index gap that keeps the activated paths separable in delay. Every
-feasible pattern is scored at once, at every point of a batch: only the
-RIS gains differ between patterns.
+feasible pattern is scored at once, at every point of a batch: each
+surface contributes one of its two gains, flat or steered, so a pattern
+only picks between gains computed once.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -163,23 +164,27 @@ def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
     delays, which do not depend on the pattern. A pattern steers the
     surfaces it turns on at steer_at, as build_allocation does, and
     leaves the others flat: steer_at is either one point for all, or
-    points itself for phases optimal at each. build_pathset evaluates one
-    batch of patterns at a time (a single batch unless the patterns are
-    many)."""
-    column = points[:, None, :]
+    points itself for phases optimal at each. One pathset holds both
+    gains of every surface, flat and steered; each batch of patterns
+    (a single batch unless the patterns are many) picks one per surface."""
     steering = build_allocation(scene, steer_at[..., None, :], cfg,
                                 (1,) * len(scene.ris)).design
+    # Each surface's two designs on a new axis: 0.0, the flat surface,
+    # then its steering at steer_at.
+    design = tuple(np.where([False, True], aligned, 0.0) for aligned in steering)
+    paths = build_pathset(scene, Allocation((1,) * len(design), design), points[:, None, :],
+                          cfg, "ris")
+    # Length-one design axes, which broadcast over a batch's patterns.
+    flat, steered = paths.alpha[:, :1], paths.alpha[:, 1:]
+    # The LOS path, first, is the same in both.
+    on = np.concatenate([np.zeros((len(patterns), 1), dtype=bool), patterns], axis=1)
     # Patterns per batch, so that the (points x patterns x paths x paths)
     # arrays stay near _BATCH_ENTRIES entries.
     step = max(1, _BATCH_ENTRIES // (len(points) * (len(scene.ris) + 1) ** 2))
     values = []
     for start in range(0, len(patterns), step):
-        chunk = patterns[start:start + step]
-        # Every bit is set: a surface the pattern leaves off carries 0.0,
-        # the flat surface, which is what Allocation asks of an inactive one.
-        design = tuple(np.where(chunk[:, k], aligned, 0.0) for k, aligned in enumerate(steering))
-        paths = build_pathset(scene, Allocation((1,) * len(design), design), column, cfg, "ris")
-        values.append(peb(fim_total(paths, cfg)).value)
+        alpha = np.where(on[start:start + step], steered, flat)
+        values.append(peb(fim_total(replace(paths, alpha=alpha), cfg)).value)
     return np.concatenate(values, axis=-1), paths.tau[:, 0]
 
 
@@ -202,17 +207,22 @@ def robust_select(scene: Scene, samples, cfg: WaveformConfig,
     bounds poison a pattern), "expected" the mean with infinite bounds
     clamped at the cap so a single shadowed sample cannot flatten the
     comparison. Ties go to the lexicographically smallest bit vector.
-    Raises ValueError where a sample's delays alias, as
+    Raises ValueError, naming the sample, for a sample that is not one
+    (x, y) point, and where a sample's delays alias, as
     count_resolvable_paths does.
     """
     if objective not in ("worst_case", "expected"):
         raise ValueError(f"unknown robust objective {objective!r}")
-    points = [_as_point(s) for s in samples]
+    points = [np.asarray(s, dtype=float) for s in samples]
     if not points:
         raise ValueError("robust selection needs at least one sample")
+    for i, p in enumerate(points):
+        if p.shape != (2,):
+            raise ValueError(f"sample {i} has shape {p.shape}, not one (x, y) point")
+    points = _as_point(np.array(points))
     centroid = np.mean(points, axis=0)
     patterns = _patterns(len(scene.ris), constraints)
-    values, delays = _score(scene, np.array(points), cfg, patterns, centroid)
+    values, delays = _score(scene, points, cfg, patterns, centroid)
     _require_unaliased(delays, np.ones(delays.shape, dtype=bool), cfg)
     if objective == "worst_case":
         scores = values.max(axis=0)

@@ -5,6 +5,13 @@ allocation._score, _patterns, feasible_activations or sweep internals:
 all_patterns filters all 2^n bit vectors where _patterns combines index
 sets, kernel_sum is the explicit subcarrier sum behind waveform's closed
 form, count_clusters the one-cell merge behind fim's batched one.
+
+fim_numerical is an independent cross-check of fim_total: it
+differentiates the frequency-domain observation at each subcarrier with
+central differences over the user position (gains frozen) and
+accumulates the information sum directly, sharing no algebra with the
+closed-form assembly.
+
 CHECKS is validate's table of (name, check(config, rng) -> worst, tolerance).
 """
 
@@ -16,7 +23,7 @@ import numpy as np
 
 from .allocation import build_allocation, d_min, optimal_phases, select_ris
 from .channel import MODES, build_pathset
-from .fim import fim_numerical, fim_total, peb
+from .fim import fim_total, peb
 from .geometry import SPEED_OF_LIGHT, DegeneratePositionError
 from .sweep import FLAG_INVALID, peb_map
 from .waveform import (
@@ -53,6 +60,40 @@ def aligned_gain(scene, k: int, x, cfg) -> float:
     cosines = (wall / d1) * ((wall - x[1]) / d2)
     return (ris.element_count * cfg.wavelength ** 2 * math.sqrt(cosines)
             / (16 * math.pi * d1 * d2))
+
+
+def fim_numerical(paths, cfg, step: float = 1e-6) -> np.ndarray:
+    """Finite-difference FIM: differentiate the observation, not the algebra.
+
+    Rebuilds each path delay from its anchor at positions perturbed by
+    +-step along each axis, forms the per-subcarrier observation with the
+    stored (frozen) gains, and sums (1/N0) * Re{conj(df/dx_i) * df/dx_j}
+    across subcarriers.
+    """
+    los = paths[0]
+    x = los.anchor + los.direction * (SPEED_OF_LIGHT * los.tau - los.fixed_leg)
+    n = cfg.subcarrier_indices
+    amplitude = math.sqrt(cfg.pilot_energy)
+    angular = -2j * math.pi * cfg.bandwidth_hz / cfg.subcarrier_count
+
+    def observation(pos: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(n), dtype=complex)
+        for p in paths:
+            dist = math.hypot(pos[0] - p.anchor[0], pos[1] - p.anchor[1])
+            tau = (p.fixed_leg + dist) / SPEED_OF_LIGHT
+            out += p.alpha * amplitude * np.exp(angular * tau * n)
+        return out
+
+    gradients = []
+    for axis in range(2):
+        offset = np.zeros(2)
+        offset[axis] = step
+        gradients.append((observation(x + offset) - observation(x - offset)) / (2.0 * step))
+    out = np.empty((2, 2))
+    for i in range(2):
+        for j in range(2):
+            out[i, j] = np.sum((np.conj(gradients[i]) * gradients[j]).real)
+    return out / cfg.noise_psd_w_hz
 
 
 def fim_gap(paths, cfg) -> float:

@@ -8,11 +8,6 @@ dependence on position is deliberately not exploited, matching the
 bound's definition. fim_total and peb broadcast over the leading axes
 of the PathSet's arrays, so a batch of positions and activation
 patterns is one call with one kernel evaluation.
-
-fim_numerical is an independent cross-check: it differentiates the
-frequency-domain observation at each subcarrier with central differences
-over the user position (gains frozen) and accumulates the information
-sum directly, sharing no algebra with the closed-form assembly.
 """
 
 from __future__ import annotations
@@ -183,37 +178,3 @@ def _count_clusters(tau: np.ndarray, exists: np.ndarray, cfg: WaveformConfig) ->
                                    np.where(column == j, values + later, later))
         count = count - merge
     return count
-
-
-def fim_numerical(paths: PathSet, cfg: WaveformConfig, step: float = 1e-6) -> np.ndarray:
-    """Finite-difference FIM: differentiate the observation, not the algebra.
-
-    Rebuilds each path delay from its anchor at positions perturbed by
-    +-step along each axis, forms the per-subcarrier observation with the
-    stored (frozen) gains, and sums (1/N0) * Re{conj(df/dx_i) * df/dx_j}
-    across subcarriers.
-    """
-    los = paths[0]
-    x = los.anchor + los.direction * (SPEED_OF_LIGHT * los.tau - los.fixed_leg)
-    n = cfg.subcarrier_indices
-    amplitude = math.sqrt(cfg.pilot_energy)
-    angular = -2j * math.pi * cfg.bandwidth_hz / cfg.subcarrier_count
-
-    def observation(pos: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(n), dtype=complex)
-        for p in paths:
-            dist = math.hypot(pos[0] - p.anchor[0], pos[1] - p.anchor[1])
-            tau = (p.fixed_leg + dist) / SPEED_OF_LIGHT
-            out += p.alpha * amplitude * np.exp(angular * tau * n)
-        return out
-
-    gradients = []
-    for axis in range(2):
-        offset = np.zeros(2)
-        offset[axis] = step
-        gradients.append((observation(x + offset) - observation(x - offset)) / (2.0 * step))
-    out = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            out[i, j] = np.sum((np.conj(gradients[i]) * gradients[j]).real)
-    return out / cfg.noise_psd_w_hz

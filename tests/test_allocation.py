@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rispeb.allocation as allocation_module
+import rispeb.channel as channel_module
 import rispeb.checks as checks
 from rispeb.allocation import (
     MAX_EXHAUSTIVE_RIS,
@@ -252,20 +253,52 @@ class TestSelect:
                                               batch_entries):
         """Every entry of the core's score, not just the winner, is the
         bound of the pattern's own allocation, and the delays are those
-        of its pathset; in one batch or one pattern per batch."""
+        of its pathset; in one batch or one pattern per batch, with the
+        phases steered at each point (sweeps) or at the points' centroid
+        (robust_select)."""
         monkeypatch.setattr(allocation_module, "_BATCH_ENTRIES", batch_entries)
         points = np.array([X_HAT, [8.0, 4.0], [-2.0, 7.0]])
+        centroid = points.mean(axis=0)
         for constraints in [tight_constraints(k_bar, scene, wave) for k_bar in range(3)] + [
                 SelectionConstraints(k_bar=5)]:
             patterns = allocation_module._patterns(len(scene.ris), constraints)
-            bounds, delays = allocation_module._score(scene, points, wave, patterns, points)
-            assert bounds.shape == (len(points), len(patterns))
-            for i, point in enumerate(points):
-                for j, bits in enumerate(patterns):
-                    allocation = build_allocation(scene, point, wave, bits)
-                    paths = build_pathset(scene, allocation, point, wave, "ris")
-                    assert bounds[i, j] == peb(fim_total(paths, wave)).value, (i, bits)
-                    assert np.array_equal(delays[i], [path.tau for path in paths])
+            for steer_at in (points, centroid):
+                bounds, delays = allocation_module._score(scene, points, wave, patterns,
+                                                          steer_at)
+                assert bounds.shape == (len(points), len(patterns))
+                for i, point in enumerate(points):
+                    design_point = steer_at[i] if steer_at.ndim == 2 else steer_at
+                    for j, bits in enumerate(patterns):
+                        allocation = build_allocation(scene, design_point, wave, bits)
+                        paths = build_pathset(scene, allocation, point, wave, "ris")
+                        assert bounds[i, j] == peb(fim_total(paths, wave)).value, (i, bits)
+                        assert np.array_equal(delays[i], [path.tau for path in paths])
+
+    @pytest.mark.parametrize("batch_entries", [allocation_module._BATCH_ENTRIES, 1],
+                             ids=["budget", "one"])
+    @pytest.mark.parametrize("k_bar", range(4))
+    def test_each_surface_gain_is_evaluated_flat_and_steered(self, scene, wave, monkeypatch,
+                                                             k_bar, batch_entries):
+        """A surface has two gains at a point, flat or steered: one _score
+        call passes gain_ris 2 design entries per point for each surface,
+        however many patterns it scores and in however many batches."""
+        entries = {}
+        original = channel_module.gain_ris
+
+        def counting(scene, k, design, *args, **kwargs):
+            entries.setdefault(k, []).append(np.size(design))
+            return original(scene, k, design, *args, **kwargs)
+
+        monkeypatch.setattr(channel_module, "gain_ris", counting)
+        monkeypatch.setattr(allocation_module, "_BATCH_ENTRIES", batch_entries)
+        points = np.array([X_HAT, [8.0, 4.0], [-2.0, 7.0], [12.0, 1.5]])
+        for constraints in (tight_constraints(k_bar, scene, wave),
+                            SelectionConstraints(k_bar=k_bar)):
+            patterns = allocation_module._patterns(len(scene.ris), constraints)
+            entries.clear()
+            allocation_module._score(scene, points, wave, patterns, points)
+            assert entries == {k: [2 * len(points)] for k in range(len(scene.ris))}, (
+                len(patterns))
 
     @pytest.mark.parametrize("ris_count", [0, 1, 2, 5, 9, 12])
     def test_patterns_match_feasible_activations(self, ris_count):
@@ -380,6 +413,18 @@ class TestRobustSelect:
     def test_rejects_empty_samples(self, scene, wave):
         with pytest.raises(ValueError, match="sample"):
             robust_select(scene, [], wave, tight_constraints(1, scene, wave))
+
+    @pytest.mark.parametrize("x_hat", [[[3.5, 5.0]], [[3.5, 5.0], [8.0, 4.0]]],
+                             ids=["1x2", "2x2"])
+    def test_select_rejects_a_point_that_is_not_a_2_vector(self, scene, wave, x_hat):
+        x_hat = np.array(x_hat)
+        with pytest.raises(ValueError, match=rf"sample 0 has shape \({len(x_hat)}, 2\)"):
+            select_ris(scene, x_hat, wave, tight_constraints(1, scene, wave))
+
+    def test_rejects_a_malformed_sample_by_index(self, scene, wave):
+        samples = [X_HAT, np.array([3.0, 4.5]), np.array([1.0, 2.0, 3.0]), X_HAT]
+        with pytest.raises(ValueError, match=r"sample 2 has shape \(3,\)"):
+            robust_select(scene, samples, wave, tight_constraints(1, scene, wave))
 
     def test_pattern_batches_do_not_change_the_result(self, scene, wave, monkeypatch):
         """Many patterns are scored in batches that bound memory; one
