@@ -175,7 +175,8 @@ def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
     paths = build_pathset(scene, Allocation((1,) * len(design), design), points[:, None, :],
                           cfg, "ris")
     # Length-one design axes, which broadcast over a batch's patterns.
-    flat, steered = paths.alpha[:, :1], paths.alpha[:, 1:]
+    # Without RIS the design axis has one entry, the LOS path alone.
+    flat, steered = paths.alpha[:, :1], paths.alpha[:, -1:]
     # The LOS path, first, is the same in both.
     on = np.concatenate([np.zeros((len(patterns), 1), dtype=bool), patterns], axis=1)
     # Patterns per batch, so that the (points x patterns x paths x paths)

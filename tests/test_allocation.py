@@ -300,6 +300,26 @@ class TestSelect:
             assert entries == {k: [2 * len(points)] for k in range(len(scene.ris))}, (
                 len(patterns))
 
+    def test_scene_without_ris_scores_the_los_bound(self, wave):
+        """With no surface the one pattern is the empty one, and its score
+        is the bound of the LOS path alone, as a (points x 1) array."""
+        bare = Scene(wall_offset=10.0)
+        points = np.array([X_HAT, [8.0, 4.0], [-2.0, 7.0]])
+        constraints = SelectionConstraints(k_bar=1)
+        patterns = allocation_module._patterns(0, constraints)
+        assert patterns.shape == (1, 0)
+        for steer_at in (points, points.mean(axis=0)):
+            bounds, delays = allocation_module._score(bare, points, wave, patterns, steer_at)
+            assert bounds.shape == (len(points), 1)
+            assert delays.shape == (len(points), 1)
+            for i, point in enumerate(points):
+                paths = build_pathset(bare, Allocation((), ()), point, wave, "ris")
+                assert bounds[i, 0] == peb(fim_total(paths, wave)).value
+        allocation, value = select_ris(bare, X_HAT, wave, constraints)
+        assert allocation == Allocation((), ())
+        paths = build_pathset(bare, allocation, X_HAT, wave, "ris")
+        assert value.value == peb(fim_total(paths, wave)).value
+
     @pytest.mark.parametrize("ris_count", [0, 1, 2, 5, 9, 12])
     def test_patterns_match_feasible_activations(self, ris_count):
         """The patterns the core scores, and feasible_activations' tuples,

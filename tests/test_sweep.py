@@ -12,6 +12,7 @@ from rispeb.allocation import SelectionConstraints, gap_threshold
 from rispeb.channel import build_pathset
 from rispeb.checks import best_pattern, conditioning_error
 from rispeb.fim import count_resolvable_paths, fim_total, peb
+from rispeb.geometry import Scene
 from rispeb.sweep import (
     CDF_HEADER,
     DEFAULT_PEB_CAP,
@@ -189,6 +190,16 @@ class TestSelectionMap:
                     assert math.isinf(result.peb[ix, iy])
                 else:
                     assert abs(result.peb[ix, iy] - bound) <= 1e-12 * bound
+
+    def test_scene_without_ris(self, wave):
+        """With no surface every cell scores the empty pattern: the LOS
+        path alone, one delay, so no unique fix."""
+        bare = Scene(wall_offset=10.0)
+        result = peb_map(bare, SMALL, wave, "ris", SelectionConstraints(k_bar=1))
+        assert np.all(result.allocation_bits == "")
+        assert np.all(result.path_count == 1)
+        assert np.all(result.flags == FLAG_INF)
+        assert np.all(np.isinf(result.peb))
 
 
 @pytest.mark.parametrize("mode", ["reflector", "scatterer"])
