@@ -148,8 +148,14 @@ def _parse_int(raw: str, where: str) -> int:
 
 
 def _parse_float_list(raw: str, where: str) -> tuple[float, ...]:
+    """Comma-separated numbers. An empty value is the empty tuple; an empty
+    item among others is an error, not a dropped entry."""
+    if not raw.strip():
+        return ()
     items = [item.strip() for item in raw.split(",")]
-    return tuple(_parse_float(item, where) for item in items if item)
+    if not all(items):
+        raise ConfigError(f"{where}: empty item in {raw!r}")
+    return tuple(_parse_float(item, where) for item in items)
 
 
 def _parse_text(raw: str, where: str) -> str:
@@ -195,8 +201,25 @@ _SCHEMA = {
 }
 
 
+# Distinct (text, source) pairs whose parse a process keeps. A program that
+# queries a few files over and over finds them here; one that walks many
+# files keeps only the latest.
+_PARSE_CACHE_SIZE = 32
+
+
 def loads_config(text: str, source: str = "<string>") -> RunConfig:
-    """Parse configuration text; errors name the offending section.key."""
+    """Parse configuration text; errors name the offending section.key.
+
+    A plain function around the cached parse, so that perfbench's tracer,
+    which wraps functions, still counts calls. A RunConfig is frozen, so
+    calls with equal text and source share one; an exception is never
+    cached, so an error names the source of every call that raises it.
+    """
+    return _parse(text, source)
+
+
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _parse(text: str, source: str) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
                                        interpolation=None)
     try:
@@ -238,6 +261,8 @@ def loads_config(text: str, source: str = "<string>") -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
+    """Read the file on every call; its text is parsed only when it is new
+    to the process, so an edited file takes effect on its next load."""
     with open(path, "r", encoding="utf-8") as fh:
         return loads_config(fh.read(), source=str(path))
 

@@ -340,6 +340,24 @@ class TestProcessReuse:
             encoding="utf-8")
         assert default_config() == loads_config(text)
 
+    def test_config_file_calls_match_a_fresh_process(self, capsys, tmp_path):
+        """A --config file's parse is shared within the process; no
+        override of one call reaches the next."""
+        path = str(tmp_path / "run.cfg")
+        dump_config(dataclasses.replace(default_config(), out_dir=str(tmp_path)), path)
+        sequence = (("point", "3.5", "5", "--config", path, "--kbar", "2"),
+                    ("point", "3.5", "5", "--config", path),
+                    ("select", "8", "4", "--config", path),
+                    ("point", "8", "4", "--mode", "reflector", "--config", path))
+        seen = []
+        for argv in sequence:
+            seen.append((main(list(argv)), capsys.readouterr().out))
+        assert [code for code, _ in seen] == [0, 0, 0, 0]
+        assert seen[0][1] != seen[1][1]
+        for argv, (code, out) in zip(sequence, seen):
+            alone = run_fresh("-m", "rispeb.cli", *argv)
+            assert (code, out) == (alone.returncode, alone.stdout), argv
+
     def test_parser_is_built_at_most_once(self, capsys, monkeypatch):
         built = []
         build = rispeb.cli.build_parser

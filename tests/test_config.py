@@ -1,11 +1,18 @@
 """Configuration parsing, validation, and round-tripping."""
 
+import configparser
 import dataclasses
 import math
+import os
+import re
+import shutil
+from importlib import resources
 
 import pytest
 
+import rispeb.config
 from rispeb.config import (
+    DEFAULT_CONFIG_RESOURCE,
     ConfigError,
     RunConfig,
     default_config,
@@ -92,6 +99,14 @@ class TestRoundTrip:
         path = tmp_path / "run.cfg"
         dump_config(cfg, path)
         assert load_config(path) == cfg
+
+    def test_round_trip_without_ris(self, cfg):
+        bare = dataclasses.replace(cfg, ris_centers_x_m=())
+        text = dumps_config(bare)
+        assert "ris_centers_x_m = \n" in text
+        reparsed = loads_config(text)
+        assert reparsed == bare
+        assert reparsed.scene().ris == ()
 
 
 def broken(replace_key=None, value=None, drop_key=None, extra=None):
@@ -184,6 +199,74 @@ class TestErrors:
         with pytest.raises(ConfigError, match="bad.cfg"):
             load_config(path)
 
+    @pytest.mark.parametrize("value", ["1.5,,2.5, 3.5", "1.5, 2.5,", ", 1.5", "1.5, ,2.5"])
+    def test_empty_list_item_names_the_key(self, value):
+        """An empty item is an error, not a surface silently dropped."""
+        with pytest.raises(ConfigError, match=r"^run\.cfg: scene\.ris_centers_x_m: empty item"):
+            loads_config(broken(replace_key="ris_centers_x_m", value=value),
+                         source="run.cfg")
+
+    @pytest.mark.parametrize("value", ["", "   # no surfaces"])
+    def test_empty_list_is_a_scene_without_ris(self, value):
+        config = loads_config(broken(replace_key="ris_centers_x_m", value=value))
+        assert config.ris_centers_x_m == ()
+        assert config.scene().ris == ()
+
     def test_inline_comments_allowed(self):
         text = broken(replace_key="k_bar", value="2  # two active")
         assert loads_config(text).k_bar == 2
+
+
+def own_text(tmp_path, k_bar=1):
+    """Config text that no other test parses: its out_dir is tmp_path."""
+    return dumps_config(dataclasses.replace(default_config(), k_bar=k_bar,
+                                            out_dir=str(tmp_path)))
+
+
+class TestParseCache:
+    """Each config text is parsed once per process; the file is read on
+    every call, so an edit takes effect on the next one."""
+
+    def test_one_file_is_parsed_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.cfg"
+        path.write_text(own_text(tmp_path))
+        built = []
+        parser_class = configparser.ConfigParser
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return parser_class(*args, **kwargs)
+
+        monkeypatch.setattr(rispeb.config.configparser, "ConfigParser", counted)
+        first = load_config(path)
+        assert load_config(path) == first
+        assert len(built) == 1
+
+    def test_rewritten_file_with_old_size_and_mtime_is_reread(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text(own_text(tmp_path, k_bar=1))
+        before = os.stat(path)
+        assert load_config(path).k_bar == 1
+        path.write_text(own_text(tmp_path, k_bar=2))
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = os.stat(path)
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert load_config(path).k_bar == 2
+
+    def test_error_names_the_path_of_every_call(self, tmp_path):
+        first = tmp_path / "first.cfg"
+        first.write_text(broken(replace_key="nx", value="one"))
+        second = tmp_path / "second.cfg"
+        shutil.copyfile(first, second)
+        for path in (first, first, second):
+            with pytest.raises(ConfigError,
+                               match="^" + re.escape(str(path)) + r": grid\.nx"):
+                load_config(path)
+
+    def test_default_equals_a_fresh_parse_of_the_package_text(self):
+        text = resources.files("rispeb").joinpath(DEFAULT_CONFIG_RESOURCE).read_text(
+            encoding="utf-8")
+        # A source no other call uses, so this is a parse, not a cache hit.
+        fresh = loads_config(text, source="package text, parsed again")
+        assert fresh is not default_config()
+        assert fresh == default_config()
