@@ -20,12 +20,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .channel import _leg, _steering, build_pathset
-from .fim import PebValue, _require_unaliased, fim_total, peb
+from .fim import PebValue, _AliasedDelays, _require_unaliased, fim_total, peb
 from .geometry import SPEED_OF_LIGHT, Scene, _as_point, _require_below_wall
 from .waveform import WaveformConfig
 
 # Beyond this many RIS the exhaustive enumeration is off the table.
 MAX_EXHAUSTIVE_RIS = 20
+
+# Default PEB cap (m): robust_select's "expected" objective clamps bounds
+# at it, and a map flags the cells above it capped.
+DEFAULT_PEB_CAP = 5.0
 
 # Entries of the largest (points x patterns x paths x paths) array that
 # one selection batch builds. Half of it times faster on the 100x100
@@ -73,7 +77,7 @@ class SelectionConstraints:
 
     k_bar: int
     min_gap: float = 0.0
-    peb_cap: float = 5.0
+    peb_cap: float = DEFAULT_PEB_CAP
 
     def __post_init__(self):
         if self.k_bar < 0:
@@ -210,7 +214,8 @@ def robust_select(scene: Scene, samples, cfg: WaveformConfig,
     comparison. Ties go to the lexicographically smallest bit vector.
     Raises ValueError, naming the sample, for a sample that is not one
     (x, y) point, and where a sample's delays alias, as
-    count_resolvable_paths does.
+    count_resolvable_paths does; with several samples that error names
+    the first aliased sample's index and position.
     """
     if objective not in ("worst_case", "expected"):
         raise ValueError(f"unknown robust objective {objective!r}")
@@ -224,7 +229,13 @@ def robust_select(scene: Scene, samples, cfg: WaveformConfig,
     centroid = np.mean(points, axis=0)
     patterns = _patterns(len(scene.ris), constraints)
     values, delays = _score(scene, points, cfg, patterns, centroid)
-    _require_unaliased(delays, np.ones(delays.shape, dtype=bool), cfg)
+    try:
+        _require_unaliased(delays, np.ones(delays.shape, dtype=bool), cfg)
+    except _AliasedDelays as exc:
+        if len(points) == 1:
+            raise
+        x, y = points[exc.row]
+        raise ValueError(f"sample {exc.row} at ({x:.9g}, {y:.9g}): {exc}") from None
     if objective == "worst_case":
         scores = values.max(axis=0)
     else:

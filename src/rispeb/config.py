@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from importlib import resources
 
 from .allocation import SelectionConstraints, gap_threshold
@@ -28,6 +28,43 @@ class ConfigError(ValueError):
     """Invalid, missing, or unknown configuration content."""
 
 
+def _parse_float(raw: str, where: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: value must be finite, got {raw!r}")
+    return value
+
+
+def _parse_int(raw: str, where: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{where}: expected an integer, got {raw!r}") from None
+
+
+def _parse_float_list(raw: str, where: str) -> tuple[float, ...]:
+    """Comma-separated numbers. An empty value is the empty tuple; an empty
+    item among others is an error, not a dropped entry."""
+    if not raw.strip():
+        return ()
+    items = [item.strip() for item in raw.split(",")]
+    if not all(items):
+        raise ConfigError(f"{where}: empty item in {raw!r}")
+    return tuple(_parse_float(item, where) for item in items)
+
+
+def _parse_text(raw: str, where: str) -> str:
+    return raw.strip()
+
+
+def _key(section: str, parse, group: str | None = None):
+    """A RunConfig field: the key of its name in [section], read by parse."""
+    return field(metadata={"section": section, "parse": parse, "group": group})
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Complete description of one run: scene, waveform, grid, and task.
@@ -36,32 +73,35 @@ class RunConfig:
     build the validated model objects in SI units. Construction validates
     (ConfigError), so dataclasses.replace checks an override as loads_config
     checks a file.
+
+    The fields are the file's keys in its order. Each names its section,
+    parser and optional group (set whole or left out) in its metadata.
     """
 
-    wall_offset_m: float
-    ris_centers_x_m: tuple[float, ...]
-    ris_elements: int
-    reflector_h1_m: float | None
-    reflector_h2_m: float | None
-    reflector_gamma: float | None
-    scatter_x_m: float | None
-    scatter_rcs_m2: float | None
-    carrier_hz: float
-    bandwidth_hz: float
-    subcarrier_count: int
-    power_dbm: float
-    noise_figure_db: float
-    x_min_m: float
-    x_max_m: float
-    y_min_m: float
-    y_max_m: float
-    nx: int
-    ny: int
-    mode: str
-    k_bar: int
-    peb_cap_m: float
-    workers: int
-    out_dir: str
+    wall_offset_m: float = _key("scene", _parse_float)
+    ris_centers_x_m: tuple[float, ...] = _key("scene", _parse_float_list)
+    ris_elements: int = _key("scene", _parse_int)
+    reflector_h1_m: float | None = _key("scene", _parse_float, "reflector")
+    reflector_h2_m: float | None = _key("scene", _parse_float, "reflector")
+    reflector_gamma: float | None = _key("scene", _parse_float, "reflector")
+    scatter_x_m: float | None = _key("scene", _parse_float, "scatter")
+    scatter_rcs_m2: float | None = _key("scene", _parse_float, "scatter")
+    carrier_hz: float = _key("waveform", _parse_float)
+    bandwidth_hz: float = _key("waveform", _parse_float)
+    subcarrier_count: int = _key("waveform", _parse_int)
+    power_dbm: float = _key("waveform", _parse_float)
+    noise_figure_db: float = _key("waveform", _parse_float)
+    x_min_m: float = _key("grid", _parse_float)
+    x_max_m: float = _key("grid", _parse_float)
+    y_min_m: float = _key("grid", _parse_float)
+    y_max_m: float = _key("grid", _parse_float)
+    nx: int = _key("grid", _parse_int)
+    ny: int = _key("grid", _parse_int)
+    mode: str = _key("run", _parse_text)
+    k_bar: int = _key("run", _parse_int)
+    peb_cap_m: float = _key("run", _parse_float)
+    workers: int = _key("run", _parse_int)
+    out_dir: str = _key("run", _parse_text)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -80,6 +120,8 @@ class RunConfig:
                 10.0 ** (getattr(self, key) / 10.0)
             except OverflowError:
                 raise ConfigError(f"waveform.{key} overflows a float in linear units") from None
+        if self.ris_elements < 1:
+            raise ConfigError("scene.ris_elements must be at least 1")
         try:
             scene = self.scene()
             self.waveform()
@@ -130,75 +172,11 @@ class RunConfig:
         )
 
 
-def _parse_float(raw: str, where: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: expected a number, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}: value must be finite, got {raw!r}")
-    return value
-
-
-def _parse_int(raw: str, where: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: expected an integer, got {raw!r}") from None
-
-
-def _parse_float_list(raw: str, where: str) -> tuple[float, ...]:
-    """Comma-separated numbers. An empty value is the empty tuple; an empty
-    item among others is an error, not a dropped entry."""
-    if not raw.strip():
-        return ()
-    items = [item.strip() for item in raw.split(",")]
-    if not all(items):
-        raise ConfigError(f"{where}: empty item in {raw!r}")
-    return tuple(_parse_float(item, where) for item in items)
-
-
-def _parse_text(raw: str, where: str) -> str:
-    return raw.strip()
-
-
-# Every key of every section in file order, with its parser and, for keys
-# that may be left out, the optional group they belong to: a group is set
-# entirely or not at all.
-_SCHEMA = {
-    "scene": (
-        ("wall_offset_m", _parse_float, None),
-        ("ris_centers_x_m", _parse_float_list, None),
-        ("ris_elements", _parse_int, None),
-        ("reflector_h1_m", _parse_float, "reflector"),
-        ("reflector_h2_m", _parse_float, "reflector"),
-        ("reflector_gamma", _parse_float, "reflector"),
-        ("scatter_x_m", _parse_float, "scatter"),
-        ("scatter_rcs_m2", _parse_float, "scatter"),
-    ),
-    "waveform": (
-        ("carrier_hz", _parse_float, None),
-        ("bandwidth_hz", _parse_float, None),
-        ("subcarrier_count", _parse_int, None),
-        ("power_dbm", _parse_float, None),
-        ("noise_figure_db", _parse_float, None),
-    ),
-    "grid": (
-        ("x_min_m", _parse_float, None),
-        ("x_max_m", _parse_float, None),
-        ("y_min_m", _parse_float, None),
-        ("y_max_m", _parse_float, None),
-        ("nx", _parse_int, None),
-        ("ny", _parse_int, None),
-    ),
-    "run": (
-        ("mode", _parse_text, None),
-        ("k_bar", _parse_int, None),
-        ("peb_cap_m", _parse_float, None),
-        ("workers", _parse_int, None),
-        ("out_dir", _parse_text, None),
-    ),
-}
+# Section -> [(key, parser, group)], in RunConfig's field order: the file's.
+_SCHEMA: dict[str, list[tuple]] = {}
+for _field in fields(RunConfig):
+    _SCHEMA.setdefault(_field.metadata["section"], []).append(
+        (_field.name, _field.metadata["parse"], _field.metadata["group"]))
 
 
 # Distinct (text, source) pairs whose parse a process keeps. A program that
@@ -228,16 +206,16 @@ def _parse(text: str, source: str) -> RunConfig:
         raise ConfigError(str(exc)) from None
 
     sections = {}
-    for name, fields in _SCHEMA.items():
+    for name, entries in _SCHEMA.items():
         if not parser.has_section(name):
             raise ConfigError(f"{source}: missing section [{name}]")
         items = sections[name] = dict(parser.items(name))
-        known = [key for key, _, _ in fields]
+        known = [key for key, _, _ in entries]
         for key in items:
             if key not in known:
                 raise ConfigError(f"{source}: unknown key {name}.{key}")
         groups = {}
-        for key, _, group in fields:
+        for key, _, group in entries:
             if group is None and key not in items:
                 raise ConfigError(f"{source}: missing key {name}.{key}")
             if group is not None:
@@ -252,7 +230,7 @@ def _parse(text: str, source: str) -> RunConfig:
     values = {
         key: parse(sections[name][key], f"{source}: {name}.{key}")
         if key in sections[name] else None
-        for name, fields in _SCHEMA.items() for key, parse, _ in fields
+        for name, entries in _SCHEMA.items() for key, parse, _ in entries
     }
     try:
         return RunConfig(**values)
@@ -296,9 +274,9 @@ def dumps_config(config: RunConfig) -> str:
     Keys of an optional group that is not set are left out.
     """
     lines = []
-    for name, fields in _SCHEMA.items():
+    for name, entries in _SCHEMA.items():
         lines.append(f"[{name}]")
-        for key, _, _ in fields:
+        for key, _, _ in entries:
             value = getattr(config, key)
             if value is not None:
                 lines.append(f"{key} = {_fmt_value(value)}")

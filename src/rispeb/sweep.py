@@ -24,14 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import (_BATCH_ENTRIES, SelectionConstraints, _patterns, _score,
-                         build_allocation)
+from .allocation import (_BATCH_ENTRIES, DEFAULT_PEB_CAP, SelectionConstraints, _patterns,
+                         _score, build_allocation)
 from .channel import MODES, _leg, build_pathset
 from .fim import _AliasedDelays, _count_clusters, fim_total, peb
 from .geometry import DegeneratePositionError, Scene
 from .waveform import WaveformConfig, delay_kernel_peak
-
-DEFAULT_PEB_CAP = 5.0
 
 # Delays (cells x paths) at most per block of cells that a sweep
 # evaluates and counts. On the 100x100 1 GHz RIS count map the whole grid

@@ -446,6 +446,20 @@ class TestRobustSelect:
         with pytest.raises(ValueError, match=r"sample 2 has shape \(3,\)"):
             robust_select(scene, samples, wave, tight_constraints(1, scene, wave))
 
+    def test_aliased_sample_is_named_by_index_and_position(self, scene, wave):
+        """At 1 GHz and 33 subcarriers the paths at (0.05, 0.05) span more
+        than the kernel separates, and those at the other samples do not."""
+        narrow = dataclasses.replace(wave, bandwidth_hz=1e9, subcarrier_count=33)
+        constraints = tight_constraints(1, scene, narrow)
+        samples = [np.array([3.5, 9.0]), np.array([3.5, 8.0]), np.array([0.05, 0.05])]
+        with pytest.raises(ValueError,
+                           match=r"^sample 2 at \(0\.05, 0\.05\): path lengths span"):
+            robust_select(scene, samples, narrow, constraints)
+        # One sample: the message is the one select and point print.
+        with pytest.raises(ValueError, match=r"^path lengths span"):
+            robust_select(scene, samples[2:], narrow, constraints)
+        robust_select(scene, samples[:2], narrow, constraints)
+
     def test_pattern_batches_do_not_change_the_result(self, scene, wave, monkeypatch):
         """Many patterns are scored in batches that bound memory; one
         pattern per batch gives the same bits as all at once."""

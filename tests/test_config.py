@@ -109,6 +109,22 @@ class TestRoundTrip:
         assert reparsed.scene().ris == ()
 
 
+class TestDumpOrder:
+    def test_sections_and_keys_in_the_packaged_file_order(self):
+        """dumps_config writes sections and keys in the order of
+        default_scenario.cfg, both as configparser reads them."""
+        def order(text):
+            parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                               interpolation=None)
+            parser.read_string(text)
+            return [(name, list(parser[name])) for name in parser.sections()]
+
+        packaged = resources.files("rispeb").joinpath(DEFAULT_CONFIG_RESOURCE).read_text(
+            encoding="utf-8")
+        assert order(dumps_config(default_config())) == order(packaged)
+        assert [name for name, _ in order(packaged)] == ["scene", "waveform", "grid", "run"]
+
+
 def broken(replace_key=None, value=None, drop_key=None, extra=None):
     text = dumps_config(default_config())
     lines = []
@@ -215,6 +231,23 @@ class TestErrors:
     def test_inline_comments_allowed(self):
         text = broken(replace_key="k_bar", value="2  # two active")
         assert loads_config(text).k_bar == 2
+
+
+class TestRisElements:
+    """The element count is checked whether or not the scene has surfaces."""
+
+    @pytest.mark.parametrize("centers", [(), (1.5, 2.5)], ids=["no_ris", "two_ris"])
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_replace_rejects_fewer_than_one(self, centers, count):
+        with pytest.raises(ConfigError, match=r"^scene\.ris_elements must be at least 1$"):
+            dataclasses.replace(default_config(), ris_centers_x_m=centers,
+                                ris_elements=count)
+
+    def test_file_without_ris_names_the_key(self):
+        text = broken(replace_key="ris_centers_x_m", value="").replace(
+            "ris_elements = 100", "ris_elements = 0")
+        with pytest.raises(ConfigError, match=r"^run\.cfg: scene\.ris_elements"):
+            loads_config(text, source="run.cfg")
 
 
 def own_text(tmp_path, k_bar=1):
