@@ -2,8 +2,8 @@
 """Produce the full map/CDF experiment family for all three modes.
 
 Writes, per mode, a position-error-bound map and its region CDF; plus
-RIS-mode resolvable-path-count maps at the configured bandwidth and at
-1 GHz. Prints a coverage summary table and how many cells of the RIS
+RIS-mode resolvable-path-count maps at 100 MHz and at 1 GHz, whatever
+the configured bandwidth. Prints a coverage summary table and how many cells of the RIS
 map chose each allocation bit pattern. All outputs are CSV files under
 the configured output directory.
 """

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import _leg, _steering, build_pathset
+from .channel import _path_table, _steering, build_pathset
 from .fim import PebValue, _AliasedDelays, _require_unaliased, fim_total, peb
 from .geometry import SPEED_OF_LIGHT, Scene, _as_point, _require_below_wall
 from .waveform import WaveformConfig
@@ -125,9 +125,15 @@ def build_allocation(scene: Scene, x_hat, cfg: WaveformConfig, active) -> Alloca
     bits = tuple(int(bool(bit)) for bit in active)
     if len(bits) != len(scene.ris):
         raise ValueError("activation length must match the RIS count")
-    design = tuple(_steering(scene, k, p, _leg(scene, "ris", k, p)) if bit else 0.0
-                   for k, bit in enumerate(bits))
-    return Allocation(active=bits, design=design)
+    # Only the active surfaces are steered, and only their anchors are
+    # checked against x_hat; their rows of the path table follow the LOS.
+    on = [k for k, bit in enumerate(bits) if bit]
+    rows = [1 + k for k in on]
+    table = _path_table(scene, "ris")
+    steering = _steering(table.anchor[rows, 0], table.fixed_leg[rows],
+                         table.distances(p, rows), p)
+    aligned = dict(zip(on, np.moveaxis(steering, -1, 0)))
+    return Allocation(active=bits, design=tuple(aligned.get(k, 0.0) for k in range(len(bits))))
 
 
 def feasible_activations(ris_count: int, constraints: SelectionConstraints):
@@ -168,9 +174,11 @@ def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
     delays, which do not depend on the pattern. A pattern steers the
     surfaces it turns on at steer_at, as build_allocation does, and
     leaves the others flat: steer_at is either one point for all, or
-    points itself for phases optimal at each. One pathset holds both
-    gains of every surface, flat and steered; each batch of patterns
-    (a single batch unless the patterns are many) picks one per surface."""
+    points itself for phases optimal at each. One pathset, from one
+    gain_ris call, holds both gains of every surface, flat and steered;
+    each batch of patterns (a single batch unless the patterns are many)
+    picks one per surface. Two passes over the path table serve it all:
+    the steering's and the pathset's."""
     steering = build_allocation(scene, steer_at[..., None, :], cfg,
                                 (1,) * len(scene.ris)).design
     # Each surface's two designs on a new axis: 0.0, the flat surface,
@@ -185,7 +193,7 @@ def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
     on = np.concatenate([np.zeros((len(patterns), 1), dtype=bool), patterns], axis=1)
     # Patterns per batch, so that the (points x patterns x paths x paths)
     # arrays stay near _BATCH_ENTRIES entries.
-    step = max(1, _BATCH_ENTRIES // (len(points) * (len(scene.ris) + 1) ** 2))
+    step = max(1, _BATCH_ENTRIES // (len(points) * len(paths) ** 2))
     values = []
     for start in range(0, len(patterns), step):
         alpha = np.where(on[start:start + step], steered, flat)
@@ -198,7 +206,7 @@ def select_ris(scene: Scene, x_hat, cfg: WaveformConfig,
     """Exhaustive activation search minimizing the full-FIM bound at x_hat,
     with phases optimal for x_hat: robust_select over the one sample."""
     allocation, value = robust_select(scene, [x_hat], cfg, constraints)
-    return allocation, PebValue(value, math.isinf(value))
+    return allocation, PebValue(value)
 
 
 def robust_select(scene: Scene, samples, cfg: WaveformConfig,

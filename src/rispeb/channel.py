@@ -7,6 +7,13 @@ and the fixed leg length ahead of it, so the delay can be re-evaluated
 at perturbed user positions (the numerical FIM cross-check relies on
 this).
 
+Which paths a mode has is listed once, in the path table of a (scene,
+mode): the LOS path from the BS first, then one path per RIS from its
+center [c_k, L], or the reflector's path from the virtual anchor [0, 2L]
+(the BS mirrored across the wall), or the scatterer's from [x_s, L].
+One broadcast pass over the table gives every path's distance, delay and
+direction; pathsets, RIS steering and the RIS count map all read it.
+
 Every function here broadcasts over the leading axes of the position:
 given a batch of positions, the arrays gain those axes.
 
@@ -18,6 +25,7 @@ specular angle psi = theta.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -26,16 +34,13 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .geometry import (
-    BS_POSITION,
+    COINCIDENCE_LIMIT,
     SPEED_OF_LIGHT,
+    DegeneratePositionError,
     Scene,
     _as_point,
     _require_below_wall,
-    _separation,
     incidence_point,
-    ris_center,
-    scatter_position,
-    virtual_anchor,
 )
 from .waveform import WaveformConfig
 
@@ -95,47 +100,76 @@ class PathSet:
                     anchor=self.anchor[i], fixed_leg=self.fixed_leg[i])
 
 
-def _leg(scene: Scene | None, kind: str, index: int | None, x):
-    """Anchor, fixed leg, anchor-to-x distance and delay of a path at x.
+@dataclass(frozen=True)
+class _PathTable:
+    """The paths of one scene and mode, the LOS path first: kinds and
+    indices as in Path, anchor (K, 2) and fixed_leg (K) as in PathSet, and
+    the name of each anchor in errors. The tables are cached and shared,
+    so their arrays are read-only."""
 
-    The anchor is the last point the signal departs from toward the user
-    and the fixed leg the path length (m) before it. Broadcasts over the
-    leading axes of x; the LOS path needs no scene.
-    """
-    if kind == "los":
-        anchor, fixed_leg, what = BS_POSITION, 0.0, "the BS"
-    elif kind == "reflector":
-        anchor, fixed_leg, what = virtual_anchor(scene), 0.0, "the virtual anchor"
+    kinds: tuple[str, ...]
+    indices: tuple[int | None, ...]
+    anchor: np.ndarray
+    fixed_leg: np.ndarray
+    names: tuple[str, ...]
+
+    def distances(self, x, rows=slice(None)) -> np.ndarray:
+        """Distances (..., rows) from the anchors of rows (every path by
+        default) to x, over x's leading axes. Raises
+        DegeneratePositionError naming the first of those anchors, in path
+        order, that a position coincides with."""
+        anchor = self.anchor[rows]
+        dist = np.hypot(x[..., None, 0] - anchor[:, 0], x[..., None, 1] - anchor[:, 1])
+        close = dist < COINCIDENCE_LIMIT
+        if close.any():
+            first = int(np.argmax(close.reshape(-1, close.shape[-1]).any(axis=0)))
+            raise DegeneratePositionError(
+                f"position coincides with {np.array(self.names)[rows][first]}")
+        return dist
+
+    def delays(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Every path's distance from its anchor to x and its delay."""
+        dist = self.distances(x)
+        return dist, (self.fixed_leg + dist) / SPEED_OF_LIGHT
+
+
+@functools.lru_cache(maxsize=16)
+def _path_table(scene: Scene, mode: str) -> _PathTable:
+    """The path table of mode in scene. Raises ValueError for a baseline
+    mode whose object the scene lacks."""
+    wall = scene.wall_offset
+    rows = [("los", None, (0.0, 0.0), 0.0, "the BS")]
+    if mode == "ris":
+        rows += [("ris", k, (ris.center_x, wall), math.hypot(ris.center_x, wall),
+                  f"RIS {k} center") for k, ris in enumerate(scene.ris)]
+    elif mode == "reflector":
+        if scene.reflector is None:
+            raise ValueError("scene has no reflector")
+        rows.append(("reflector", None, (0.0, 2.0 * wall), 0.0, "the virtual anchor"))
     else:
-        anchor, what = ((ris_center(scene, index), f"RIS {index} center") if kind == "ris"
-                        else (scatter_position(scene), "the scatterer"))
-        fixed_leg = math.hypot(anchor[0], anchor[1])
-    dist = _separation(x, anchor, what)
-    return anchor, fixed_leg, dist, (fixed_leg + dist) / SPEED_OF_LIGHT
+        if scene.scatterer is None:
+            raise ValueError("scene has no scatterer")
+        x = scene.scatterer.x
+        rows.append(("scatterer", None, (x, wall), math.hypot(x, wall), "the scatterer"))
+    kinds, indices, anchor, fixed_leg, names = zip(*rows)
+    anchor, fixed_leg = np.array(anchor), np.array(fixed_leg)
+    anchor.flags.writeable = fixed_leg.flags.writeable = False
+    return _PathTable(kinds, indices, anchor, fixed_leg, names)
 
 
 def _carrier(tau, cfg: WaveformConfig):
     return np.exp(-2j * math.pi * cfg.carrier_hz * tau)
 
 
-def gain_los(x, cfg: WaveformConfig, leg=None) -> complex:
-    """Free-space LOS gain with carrier phase: magnitude lambda/(4*pi*||x||).
-    leg is the LOS path's _leg at x, for a caller that has it already."""
-    if leg is None:
-        leg = _leg(None, "los", None, _as_point(x))
-    _, _, dist, tau = leg
-    return _carrier(tau, cfg) * cfg.wavelength / (4.0 * math.pi * dist)
+def _steering(center, leg_in, leg_out, x):
+    """Steering differences sin(theta) - sin(psi) at x of surfaces
+    centered at [center, L], along a last axis: sin(theta) = c_x/d1 and
+    sin(psi) = (x - c_x)/d2, with d1 = leg_in from the BS and d2 =
+    leg_out to x."""
+    return center / leg_in - (x[..., None, 0] - center) / leg_out
 
 
-def _steering(scene: Scene, k: int, x, leg):
-    """Steering difference sin(theta) - sin(psi) of RIS k at x, from its
-    _leg: sin(theta) = c_x/d1 and sin(psi) = (x - c_x)/d2."""
-    center = scene.ris[k].center_x
-    _, leg_in, leg_out, _ = leg
-    return center / leg_in - (x[..., 0] - center) / leg_out
-
-
-def _array_factor(spread, count: int):
+def _array_factor(spread, count):
     """D_M(x) = sin(M*x/2)/sin(x/2) at x = pi*spread, reduced exactly to
     |x| <= pi by D_M(x + 2*pi) = (-1)^(M-1)*D_M(x): sin(x/2) then vanishes
     only at x = 0, where the limit is M, so grating lobes come out exact."""
@@ -146,10 +180,12 @@ def _array_factor(spread, count: int):
     return np.where((count - 1) * turns % 2.0, -ratio, ratio)
 
 
-def gain_ris(scene: Scene, k: int, design, x, cfg: WaveformConfig, leg=None) -> complex:
-    """Cascaded BS-RIS-user gain of RIS k phased for steering difference
-    design (0: the flat surface); design broadcasts against x's leading axes.
-    leg is the surface's _leg at x, for a caller that has it already.
+def gain_ris(scene: Scene, design, x, dist, tau, cfg: WaveformConfig) -> np.ndarray:
+    """Cascaded BS-RIS-user gains of every RIS of the scene, the surfaces
+    along a last axis. design (..., R) holds each surface's steering
+    difference (0: the flat surface) and broadcasts against x's leading
+    axes; dist and tau (..., R) are the center-to-x distances and the path
+    delays, from the caller's pass over the path table.
 
     Under the carrier exp(-j*2*pi*f_c*tau), tau measured at the array
     center, the element n half-wavelengths toward +x of the center adds
@@ -158,43 +194,14 @@ def gain_ris(scene: Scene, k: int, design, x, cfg: WaveformConfig, leg=None) -> 
     lambda^2*sqrt(cos(theta)*cos(psi))/(16*pi*d1*d2) (Ellingson 2019; Tang
     et al., IEEE TWC 2021), with cos(theta) = L/d1, cos(psi) = (L - y)/d2.
     """
-    p = _as_point(x)
-    _require_below_wall(scene, p)
-    if leg is None:
-        leg = _leg(scene, "ris", k, p)
-    _, leg_in, leg_out, tau = leg
-    steering = _steering(scene, k, p, leg)
+    table = _path_table(scene, "ris")
+    center, leg_in = table.anchor[1:, 0], table.fixed_leg[1:]
+    steering = _steering(center, leg_in, dist, x)
     wall = scene.wall_offset
-    element = (cfg.wavelength**2 * np.sqrt((wall / leg_in) * ((wall - p[..., 1]) / leg_out))
-               / (16.0 * math.pi * leg_in * leg_out))
-    count = scene.ris[k].element_count
+    element = (cfg.wavelength**2 * np.sqrt((wall / leg_in) * ((wall - x[..., None, 1]) / dist))
+               / (16.0 * math.pi * leg_in * dist))
+    count = np.array([ris.element_count for ris in scene.ris])
     return _carrier(tau, cfg) * (element * _array_factor(steering - design, count))
-
-
-def gain_reflector(scene: Scene, x, cfg: WaveformConfig, leg=None) -> complex:
-    """Specular-reflection gain; exactly zero outside the mirror-hit region.
-    leg is the reflector path's _leg at x, for a caller that has it already."""
-    p = _as_point(x)
-    hit = incidence_point(scene, p)[1]
-    if leg is None:
-        leg = _leg(scene, "reflector", None, p)
-    _, _, dist, tau = leg
-    alpha = _carrier(tau, cfg) * scene.reflector.gamma * cfg.wavelength / (4.0 * math.pi * dist)
-    return np.where(hit, alpha, 0j)[()]
-
-
-def gain_scatter(scene: Scene, x, cfg: WaveformConfig, leg=None) -> complex:
-    """Point-scatterer gain: lambda*sqrt(rcs) / ((4*pi)^1.5 * ||s|| * ||s-x||).
-    leg is the scatterer path's _leg at x, for a caller that has it already."""
-    if leg is None:
-        leg = _leg(scene, "scatterer", None, _as_point(x))
-    _, leg_in, leg_out, tau = leg
-    magnitude = (
-        cfg.wavelength
-        * math.sqrt(scene.scatterer.rcs)
-        / ((4.0 * math.pi) ** 1.5 * leg_in * leg_out)
-    )
-    return _carrier(tau, cfg) * magnitude
 
 
 def build_pathset(scene: Scene, allocation: "Allocation | None", x,
@@ -202,35 +209,46 @@ def build_pathset(scene: Scene, allocation: "Allocation | None", x,
     """LOS path plus the mode's reradiated paths at user position x.
 
     mode "ris" needs an allocation and emits one path per RIS, active or
-    not (inactive ones reflect as the flat surface). The baseline modes
-    emit the single reflector path (zero gain outside the hit region) or
-    the single scatterer path; allocation is ignored there. Each path's
-    _leg is evaluated once and serves both its gain and its record. For
-    positions with leading axes the arrays gain those axes, and alpha
-    also broadcasts against the allocation's design.
+    not (inactive ones reflect as the flat surface), with every surface's
+    gain from one gain_ris call. The baseline modes emit the single
+    reflector path (zero gain outside the hit region) or the single
+    scatterer path; allocation is ignored there. One pass over the path
+    table serves every gain and record. For positions with leading axes
+    the arrays gain those axes, and alpha also broadcasts against the
+    allocation's design.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     p = _as_point(x)
     _require_below_wall(scene, p)
-    kinds, indices = ("los", mode), (None, None)
     if mode == "ris":
         if allocation is None:
             raise ValueError("RIS mode needs an allocation")
         if len(allocation.design) != len(scene.ris):
             raise ValueError("allocation does not match the scene's RIS count")
-        kinds, indices = ("los",) + ("ris",) * len(scene.ris), (None, *range(len(scene.ris)))
-    legs = [_leg(scene, kind, index, p) for kind, index in zip(kinds, indices)]
-    gains = [gain_los(p, cfg, legs[0])]
+    table = _path_table(scene, mode)
+    dist, tau = table.delays(p)
+    # Free space, lambda/(4*pi*d), with the carrier phase.
+    los = _carrier(tau[..., :1], cfg) * cfg.wavelength / (4.0 * math.pi * dist[..., :1])
+    leg, delay = dist[..., 1:], tau[..., 1:]
     if mode == "ris":
-        gains += [gain_ris(scene, k, design, p, cfg, leg)
-                  for k, (design, leg) in enumerate(zip(allocation.design, legs[1:]))]
+        design = (np.stack(np.broadcast_arrays(*allocation.design), axis=-1)
+                  if scene.ris else np.zeros(0))
+        gains = gain_ris(scene, design, p, leg, delay, cfg)
+    elif mode == "reflector":
+        # Free space from the virtual anchor times gamma; exactly zero
+        # where the mirror ray misses the segment.
+        hit = incidence_point(scene, p)[1][..., None]
+        gains = np.where(hit, _carrier(delay, cfg) * scene.reflector.gamma * cfg.wavelength
+                         / (4.0 * math.pi * leg), 0j)
     else:
-        gain = gain_reflector if mode == "reflector" else gain_scatter
-        gains.append(gain(scene, p, cfg, legs[1]))
-    anchors, fixed_legs, dists, taus = zip(*legs)
-    anchor, dist = np.array(anchors), np.stack(dists, axis=-1)
-    return PathSet(kinds, indices, tau=np.stack(taus, axis=-1),
-                   alpha=np.stack(np.broadcast_arrays(*gains), axis=-1),
-                   direction=(p[..., None, :] - anchor) / dist[..., None],
-                   anchor=anchor, fixed_leg=np.array(fixed_legs))
+        # lambda*sqrt(rcs) / ((4*pi)^1.5 * ||s|| * ||s - x||).
+        gains = _carrier(delay, cfg) * (
+            cfg.wavelength * math.sqrt(scene.scatterer.rcs)
+            / ((4.0 * math.pi) ** 1.5 * table.fixed_leg[1] * leg))
+    shape = np.broadcast_shapes(los.shape[:-1], gains.shape[:-1])
+    alpha = np.empty(shape + (len(table.kinds),), dtype=complex)
+    alpha[..., :1], alpha[..., 1:] = los, gains
+    return PathSet(table.kinds, table.indices, tau=tau, alpha=alpha,
+                   direction=(p[..., None, :] - table.anchor) / dist[..., None],
+                   anchor=table.anchor, fixed_leg=table.fixed_leg)

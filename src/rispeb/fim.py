@@ -47,7 +47,6 @@ class PebValue:
     """Position error bound in meters; math.inf when the FIM is degenerate."""
 
     value: float
-    rank_deficient: bool
 
 
 def _direct(alpha, directions, cfg: WaveformConfig) -> np.ndarray:
@@ -85,9 +84,9 @@ def peb(fim) -> PebValue:
     """sqrt(trace(J^-1)) through the closed-form 2x2 adjugate inverse.
 
     Accepts a Fim2 or a raw 2x2 array, or a stack of them (..., 2, 2), for
-    which value and rank_deficient are arrays over the leading axes.
-    Returns infinity (rank_deficient) when the symmetrized matrix has
-    nonpositive determinant or a condition number beyond CONDITION_LIMIT.
+    which value is an array over the leading axes. Returns infinity when
+    the symmetrized matrix has nonpositive determinant or a condition
+    number beyond CONDITION_LIMIT.
     """
     j = fim.total if isinstance(fim, Fim2) else np.asarray(fim, dtype=float)
     a = j[..., 0, 0]
@@ -101,9 +100,7 @@ def peb(fim) -> PebValue:
         lam_min = det / lam_max
         deficient = (det <= 0.0) | (trace <= 0.0) | (lam_max > CONDITION_LIMIT * lam_min)
         value = np.where(deficient, math.inf, np.sqrt(trace / det))
-    if value.ndim == 0:
-        return PebValue(float(value), bool(deficient))
-    return PebValue(value, deficient)
+    return PebValue(float(value) if value.ndim == 0 else value)
 
 
 class _AliasedDelays(ValueError):

@@ -3,9 +3,9 @@
 The base station (BS) sits at the origin of a 2D plane. A wall parallel to
 the x-axis at height y = L carries every reradiating object: the RIS arrays,
 an optional specular reflector segment, and an optional point scatterer.
-Users live strictly below the wall (y < L). This module places the anchors
-and gives the mirror hit test; channel builds each path's delay, direction
-and RIS angles from an anchor point.
+Users live strictly below the wall (y < L). This module describes the
+scene and gives the mirror hit test; channel's path table places each
+path's anchor and builds its delay, direction and RIS angles from it.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ SPEED_OF_LIGHT = 299792458.0  # m/s, exact SI
 # rejected outright instead of clamped: the 1/distance gains blow up silently
 # otherwise.
 COINCIDENCE_LIMIT = 1e-6  # m
-
-BS_POSITION = np.zeros(2)
 
 
 class DegeneratePositionError(ValueError):
@@ -114,30 +112,6 @@ def _as_point(x) -> np.ndarray:
 def _require_below_wall(scene: Scene, x: np.ndarray) -> None:
     if (x[..., 1] >= scene.wall_offset).any():
         raise ValueError("user position must lie strictly below the wall (y < L)")
-
-
-def _separation(a: np.ndarray, b: np.ndarray, what: str):
-    d = np.hypot(a[..., 0] - b[0], a[..., 1] - b[1])
-    if (d < COINCIDENCE_LIMIT).any():
-        raise DegeneratePositionError(f"position coincides with {what}")
-    return d
-
-
-def ris_center(scene: Scene, k: int) -> np.ndarray:
-    return np.array([scene.ris[k].center_x, scene.wall_offset])
-
-
-def scatter_position(scene: Scene) -> np.ndarray:
-    if scene.scatterer is None:
-        raise ValueError("scene has no scatterer")
-    return np.array([scene.scatterer.x, scene.wall_offset])
-
-
-def virtual_anchor(scene: Scene) -> np.ndarray:
-    """Mirror image [0, 2L] of the BS across the reflector's wall."""
-    if scene.reflector is None:
-        raise ValueError("scene has no reflector")
-    return np.array([0.0, 2.0 * scene.wall_offset])
 
 
 def incidence_point(scene: Scene, x):

@@ -26,7 +26,7 @@ import numpy as np
 
 from .allocation import (_BATCH_ENTRIES, DEFAULT_PEB_CAP, SelectionConstraints, _patterns,
                          _score, build_allocation)
-from .channel import MODES, _leg, build_pathset
+from .channel import MODES, _path_table, build_pathset
 from .fim import _AliasedDelays, _count_clusters, fim_total, peb
 from .geometry import DegeneratePositionError, Scene
 from .waveform import WaveformConfig, delay_kernel_peak
@@ -149,7 +149,7 @@ def _block_cells(scene, mode, patterns) -> int:
     paths), and where patterns are scored, at most
     allocation._BATCH_ENTRIES entries of the (cells x patterns x paths x
     paths) arrays of the core."""
-    paths = 1 + (len(scene.ris) if mode == "ris" else 1)
+    paths = len(_path_table(scene, mode).kinds)
     cells = _COUNT_ENTRIES // paths
     if patterns is not None:
         cells = min(cells, _BATCH_ENTRIES // (len(patterns) * paths ** 2))
@@ -197,9 +197,7 @@ def _evaluate_batch(scene, cfg, mode, patterns, count_only, points):
     nan = np.full(len(points), math.nan)
     if mode == "ris" and count_only:
         # Every RIS path has a nonzero gain: the counts need the delays only.
-        legs = [_leg(scene, "los", None, points)]
-        legs += [_leg(scene, "ris", k, points) for k in range(len(scene.ris))]
-        delays = np.stack([leg[3] for leg in legs], axis=-1)
+        delays = _path_table(scene, mode).delays(points)[1]
         return (nan, np.array(["1" * len(scene.ris)] * len(points), dtype=object), delays,
                 np.ones(delays.shape, dtype=bool))
     if mode == "ris":

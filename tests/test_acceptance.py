@@ -19,7 +19,7 @@ from rispeb.allocation import (
     gap_threshold,
     select_ris,
 )
-from rispeb.channel import gain_ris
+from rispeb.channel import build_pathset
 from rispeb.checks import aligned_gain, best_pattern, fim_oracle, misalignment
 from rispeb.config import default_config
 from rispeb.geometry import RisDescriptor, Scene, incidence_point
@@ -93,7 +93,7 @@ def test_01_phase_optimality_full_array_gain(scene, wave):
         for k in range(len(scene.ris)):
             alloc = build_allocation(scene, x, wave,
                                      tuple(int(i == k) for i in range(5)))
-            power = abs(gain_ris(scene, k, alloc.design[k], x, wave)) ** 2
+            power = abs(build_pathset(scene, alloc, x, wave, "ris").alpha[1 + k]) ** 2
             expected = aligned_gain(scene, k, x, wave) ** 2
             worst_power = max(worst_power, abs(power - expected) / expected)
 

@@ -33,7 +33,7 @@ from rispeb.allocation import (
     robust_select,
     select_ris,
 )
-from rispeb.channel import build_pathset, gain_ris
+from rispeb.channel import build_pathset
 from rispeb.checks import aligned_gain, all_patterns, best_pattern
 from rispeb.fim import fim_total, peb
 from rispeb.geometry import RisDescriptor, Scene
@@ -102,8 +102,8 @@ class TestOptimalPhases:
 
     def test_achieves_full_element_gain(self, scene, wave):
         allocation = build_allocation(scene, X_HAT, wave, (1, 1, 1, 1, 1))
-        for k in range(len(scene.ris)):
-            triple = gain_ris(scene, k, allocation.design[k], X_HAT, wave)
+        gains = build_pathset(scene, allocation, X_HAT, wave, "ris").alpha[1:]
+        for k, triple in enumerate(gains):
             bound = aligned_gain(scene, k, X_HAT, wave)
             assert abs(abs(triple) - bound) / bound < 1e-12
 
@@ -280,14 +280,15 @@ class TestSelect:
     def test_each_surface_gain_is_evaluated_flat_and_steered(self, scene, wave, monkeypatch,
                                                              k_bar, batch_entries):
         """A surface has two gains at a point, flat or steered: one _score
-        call passes gain_ris 2 design entries per point for each surface,
-        however many patterns it scores and in however many batches."""
-        entries = {}
+        call makes one gain_ris call, whose design holds those two for
+        every point and surface (points x 2 x surfaces), however many
+        patterns it scores and in however many batches."""
+        shapes = []
         original = channel_module.gain_ris
 
-        def counting(scene, k, design, *args, **kwargs):
-            entries.setdefault(k, []).append(np.size(design))
-            return original(scene, k, design, *args, **kwargs)
+        def counting(scene, design, *args, **kwargs):
+            shapes.append(np.shape(design))
+            return original(scene, design, *args, **kwargs)
 
         monkeypatch.setattr(channel_module, "gain_ris", counting)
         monkeypatch.setattr(allocation_module, "_BATCH_ENTRIES", batch_entries)
@@ -295,10 +296,9 @@ class TestSelect:
         for constraints in (tight_constraints(k_bar, scene, wave),
                             SelectionConstraints(k_bar=k_bar)):
             patterns = allocation_module._patterns(len(scene.ris), constraints)
-            entries.clear()
+            shapes.clear()
             allocation_module._score(scene, points, wave, patterns, points)
-            assert entries == {k: [2 * len(points)] for k in range(len(scene.ris))}, (
-                len(patterns))
+            assert shapes == [(len(points), 2, len(scene.ris))], len(patterns)
 
     def test_scene_without_ris_scores_the_los_bound(self, wave):
         """With no surface the one pattern is the empty one, and its score

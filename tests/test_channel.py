@@ -10,7 +10,7 @@ included, are compared against rispeb.checks.aligned_gain: M lambda^2
 sqrt(cos(theta) cos(psi)) / (16 pi d1 d2), with cos(theta) = L/d1 and
 cos(psi) = (L - y)/d2 taken from the geometry. The closed-form cascade
 D_M is compared with rispeb.checks.element_sum, the element sum written
-out term by term.
+out term by term. Every gain is read from build_pathset's alpha.
 """
 
 import dataclasses
@@ -27,14 +27,7 @@ from rispeb.allocation import (
     build_allocation,
     select_ris,
 )
-from rispeb.channel import (
-    Path,
-    build_pathset,
-    gain_los,
-    gain_reflector,
-    gain_ris,
-    gain_scatter,
-)
+from rispeb.channel import Path, build_pathset
 from rispeb.checks import aligned_gain, element_sum, fim_gap
 from rispeb.fim import fim_total, peb
 from rispeb.geometry import SPEED_OF_LIGHT, Scene, RisDescriptor
@@ -51,19 +44,28 @@ def rel(a, b):
     return abs(a - b) / abs(b)
 
 
+def ris_gain(scene, wave, k, design, x):
+    """The gain of RIS k at x with design steering design on it and
+    every other surface flat, from the pathset."""
+    active = tuple(int(i == k) for i in range(len(scene.ris)))
+    allocation = Allocation(active, tuple(design if i == k else 0.0
+                                          for i in range(len(scene.ris))))
+    return build_pathset(scene, allocation, x, wave, "ris").alpha[..., 1 + k]
+
+
 class TestFrozenGains:
-    def test_los_complex_value(self, wave):
-        value = gain_los([3.5, 5.0], wave)
+    def test_los_complex_value(self, scene, wave):
+        value = build_pathset(scene, None, [3.5, 5.0], wave, "scatterer").alpha[0]
         expected = 0.0001364991382200937 - 2.926647837637157e-05j
         assert rel(value, expected) < 1e-12
 
     def test_ris_gain_optimal_profile(self, scene, wave):
-        design = build_allocation(scene, [3.5, 5.0], wave, (1, 0, 0, 0, 0)).design[0]
-        value = gain_ris(scene, 0, design, [3.5, 5.0], wave)
+        allocation = build_allocation(scene, [3.5, 5.0], wave, (1, 0, 0, 0, 0))
+        value = build_pathset(scene, allocation, [3.5, 5.0], wave, "ris").alpha[1]
         assert rel(abs(value), RIS0_ALIGNED_GAIN) < 1e-12
 
     def test_ris_gain_zero_profile(self, scene, wave):
-        value = gain_ris(scene, 0, 0.0, [3.5, 5.0], wave)
+        value = ris_gain(scene, wave, 0, 0.0, [3.5, 5.0])
         # element magnitude times the frozen array-factor magnitude
         # |sum_m exp(j pi m (sin(theta) - sin(psi)))|
         expected = RIS0_ELEMENT_GAIN * RIS0_ZERO_PROFILE_ARRAY_FACTOR
@@ -72,7 +74,7 @@ class TestFrozenGains:
     def test_ris_gain_inactive_complex_value(self, scene, wave):
         """The phase of a cascade that is not aligned follows the carrier
         convention: the only frozen value that can tell."""
-        value = gain_ris(scene, 0, 0.0, [3.5, 5.0], wave)
+        value = ris_gain(scene, wave, 0, 0.0, [3.5, 5.0])
         assert rel(value, RIS0_INACTIVE_GAIN) < 1e-12
 
     def test_ris_values_match_derivation(self, derived):
@@ -83,15 +85,15 @@ class TestFrozenGains:
         assert rel(complex(derived["ris0_inactive_gain"]), RIS0_INACTIVE_GAIN) < 1e-15
 
     def test_reflector_complex_value(self, scene, wave):
-        value = gain_reflector(scene, [8.0, 2.0], wave)
+        value = build_pathset(scene, None, [8.0, 2.0], wave, "reflector").alpha[1]
         expected = -1.9339930889458096e-06 + 1.2831590325965346e-05j
         assert rel(value, expected) < 1e-12
 
     def test_reflector_shadow_is_exactly_zero(self, scene, wave):
-        assert gain_reflector(scene, [14.0, 2.0], wave) == 0j
+        assert build_pathset(scene, None, [14.0, 2.0], wave, "reflector").alpha[1] == 0j
 
     def test_scatter_magnitude(self, scene, wave):
-        value = gain_scatter(scene, [8.0, 2.0], wave)
+        value = build_pathset(scene, None, [8.0, 2.0], wave, "scatterer").alpha[1]
         assert rel(abs(value), 2.4715519644308515e-07) < 1e-12
 
 
@@ -140,23 +142,42 @@ class TestPathset:
         paths = build_pathset(scene, None, [3.0, 4.0], wave, "scatterer")
         assert np.allclose(paths[0].direction, [0.6, 0.8], rtol=1e-15)
 
-    def test_one_leg_per_path(self, scene, wave, monkeypatch):
-        """Each path's geometry is evaluated once, for its gain and its
-        record alike."""
-        x = np.array([8.0, 4.0])
+    def test_one_distance_pass_per_pathset(self, scene, wave, monkeypatch):
+        """The paths' geometry is evaluated in one pass over the mode's
+        path table, for every gain and record alike, and the RIS gains in
+        one gain_ris call."""
+        x = np.array([[8.0, 4.0], [3.5, 5.0]])
         allocation = build_allocation(scene, x, wave, (0, 1, 0, 1, 0))
-        calls, leg = [], channel._leg
+        passes, gains = [], []
+        distances, gain_ris = channel._PathTable.distances, channel.gain_ris
 
-        def counted(*args):
-            calls.append(args[1])
-            return leg(*args)
+        def counted_pass(table, *args, **kwargs):
+            passes.append(table.kinds)
+            return distances(table, *args, **kwargs)
 
-        monkeypatch.setattr(channel, "_leg", counted)
+        def counted_gain(*args, **kwargs):
+            gains.append(args)
+            return gain_ris(*args, **kwargs)
+
+        monkeypatch.setattr(channel._PathTable, "distances", counted_pass)
+        monkeypatch.setattr(channel, "gain_ris", counted_gain)
         for mode, alloc in (("ris", allocation), ("reflector", None),
                             ("scatterer", None)):
-            calls.clear()
+            passes.clear()
+            gains.clear()
             paths = build_pathset(scene, alloc, x, wave, mode)
-            assert calls == list(paths.kinds)
+            assert passes == [paths.kinds]
+            assert len(gains) == (mode == "ris")
+
+    def test_anchors_are_shared_and_read_only(self, scene, wave):
+        """Every pathset of a scene and mode holds the one cached copy of
+        its anchors and fixed legs, which no caller can write."""
+        for mode, x in (("reflector", [8.0, 4.0]), ("scatterer", [[8.0, 4.0], [1.0, 2.0]])):
+            first, second = (build_pathset(scene, None, x, wave, mode) for _ in range(2))
+            assert first.anchor is second.anchor and first.fixed_leg is second.fixed_leg
+            for array in (first.anchor, first.fixed_leg, first[1].anchor):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0.0
 
     def test_batch_shapes_and_entries(self, scene, wave):
         """A column of points against a batch of designs: tau and direction
@@ -244,7 +265,7 @@ def test_optimal_profile_achieves_full_array_gain(x, k):
                           subcarrier_count=129)
     c, wall = scene.ris[k].center_x, scene.wall_offset
     design = c / math.hypot(c, wall) - (x[0] - c) / math.hypot(x[0] - c, wall - x[1])
-    value = gain_ris(scene, k, design, x, wave)
+    value = ris_gain(scene, wave, k, design, x)
     assert rel(abs(value), aligned_gain(scene, k, x, wave)) < 1e-9
 
 
@@ -257,7 +278,8 @@ def test_zero_profile_reflects_specularly(scene, wave):
     wall = scene.wall_offset
     specular_x = center * (2.0 * wall - row) / wall
     xs = np.arange(-5.0, 15.0, 0.01)
-    gains = [abs(gain_ris(scene, k, 0.0, [x, row], wave)) for x in xs]
+    points = np.stack([xs, np.full_like(xs, row)], axis=-1)
+    gains = np.abs(ris_gain(scene, wave, k, 0.0, points))
     assert abs(xs[int(np.argmax(gains))] - specular_x) < 0.05
 
 
@@ -287,8 +309,8 @@ def test_aligned_gain_exact_at_grazing(depth, scene, wave):
     points = np.stack([xs, np.full_like(xs, scene.wall_offset - depth)], axis=-1)
     for point in points:
         allocation = build_allocation(scene, point, wave, (1,) * len(scene.ris))
-        for k in range(len(scene.ris)):
-            value = gain_ris(scene, k, allocation.design[k], point, wave)
+        gains = build_pathset(scene, allocation, point, wave, "ris").alpha[1:]
+        for k, value in enumerate(gains):
             assert rel(abs(value), aligned_gain(scene, k, point, wave)) < 1e-12
 
 
@@ -310,7 +332,7 @@ def test_cascade_matches_element_sum(theta, psi, design, count, lobe, wave):
     point = np.array([center + reach * math.sin(psi), wall - reach * math.cos(psi)])
     if lobe is not None:
         design = build_allocation(scene, point, wave, (1,)).design[0] - lobe
-    value = gain_ris(scene, 0, design, point, wave)
+    value = ris_gain(scene, wave, 0, design, point)
     path = math.hypot(center, wall) + math.hypot(*(point - [center, wall]))
     carrier = np.exp(-2j * math.pi * wave.carrier_hz * path / SPEED_OF_LIGHT)
     cascade = value / (carrier * aligned_gain(scene, 0, point, wave) / count)

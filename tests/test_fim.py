@@ -92,7 +92,6 @@ class TestSyntheticOracle:
     def test_peb_matches_frozen(self):
         value = peb(fim_total(synthetic_pair(), make_wave()))
         assert abs(value.value - 0.07939476929621234) < 1e-15
-        assert not value.rank_deficient
 
     def test_numerical_oracle_agrees(self):
         assert fim_gap(synthetic_pair(), make_wave()) < 1e-6
@@ -116,15 +115,13 @@ class TestPeb:
     def test_rank_deficient_is_infinite(self):
         e = np.array([0.6, 0.8])
         j = 1234.5 * np.outer(e, e)
-        value = peb(j)
-        assert value.value == math.inf and value.rank_deficient
+        assert math.isinf(peb(j).value)
 
     def test_near_singular_condition_guard(self):
         e0 = np.array([1.0, 0.0])
         e1 = np.array([1.0, 1e-9])
         e1 = e1 / np.linalg.norm(e1)
-        value = peb(1e3 * (np.outer(e0, e0) + np.outer(e1, e1)))
-        assert value.value == math.inf and value.rank_deficient
+        assert math.isinf(peb(1e3 * (np.outer(e0, e0) + np.outer(e1, e1))).value)
 
     def test_zero_matrix(self):
         assert peb(np.zeros((2, 2))).value == math.inf
@@ -360,4 +357,3 @@ def test_stacked_paths_match_one_by_one(specs):
         assert np.array_equal(fim.total[i], one.total)
         assert np.array_equal(fim.direct[i], one.direct)
         assert value.value[i] == peb(one).value
-        assert value.rank_deficient[i] == peb(one).rank_deficient

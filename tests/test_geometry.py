@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rispeb.allocation import build_allocation
-from rispeb.channel import build_pathset
+from rispeb.allocation import build_allocation, robust_select, select_ris
+from rispeb.channel import MODES, build_pathset
+from rispeb.fim import fim_total, peb
 from rispeb.geometry import (
-    BS_POSITION,
     SPEED_OF_LIGHT,
     DegeneratePositionError,
     ReflectorDescriptor,
@@ -24,9 +24,6 @@ from rispeb.geometry import (
     ScatterDescriptor,
     Scene,
     incidence_point,
-    ris_center,
-    scatter_position,
-    virtual_anchor,
 )
 from rispeb.waveform import WaveformConfig
 
@@ -61,7 +58,8 @@ class TestFrozenValues:
                    5.169255797359934e-08) < 1e-12
 
     def test_virtual_anchor(self, scene):
-        assert np.allclose(virtual_anchor(scene), [0.0, 20.0], rtol=0, atol=0)
+        anchor = build_pathset(scene, None, [3.5, 5.0], WAVE, "reflector").anchor[1]
+        assert np.array_equal(anchor, [0.0, 20.0])
 
     def test_incidence_point_hit(self, scene):
         point, hit = incidence_point(scene, [8.0, 2.0])
@@ -92,16 +90,72 @@ class TestFrozenValues:
         assert rel(tau, 6.595759632335866e-08) < 1e-12
 
     def test_ris_center(self, scene):
-        assert np.array_equal(ris_center(scene, 3), [4.5, 10.0])
+        assert np.array_equal(ris_paths(scene, [3.5, 5.0]).anchor[4], [4.5, 10.0])
 
     def test_scatter_position(self, scene):
-        assert np.array_equal(scatter_position(scene), [3.5, 10.0])
+        anchor = build_pathset(scene, None, [3.5, 5.0], WAVE, "scatterer").anchor[1]
+        assert np.array_equal(anchor, [3.5, 10.0])
+
+
+def pathset(scene, x, mode):
+    """The mode's pathset at x, every surface flat in RIS mode."""
+    return ris_paths(scene, x) if mode == "ris" else build_pathset(scene, None, x, WAVE, mode)
 
 
 class TestDegeneracy:
-    def test_bs_coincidence(self, scene):
-        with pytest.raises(DegeneratePositionError):
-            build_pathset(scene, None, [0.0, 0.0], WAVE, "reflector")
+    """A position within COINCIDENCE_LIMIT of an anchor fails, naming the
+    first such anchor in path order, in build_pathset and select_ris."""
+
+    def test_bs_coincidence(self, scene, cfg, wave):
+        for mode in MODES:
+            with pytest.raises(DegeneratePositionError,
+                               match=r"^position coincides with the BS$"):
+                pathset(scene, [0.0, 0.0], mode)
+        with pytest.raises(DegeneratePositionError, match=r"^position coincides with the BS$"):
+            select_ris(scene, [0.0, 0.0], wave, cfg.selection_constraints())
+
+    @pytest.mark.parametrize("k", range(5))
+    def test_ris_center_coincidence(self, scene, cfg, wave, k):
+        x = [scene.ris[k].center_x, scene.wall_offset - 5e-7]
+        message = rf"^position coincides with RIS {k} center$"
+        with pytest.raises(DegeneratePositionError, match=message):
+            pathset(scene, x, "ris")
+        with pytest.raises(DegeneratePositionError, match=message):
+            select_ris(scene, x, wave, cfg.selection_constraints())
+        # Steering checks the anchors of the surfaces it steers only.
+        with pytest.raises(DegeneratePositionError, match=message):
+            build_allocation(scene, x, WAVE, tuple(int(i == k) for i in range(5)))
+        other = (k + 1) % 5
+        build_allocation(scene, x, WAVE, tuple(int(i == other) for i in range(5)))
+
+    def test_scatterer_coincidence(self, scene):
+        x = [scene.scatterer.x, scene.wall_offset - 5e-7]
+        with pytest.raises(DegeneratePositionError,
+                           match=r"^position coincides with the scatterer$"):
+            pathset(scene, x, "scatterer")
+        # The reflector's anchor, the BS's mirror image, lies above the wall.
+        assert np.isfinite(pathset(scene, x, "reflector").alpha).all()
+
+    def test_steering_at_the_bs(self, scene, cfg, wave):
+        """Steering reads the surfaces' anchors only: a design point at the
+        BS is fine, as is a sample centroid there."""
+        allocation = build_allocation(scene, (0.0, 0.0), WAVE, (1, 0, 0, 0, 0))
+        assert allocation.design[0] != 0.0
+        samples = [np.array([-1.0, 0.0]), np.array([1.0, 0.0])]
+        allocation, score = robust_select(scene, samples, wave, cfg.selection_constraints())
+        assert allocation.bits == "01000"
+        assert rel(score, 26.51845460044517) < 1e-12
+        assert score == max(peb(fim_total(build_pathset(scene, allocation, x, wave, "ris"),
+                                          wave)).value for x in samples)
+
+    def test_missing_object_is_named_before_any_anchor(self, scene):
+        """A baseline mode whose object the scene lacks fails as such, at
+        the BS too."""
+        bare = Scene(wall_offset=scene.wall_offset, ris=scene.ris)
+        for mode in ("reflector", "scatterer"):
+            for x in ([3.5, 5.0], [0.0, 0.0]):
+                with pytest.raises(ValueError, match=rf"^scene has no {mode}$"):
+                    build_pathset(bare, None, x, WAVE, mode)
 
     def test_near_miss_is_fine(self, scene):
         paths = build_pathset(scene, None, [1e-5, 1e-5], WAVE, "reflector")
@@ -187,12 +241,16 @@ def test_incidence_point_on_segment(p):
     crossing, hit = incidence_point(scene, p)
     assert hit == (scene.reflector.h1 <= crossing[0] <= scene.reflector.h2)
     # The crossing lies on the line from the virtual anchor [0, 2L] to p.
-    anchor = virtual_anchor(scene)
+    anchor = np.array([0.0, 2.0 * scene.wall_offset])
     assert crossing[1] == scene.wall_offset
     cross = ((crossing[0] - anchor[0]) * (p[1] - anchor[1])
              - (crossing[1] - anchor[1]) * (p[0] - anchor[0]))
     assert abs(cross) < 1e-9
 
 
-def test_bs_position_is_origin():
-    assert np.array_equal(BS_POSITION, np.zeros(2))
+def test_bs_position_is_origin(scene):
+    """Every mode's first path, the LOS path, departs from the origin
+    with no leg ahead of it."""
+    for mode in MODES:
+        paths = pathset(scene, [3.5, 5.0], mode)
+        assert np.array_equal(paths.anchor[0], [0.0, 0.0]) and paths.fixed_leg[0] == 0.0
