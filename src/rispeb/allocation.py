@@ -13,6 +13,7 @@ only picks between gains computed once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -147,45 +148,60 @@ def _patterns(ris_count: int, constraints: SelectionConstraints | None) -> np.nd
     """Feasible patterns of ris_count surfaces as rows of a boolean array,
     in lexicographic order, so the first minimum breaks ties toward the
     smallest bits; without constraints, the single all-active pattern.
-    Built from the index sets of at most k_bar surfaces whose consecutive
-    indices are more than min_gap apart, not from all 2^n bit vectors."""
+    The feasible table depends on the surface count, k_bar and min_gap
+    only; it is built once per process for each and shared, so it is
+    read-only."""
     if constraints is None:
         return np.ones((1, ris_count), dtype=bool)
+    return _feasible_patterns(ris_count, constraints.k_bar, constraints.min_gap)
+
+
+@functools.lru_cache(maxsize=32)
+def _feasible_patterns(ris_count: int, k_bar: int, min_gap: float) -> np.ndarray:
+    """_patterns' table, built from the index sets of at most k_bar
+    surfaces whose consecutive indices are more than min_gap apart, not
+    from all 2^n bit vectors."""
     if ris_count > MAX_EXHAUSTIVE_RIS:
         raise ValueError(
             f"exhaustive search budget exceeded: {ris_count} RIS > {MAX_EXHAUSTIVE_RIS}"
         )
-    chosen = [ones for size in range(min(constraints.k_bar, ris_count) + 1)
+    chosen = [ones for size in range(min(k_bar, ris_count) + 1)
               for ones in itertools.combinations(range(ris_count), size)
-              if all(b - a > constraints.min_gap for a, b in zip(ones, ones[1:]))]
+              if all(b - a > min_gap for a, b in zip(ones, ones[1:]))]
     # Lexicographic order of the bits is the order of the binary number
     # whose most significant bit is the first surface's.
     chosen.sort(key=lambda ones: sum(1 << (ris_count - 1 - i) for i in ones))
     patterns = np.zeros((len(chosen), ris_count), dtype=bool)
     for row, ones in zip(patterns, chosen):
         row[list(ones)] = True
+    patterns.flags.writeable = False
     return patterns
 
 
-def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
-           patterns: np.ndarray, steer_at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig, patterns: np.ndarray,
+           steer_at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bounds of every pattern (rows of patterns) at every point (rows of
-    points) as a (points x patterns) array, and the (points x paths)
-    delays, which do not depend on the pattern. A pattern steers the
-    surfaces it turns on at steer_at, as build_allocation does, and
-    leaves the others flat: steer_at is either one point for all, or
-    points itself for phases optimal at each. One pathset, from one
-    gain_ris call, holds both gains of every surface, flat and steered;
-    each batch of patterns (a single batch unless the patterns are many)
-    picks one per surface. Two passes over the path table serve it all:
-    the steering's and the pathset's."""
-    steering = build_allocation(scene, steer_at[..., None, :], cfg,
-                                (1,) * len(scene.ris)).design
-    # Each surface's two designs on a new axis: 0.0, the flat surface,
-    # then its steering at steer_at.
-    design = tuple(np.where([False, True], aligned, 0.0) for aligned in steering)
-    paths = build_pathset(scene, Allocation((1,) * len(design), design), points[:, None, :],
-                          cfg, "ris")
+    points) as a (points x patterns) array, the (points x paths) delays,
+    which do not depend on the pattern, and the steering of every surface
+    at steer_at (..., surfaces). A pattern steers the surfaces it turns
+    on at steer_at, as build_allocation does, and leaves the others
+    flat: steer_at is either one point for all, or points itself for
+    phases optimal at each. One pathset, from one gain_ris call, holds
+    both gains of every surface, flat and steered; each batch of patterns
+    (a single batch unless the patterns are many) picks one per surface.
+    Two passes over the path table serve it all: one over the surfaces
+    at steer_at for the steering, which _steering computes exactly as
+    build_allocation does, and the pathset's over every path."""
+    _require_below_wall(scene, steer_at)
+    table = _path_table(scene, "ris")
+    steering = _steering(table.anchor[1:, 0], table.fixed_leg[1:],
+                         table.distances(steer_at, slice(1, None)), steer_at)
+    # Each surface's two designs on the axis before the surfaces': 0.0,
+    # the flat surface, then its steering at steer_at.
+    design = np.where([[False], [True]], steering[..., None, :], 0.0)
+    paths = build_pathset(scene, Allocation((1,) * len(scene.ris),
+                                            tuple(np.moveaxis(design, -1, 0))),
+                          points[:, None, :], cfg, "ris")
     # Length-one design axes, which broadcast over a batch's patterns.
     # Without RIS the design axis has one entry, the LOS path alone.
     flat, steered = paths.alpha[:, :1], paths.alpha[:, -1:]
@@ -198,7 +214,7 @@ def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
     for start in range(0, len(patterns), step):
         alpha = np.where(on[start:start + step], steered, flat)
         values.append(peb(fim_total(replace(paths, alpha=alpha), cfg)).value)
-    return np.concatenate(values, axis=-1), paths.tau[:, 0]
+    return np.concatenate(values, axis=-1), paths.tau[:, 0], steering
 
 
 def select_ris(scene: Scene, x_hat, cfg: WaveformConfig,
@@ -220,6 +236,9 @@ def robust_select(scene: Scene, samples, cfg: WaveformConfig,
     bounds poison a pattern), "expected" the mean with infinite bounds
     clamped at the cap so a single shadowed sample cannot flatten the
     comparison. Ties go to the lexicographically smallest bit vector.
+    The returned allocation carries the centroid steering that _score
+    computed and scored, equal to build_allocation's at the centroid, so
+    a call makes _score's two passes over the path table and no other.
     Raises ValueError, naming the sample, for a sample that is not one
     (x, y) point, and where a sample's delays alias, as
     count_resolvable_paths does; with several samples that error names
@@ -236,7 +255,7 @@ def robust_select(scene: Scene, samples, cfg: WaveformConfig,
     points = _as_point(np.array(points))
     centroid = np.mean(points, axis=0)
     patterns = _patterns(len(scene.ris), constraints)
-    values, delays = _score(scene, points, cfg, patterns, centroid)
+    values, delays, steering = _score(scene, points, cfg, patterns, centroid)
     try:
         _require_unaliased(delays, np.ones(delays.shape, dtype=bool), cfg)
     except _AliasedDelays as exc:
@@ -249,4 +268,6 @@ def robust_select(scene: Scene, samples, cfg: WaveformConfig,
     else:
         scores = np.minimum(values, constraints.peb_cap).sum(axis=0) / len(points)
     best = int(np.argmin(scores))
-    return build_allocation(scene, centroid, cfg, patterns[best]), float(scores[best])
+    allocation = Allocation(active=tuple(patterns[best].astype(int).tolist()),
+                            design=tuple(np.where(patterns[best], steering, 0.0)))
+    return allocation, float(scores[best])

@@ -56,22 +56,20 @@ def _point_report(config: RunConfig, x) -> str:
         paths = build_pathset(scene, allocation, x, cfg, "ris")
     else:
         paths = build_pathset(scene, None, x, cfg, config.mode)
-    for path in paths:
-        mag = abs(path.alpha)
-        label = path.kind if path.index is None else f"{path.kind}[{path.index}]"
+    # Plain floats format as the numpy scalars of Path views would, faster.
+    for kind, index, tau, mag in zip(paths.kinds, paths.indices, paths.tau.tolist(),
+                                     np.abs(paths.alpha).tolist()):
+        label = kind if index is None else f"{kind}[{index}]"
         lines.append(
-            f"path {label}: delay {path.tau * 1e9:.6g} ns"
-            f" ({path.tau * SPEED_OF_LIGHT:.6g} m), |gain| {mag:.6g}"
+            f"path {label}: delay {tau * 1e9:.6g} ns"
+            f" ({tau * SPEED_OF_LIGHT:.6g} m), |gain| {mag:.6g}"
             f" ({_amplitude_db(mag):.2f} dB)"
         )
     count = count_resolvable_paths(paths, cfg)
     lines.append(f"resolvable_paths: {count} of {len(paths)}")
     fim = fim_total(paths, cfg)
-    lines.append(
-        "fim_m2: "
-        f"[[{fim.total[0, 0]:.9g}, {fim.total[0, 1]:.9g}], "
-        f"[{fim.total[1, 0]:.9g}, {fim.total[1, 1]:.9g}]]"
-    )
+    (a, b), (c, d) = fim.total.tolist()
+    lines.append(f"fim_m2: [[{a:.9g}, {b:.9g}], [{c:.9g}, {d:.9g}]]")
     if count <= 1:
         lines.append("peb_m: inf  # single resolvable delay, no unique fix")
     else:

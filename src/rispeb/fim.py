@@ -12,6 +12,7 @@ patterns is one call with one kernel evaluation.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -54,13 +55,22 @@ def _direct(alpha, directions, cfg: WaveformConfig) -> np.ndarray:
     return (np.swapaxes(directions, -1, -2) * weights[..., None, :]) @ directions
 
 
+@functools.lru_cache(maxsize=32)
+def _pairs(count: int) -> np.ndarray:
+    """The index pairs k < k' of count paths as the rows (first, second)
+    of a read-only (2 x pairs) array, built once per path count."""
+    pairs = itertools.combinations(range(count), 2)
+    pairs = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T.copy()
+    pairs.flags.writeable = False
+    return pairs
+
+
 def _interference(alpha, tau, directions, cfg: WaveformConfig) -> np.ndarray:
     # Sum over ordered pairs k != k' of
     # Re{alpha_k * conj(alpha_k')} * kernel(tau_k - tau_k') * e_k e_k'^T.
     # The kernel is real and even, so the summand is symmetric in the
     # pair: the kernel is evaluated on the pairs k < k' only.
-    pairs = itertools.combinations(range(alpha.shape[-1]), 2)
-    first, second = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
+    first, second = _pairs(alpha.shape[-1])
     kernel = delay_kernel(cfg, tau[..., first] - tau[..., second])
     upper = (alpha[..., first] * alpha[..., second].conj()).real * kernel
     cross = np.zeros(upper.shape[:-1] + (alpha.shape[-1],) * 2)
@@ -154,24 +164,30 @@ def _count_clusters(tau: np.ndarray, exists: np.ndarray, cfg: WaveformConfig) ->
     _require_unaliased(tau, exists, cfg)
     count = exists.sum(axis=1)
     ordered = np.sort(np.where(exists, tau, np.inf), axis=1)
-    # Cluster totals and sizes in sorted order, the first count of each
-    # row in use (padding: total 0, size 1); merging the pair (j, j+1)
-    # shifts the later ones left.
+    # Cluster totals and sizes in sorted order, stacked on a first axis,
+    # the first count of each row in use; merging the pair (j, j+1)
+    # shifts the later ones left. The columns past count only need a
+    # finite total and a nonzero size (their gaps are masked): they start
+    # at total 0, size 1, and the last column shifts onto itself. Merging
+    # adjacent clusters keeps their means sorted, so the gaps in use are
+    # never negative.
     column = np.arange(tau.shape[1])
-    totals = np.where(column < count[:, None], ordered, 0.0)
-    sizes = np.ones(tau.shape)
+    clusters = np.ones((2,) + tau.shape)
+    clusters[0] = np.where(column < count[:, None], ordered, 0.0)
+    following = np.minimum(column + 1, tau.shape[1] - 1)
+    rows = np.arange(len(tau))
     limit = 1.0 / cfg.bandwidth_hz
     while tau.shape[1] > 1:
-        means = totals / sizes
-        gaps = np.abs(means[:, 1:] - means[:, :-1])
+        means = clusters[0] / clusters[1]
+        gaps = means[:, 1:] - means[:, :-1]
         gaps[column[1:] >= count[:, None]] = np.inf
-        merge = gaps.min(axis=1) < limit
+        j = np.argmin(gaps, axis=1)
+        merge = gaps[rows, j] < limit
         if not merge.any():
             break
-        j = np.where(merge, np.argmin(gaps, axis=1), tau.shape[1])[:, None]
-        for values, pad in ((totals, 0.0), (sizes, 1.0)):
-            later = np.concatenate([values[:, 1:], np.full((len(values), 1), pad)], axis=1)
-            values[...] = np.where(column < j, values,
-                                   np.where(column == j, values + later, later))
+        j = np.where(merge, j, tau.shape[1])[:, None]
+        later = clusters[..., following]
+        clusters = np.where(column < j, clusters,
+                            np.where(column == j, clusters + later, later))
         count = count - merge
     return count

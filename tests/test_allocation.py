@@ -263,11 +263,15 @@ class TestSelect:
                 SelectionConstraints(k_bar=5)]:
             patterns = allocation_module._patterns(len(scene.ris), constraints)
             for steer_at in (points, centroid):
-                bounds, delays = allocation_module._score(scene, points, wave, patterns,
-                                                          steer_at)
+                bounds, delays, steering = allocation_module._score(scene, points, wave,
+                                                                    patterns, steer_at)
                 assert bounds.shape == (len(points), len(patterns))
+                assert steering.shape == steer_at.shape[:-1] + (len(scene.ris),)
                 for i, point in enumerate(points):
                     design_point = steer_at[i] if steer_at.ndim == 2 else steer_at
+                    aligned = build_allocation(scene, design_point, wave, (1,) * len(scene.ris))
+                    row = steering[i] if steer_at.ndim == 2 else steering
+                    assert tuple(row) == aligned.design
                     for j, bits in enumerate(patterns):
                         allocation = build_allocation(scene, design_point, wave, bits)
                         paths = build_pathset(scene, allocation, point, wave, "ris")
@@ -309,9 +313,11 @@ class TestSelect:
         patterns = allocation_module._patterns(0, constraints)
         assert patterns.shape == (1, 0)
         for steer_at in (points, points.mean(axis=0)):
-            bounds, delays = allocation_module._score(bare, points, wave, patterns, steer_at)
+            bounds, delays, steering = allocation_module._score(bare, points, wave, patterns,
+                                                                steer_at)
             assert bounds.shape == (len(points), 1)
             assert delays.shape == (len(points), 1)
+            assert steering.shape == steer_at.shape[:-1] + (0,)
             for i, point in enumerate(points):
                 paths = build_pathset(bare, Allocation((), ()), point, wave, "ris")
                 assert bounds[i, 0] == peb(fim_total(paths, wave)).value
@@ -333,6 +339,23 @@ class TestSelect:
                 assert got.dtype == bool
                 assert np.array_equal(got, np.array(expected, dtype=bool)), (k_bar, min_gap)
                 assert feasible_activations(ris_count, constraints) == expected
+
+    def test_pattern_table_is_cached_and_read_only(self):
+        """The feasible table is built once per surface count, k_bar and
+        min_gap and shared: a write to it raises, and constraints that
+        differ only in peb_cap get the same array. feasible_activations
+        still hands out fresh tuples."""
+        constraints = SelectionConstraints(k_bar=2, min_gap=1.5)
+        table = allocation_module._patterns(5, constraints)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = True
+        capped = dataclasses.replace(constraints, peb_cap=1.0)
+        assert allocation_module._patterns(5, capped) is table
+        assert allocation_module._patterns(5, dataclasses.replace(constraints, k_bar=1)) \
+            is not table
+        first = feasible_activations(5, constraints)
+        assert first == feasible_activations(5, capped)
+        assert first is not feasible_activations(5, capped)
 
     def test_aliased_delays_rejected(self, scene, wave):
         """At 5 GHz the paths at X_HAT span more than the kernel separates."""
@@ -415,6 +438,25 @@ class TestRobustSelect:
                 assert allocation == build_allocation(scene, samples.mean(axis=0), wave,
                                                       patterns[best])
                 assert score == aggregates[best]
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_returns_the_allocation_it_scored(self, scene, wave, rng, count):
+        """The allocation robust_select returns, built from the steering
+        its core scored, is build_allocation's at the sample centroid,
+        with exactly equal design floats, for one sample and several."""
+        for k_bar in range(4):
+            constraints = tight_constraints(k_bar, scene, wave)
+            for _ in range(10):
+                center = np.array([rng.uniform(-4.0, 12.0), rng.uniform(1.0, 8.5)])
+                samples = center + 0.1 * rng.standard_normal((count, 2))
+                for objective in ("worst_case", "expected"):
+                    allocation, _ = robust_select(scene, samples, wave, constraints,
+                                                  objective)
+                    expected = build_allocation(scene, samples.mean(axis=0), wave,
+                                                allocation.active)
+                    assert allocation.active == expected.active
+                    assert [float(d).hex() for d in allocation.design] \
+                        == [float(d).hex() for d in expected.design]
 
     def test_centroid_phasing(self, scene, wave):
         constraints = tight_constraints(1, scene, wave)

@@ -33,7 +33,66 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Whole `rispeb point` reports on the default scenario, byte for byte:
+# every path line's digits and dB rounding, the FIM and the bound.
+FROZEN_REPORTS = {
+    ("3.5", "5.0", "--kbar", "1"): """\
+position_m: 3.5, 5
+mode: ris
+allocation_bits: 10000
+path los: delay 20.3583 ns (6.10328 m), |gain| 0.000139601 (-77.10 dB)
+path ris[0]: delay 51.6926 ns (15.497 m), |gain| 4.01323e-06 (-107.93 dB)
+path ris[1]: delay 51.3915 ns (15.4068 m), |gain| 4.91451e-07 (-126.17 dB)
+path ris[2]: delay 52.0187 ns (15.5948 m), |gain| 8.42095e-08 (-141.49 dB)
+path ris[3]: delay 53.5867 ns (16.0649 m), |gain| 4.02784e-08 (-147.90 dB)
+path ris[4]: delay 56.0317 ns (16.7979 m), |gain| 2.98373e-08 (-150.50 dB)
+resolvable_paths: 2 of 6
+fim_m2: [[758.926078, 1077.7336], [1077.7336, 1533.81884]]
+peb_m: 0.949073577
+""",
+    ("3.5", "5.0", "--kbar", "2"): """\
+position_m: 3.5, 5
+mode: ris
+allocation_bits: 10010
+path los: delay 20.3583 ns (6.10328 m), |gain| 0.000139601 (-77.10 dB)
+path ris[0]: delay 51.6926 ns (15.497 m), |gain| 4.01323e-06 (-107.93 dB)
+path ris[1]: delay 51.3915 ns (15.4068 m), |gain| 4.91451e-07 (-126.17 dB)
+path ris[2]: delay 52.0187 ns (15.5948 m), |gain| 8.42095e-08 (-141.49 dB)
+path ris[3]: delay 53.5867 ns (16.0649 m), |gain| 3.85697e-06 (-108.28 dB)
+path ris[4]: delay 56.0317 ns (16.7979 m), |gain| 2.98373e-08 (-150.50 dB)
+resolvable_paths: 2 of 6
+fim_m2: [[755.80629, 1068.23718], [1068.23718, 1516.84931]]
+peb_m: 0.653993191
+""",
+    ("7.0", "3.0", "--mode", "reflector"): """\
+position_m: 7, 3
+mode: reflector
+path los: delay 25.4035 ns (7.61577 m), |gain| 0.000111876 (-79.03 dB)
+path reflector: delay 61.325 ns (18.3848 m), |gain| 1.39032e-05 (-97.14 dB)
+resolvable_paths: 2 of 2
+fim_m2: [[1240.36432, 536.337816], [536.337816, 258.873139]]
+peb_m: 0.211743542
+""",
+    ("3.5", "9.45", "--mode", "scatterer"): """\
+position_m: 3.5, 9.45
+mode: scatterer
+path los: delay 33.6143 ns (10.0773 m), |gain| 8.45488e-05 (-81.46 dB)
+path scatterer: delay 37.1751 ns (11.1448 m), |gain| 4.1247e-06 (-107.69 dB)
+resolvable_paths: 1 of 2
+fim_m2: [[101.690383, 277.395233], [277.395233, 758.617704]]
+peb_m: inf  # single resolvable delay, no unique fix
+""",
+}
+
+
 class TestPoint:
+    @pytest.mark.parametrize("argv", list(FROZEN_REPORTS), ids=" ".join)
+    def test_frozen_report(self, capsys, argv):
+        code, out, err = run(capsys, "point", *argv)
+        assert code == 0
+        assert err == ""
+        assert out == FROZEN_REPORTS[argv]
+
     def test_default_scenario_report(self, capsys):
         code, out, _ = run(capsys, "point", "3.5", "5.0")
         assert code == 0
@@ -282,8 +341,8 @@ class TestValidate:
         true_score = rispeb.allocation._score
 
         def scaled(*args):
-            values, delays = true_score(*args)
-            return values * (1.0 + 1e-9), delays
+            values, delays, steering = true_score(*args)
+            return values * (1.0 + 1e-9), delays, steering
 
         monkeypatch.setattr(rispeb.allocation, "_score", scaled)
         code, out, _ = run(capsys, "validate")

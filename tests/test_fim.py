@@ -218,9 +218,10 @@ STEP = 2.0**-30
 
 @st.composite
 def delay_rows(draw):
-    """Rows of (lattice step, exists) cells of one width, plus a row in
+    """Rows of (lattice step, exists) cells of one width, up to ten paths
+    (a merge early in a long row shifts many clusters), plus a row in
     which no path exists."""
-    width = draw(st.integers(1, 6))
+    width = draw(st.integers(1, 10))
     cell = st.tuples(st.integers(0, 40), st.booleans())
     rows = draw(st.lists(st.lists(cell, min_size=width, max_size=width),
                          min_size=1, max_size=12))
@@ -234,10 +235,17 @@ TIED = [[(0, True), (0, True), (5, True), (10, True)],
         [(0, True), (6, True), (12, True), (19, True)],
         [(0, False)] * 4]
 
+# Ten paths whose first five coincide: four merges at the front of the
+# row, each shifting the five clusters behind it, which stay exactly 1/W
+# (8 steps) apart.
+LONG = [[(0, True)] * 5 + [(step, True) for step in (8, 16, 24, 32, 40)],
+        [(0, False)] * 10]
+
 
 @settings(max_examples=100, deadline=None)
 @given(rows=delay_rows())
 @example(rows=TIED)
+@example(rows=LONG)
 def test_batched_count_matches_reference_on_lattice(rows):
     tau = np.array([[2.0**-25 + step * STEP for step, _ in row] for row in rows])
     exists = np.array([[flag for _, flag in row] for row in rows])
