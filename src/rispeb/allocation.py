@@ -17,10 +17,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import _path_table, _steering, build_pathset
+from .channel import PathSet, _path_table, _steering, build_pathset
 from .fim import PebValue, _AliasedDelays, _require_unaliased, fim_total, peb
 from .geometry import SPEED_OF_LIGHT, Scene, _as_point, _require_below_wall
 from .waveform import WaveformConfig
@@ -37,6 +38,11 @@ DEFAULT_PEB_CAP = 5.0
 # k_bar=1 RIS map only in a process whose heap larger blocks have grown
 # before; from a fresh process it is slower.
 _BATCH_ENTRIES = 1 << 18
+
+# What the last one-sample robust_select chose, for evaluate_allocation:
+# (key, pathset, FIM total, bound), the key being (scene, cfg, the
+# position's float64 bytes, allocation). None until such a call.
+_last_choice = None
 
 
 @dataclass(frozen=True)
@@ -178,20 +184,33 @@ def _feasible_patterns(ris_count: int, k_bar: int, min_gap: float) -> np.ndarray
     return patterns
 
 
+class _Scored(NamedTuple):
+    """_score's result: bounds (points x patterns); the steering of every
+    surface at steer_at (..., surfaces); the pathset at the points, with
+    both designs of every surface, flat then steered, on an axis after
+    the points' (the delays, pattern-free, are paths.tau[:, 0]); and the
+    FIM totals (points x patterns x 2 x 2) of each batch of patterns,
+    in pattern order."""
+
+    values: np.ndarray
+    steering: np.ndarray
+    paths: PathSet
+    totals: list[np.ndarray]
+
+
 def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig, patterns: np.ndarray,
-           steer_at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+           steer_at: np.ndarray) -> _Scored:
     """Bounds of every pattern (rows of patterns) at every point (rows of
-    points) as a (points x patterns) array, the (points x paths) delays,
-    which do not depend on the pattern, and the steering of every surface
-    at steer_at (..., surfaces). A pattern steers the surfaces it turns
-    on at steer_at, as build_allocation does, and leaves the others
-    flat: steer_at is either one point for all, or points itself for
-    phases optimal at each. One pathset, from one gain_ris call, holds
-    both gains of every surface, flat and steered; each batch of patterns
-    (a single batch unless the patterns are many) picks one per surface.
-    Two passes over the path table serve it all: one over the surfaces
-    at steer_at for the steering, which _steering computes exactly as
-    build_allocation does, and the pathset's over every path."""
+    points), with the work they came from (_Scored). A pattern steers
+    the surfaces it turns on at steer_at, as build_allocation does, and
+    leaves the others flat: steer_at is either one point for all, or
+    points itself for phases optimal at each. One pathset, from one
+    gain_ris call, holds both gains of every surface, flat and steered;
+    each batch of patterns (a single batch unless the patterns are many)
+    picks one per surface. Two passes over the path table serve it all:
+    one over the surfaces at steer_at for the steering, which _steering
+    computes exactly as build_allocation does, and the pathset's over
+    every path."""
     _require_below_wall(scene, steer_at)
     table = _path_table(scene, "ris")
     steering = _steering(table.anchor[1:, 0], table.fixed_leg[1:],
@@ -210,17 +229,20 @@ def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig, patterns: np.n
     # Patterns per batch, so that the (points x patterns x paths x paths)
     # arrays stay near _BATCH_ENTRIES entries.
     step = max(1, _BATCH_ENTRIES // (len(points) * len(paths) ** 2))
-    values = []
+    values, totals = [], []
     for start in range(0, len(patterns), step):
         alpha = np.where(on[start:start + step], steered, flat)
-        values.append(peb(fim_total(replace(paths, alpha=alpha), cfg)).value)
-    return np.concatenate(values, axis=-1), paths.tau[:, 0], steering
+        totals.append(fim_total(replace(paths, alpha=alpha), cfg).total)
+        values.append(peb(totals[-1]).value)
+    return _Scored(np.concatenate(values, axis=-1), steering, paths, totals)
 
 
 def select_ris(scene: Scene, x_hat, cfg: WaveformConfig,
                constraints: SelectionConstraints) -> tuple[Allocation, PebValue]:
     """Exhaustive activation search minimizing the full-FIM bound at x_hat,
-    with phases optimal for x_hat: robust_select over the one sample."""
+    with phases optimal for x_hat: robust_select over the one sample, so
+    it keeps the chosen allocation's pathset, FIM and bound for
+    evaluate_allocation."""
     allocation, value = robust_select(scene, [x_hat], cfg, constraints)
     return allocation, PebValue(value)
 
@@ -239,11 +261,17 @@ def robust_select(scene: Scene, samples, cfg: WaveformConfig,
     The returned allocation carries the centroid steering that _score
     computed and scored, equal to build_allocation's at the centroid, so
     a call makes _score's two passes over the path table and no other.
+    A call with one sample keeps, in a one-entry cache that
+    evaluate_allocation reads, references to the chosen allocation's
+    pathset, FIM total and own bound (unclamped), under the key (scene,
+    cfg, the sample's float64 bytes, allocation); a call with several
+    samples leaves the cache as it is.
     Raises ValueError, naming the sample, for a sample that is not one
     (x, y) point, and where a sample's delays alias, as
     count_resolvable_paths does; with several samples that error names
     the first aliased sample's index and position.
     """
+    global _last_choice
     if objective not in ("worst_case", "expected"):
         raise ValueError(f"unknown robust objective {objective!r}")
     points = [np.asarray(s, dtype=float) for s in samples]
@@ -255,7 +283,8 @@ def robust_select(scene: Scene, samples, cfg: WaveformConfig,
     points = _as_point(np.array(points))
     centroid = np.mean(points, axis=0)
     patterns = _patterns(len(scene.ris), constraints)
-    values, delays, steering = _score(scene, points, cfg, patterns, centroid)
+    values, steering, paths, totals = _score(scene, points, cfg, patterns, centroid)
+    delays = paths.tau[:, 0]
     try:
         _require_unaliased(delays, np.ones(delays.shape, dtype=bool), cfg)
     except _AliasedDelays as exc:
@@ -270,4 +299,33 @@ def robust_select(scene: Scene, samples, cfg: WaveformConfig,
     best = int(np.argmin(scores))
     allocation = Allocation(active=tuple(patterns[best].astype(int).tolist()),
                             design=tuple(np.where(patterns[best], steering, 0.0)))
+    if len(points) == 1:
+        total = np.concatenate([batch[0] for batch in totals])[best]
+        # Shared with every evaluate_allocation that reads them.
+        for array in (paths.tau, paths.alpha, paths.direction, total):
+            array.flags.writeable = False
+        _last_choice = ((scene, cfg, points[0].tobytes(), allocation), paths, total,
+                        float(values[0, best]))
     return allocation, float(scores[best])
+
+
+def evaluate_allocation(scene: Scene, allocation: Allocation, x,
+                        cfg: WaveformConfig) -> tuple[PathSet, np.ndarray, float]:
+    """The RIS pathset of allocation at the one point x, its 2x2 FIM total
+    and its bound. When scene, cfg, x's float64 bytes and allocation all
+    equal the key of the last one-sample robust_select (select_ris), they
+    are read from what that call scored, as views; otherwise they are
+    built with build_pathset, fim_total and peb. Either way they are the
+    same floats; the read ones are read-only."""
+    p = _as_point(x)
+    # One read of the entry, which a selection replaces whole.
+    choice = _last_choice
+    if choice is not None and choice[0] == (scene, cfg, p.tobytes(), allocation):
+        _, paths, total, bound = choice
+        # The pattern picks each surface's steered or flat gain; LOS first.
+        alpha = np.where((0,) + allocation.active, paths.alpha[0, -1], paths.alpha[0, 0])
+        return (replace(paths, tau=paths.tau[0, 0], alpha=alpha,
+                        direction=paths.direction[0, 0]), total, bound)
+    paths = build_pathset(scene, allocation, p, cfg, "ris")
+    total = fim_total(paths, cfg).total
+    return paths, total, peb(total).value

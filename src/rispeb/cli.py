@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .allocation import select_ris
+from .allocation import evaluate_allocation, select_ris
 from .channel import MODES, build_pathset
 from .checks import CHECKS
 from .config import ConfigError, RunConfig, default_config, load_config
@@ -46,6 +46,12 @@ def _load(args) -> RunConfig:
 
 
 def _point_report(config: RunConfig, x) -> str:
+    """The report of `rispeb point` at x. In RIS mode select_ris picks
+    the allocation and keeps what it scored, so evaluate_allocation reads
+    the chosen pathset, FIM and bound from that one-sample selection
+    (keyed by scene, waveform, x's bytes and allocation) instead of
+    building them again; only the resolvable-path count is computed
+    here. An allocation the selection did not choose is built afresh."""
     scene = config.scene()
     cfg = config.waveform()
     lines = [f"position_m: {x[0]:.6g}, {x[1]:.6g}", f"mode: {config.mode}"]
@@ -53,9 +59,10 @@ def _point_report(config: RunConfig, x) -> str:
         allocation, _ = select_ris(scene, x, cfg,
                                    config.selection_constraints())
         lines.append(f"allocation_bits: {allocation.bits}")
-        paths = build_pathset(scene, allocation, x, cfg, "ris")
+        paths, total, bound = evaluate_allocation(scene, allocation, x, cfg)
     else:
         paths = build_pathset(scene, None, x, cfg, config.mode)
+        total, bound = fim_total(paths, cfg).total, None
     # Plain floats format as the numpy scalars of Path views would, faster.
     for kind, index, tau, mag in zip(paths.kinds, paths.indices, paths.tau.tolist(),
                                      np.abs(paths.alpha).tolist()):
@@ -67,13 +74,12 @@ def _point_report(config: RunConfig, x) -> str:
         )
     count = count_resolvable_paths(paths, cfg)
     lines.append(f"resolvable_paths: {count} of {len(paths)}")
-    fim = fim_total(paths, cfg)
-    (a, b), (c, d) = fim.total.tolist()
+    (a, b), (c, d) = total.tolist()
     lines.append(f"fim_m2: [[{a:.9g}, {b:.9g}], [{c:.9g}, {d:.9g}]]")
     if count <= 1:
         lines.append("peb_m: inf  # single resolvable delay, no unique fix")
     else:
-        lines.append(f"peb_m: {peb(fim).value:.9g}")
+        lines.append(f"peb_m: {peb(total).value if bound is None else bound:.9g}")
     return "\n".join(lines)
 
 

@@ -201,7 +201,8 @@ def _evaluate_batch(scene, cfg, mode, patterns, count_only, points):
         return (nan, np.array(["1" * len(scene.ris)] * len(points), dtype=object), delays,
                 np.ones(delays.shape, dtype=bool))
     if mode == "ris":
-        scores, delays, _ = _score(scene, points, cfg, patterns, points)
+        scored = _score(scene, points, cfg, patterns, points)
+        scores, delays = scored.values, scored.paths.tau[:, 0]
         best = np.argmin(scores, axis=1)
         names = np.array(["".join(map(str, row)) for row in patterns.astype(int)],
                          dtype=object)

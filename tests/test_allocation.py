@@ -27,6 +27,7 @@ from rispeb.allocation import (
     SelectionConstraints,
     build_allocation,
     d_min,
+    evaluate_allocation,
     feasible_activations,
     gap_threshold,
     optimal_phases,
@@ -37,6 +38,7 @@ from rispeb.channel import build_pathset
 from rispeb.checks import aligned_gain, all_patterns, best_pattern
 from rispeb.fim import fim_total, peb
 from rispeb.geometry import RisDescriptor, Scene
+from rispeb.sweep import GridSpec, peb_map
 
 X_HAT = np.array([3.5, 5.0])
 
@@ -252,10 +254,10 @@ class TestSelect:
     def test_every_pattern_scores_its_pathset(self, scene, wave, monkeypatch,
                                               batch_entries):
         """Every entry of the core's score, not just the winner, is the
-        bound of the pattern's own allocation, and the delays are those
-        of its pathset; in one batch or one pattern per batch, with the
-        phases steered at each point (sweeps) or at the points' centroid
-        (robust_select)."""
+        bound of the pattern's own allocation, its FIM total that of its
+        pathset, and the delays are those of its pathset; in one batch or
+        one pattern per batch, with the phases steered at each point
+        (sweeps) or at the points' centroid (robust_select)."""
         monkeypatch.setattr(allocation_module, "_BATCH_ENTRIES", batch_entries)
         points = np.array([X_HAT, [8.0, 4.0], [-2.0, 7.0]])
         centroid = points.mean(axis=0)
@@ -263,9 +265,13 @@ class TestSelect:
                 SelectionConstraints(k_bar=5)]:
             patterns = allocation_module._patterns(len(scene.ris), constraints)
             for steer_at in (points, centroid):
-                bounds, delays, steering = allocation_module._score(scene, points, wave,
-                                                                    patterns, steer_at)
+                bounds, steering, pathset, totals = allocation_module._score(
+                    scene, points, wave, patterns, steer_at)
+                delays = pathset.tau[:, 0]
                 assert bounds.shape == (len(points), len(patterns))
+                assert [len(total[0]) for total in totals] == (
+                    [1] * len(patterns) if batch_entries == 1 else [len(patterns)])
+                totals = np.concatenate(totals, axis=1)
                 assert steering.shape == steer_at.shape[:-1] + (len(scene.ris),)
                 for i, point in enumerate(points):
                     design_point = steer_at[i] if steer_at.ndim == 2 else steer_at
@@ -275,7 +281,9 @@ class TestSelect:
                     for j, bits in enumerate(patterns):
                         allocation = build_allocation(scene, design_point, wave, bits)
                         paths = build_pathset(scene, allocation, point, wave, "ris")
-                        assert bounds[i, j] == peb(fim_total(paths, wave)).value, (i, bits)
+                        fim = fim_total(paths, wave)
+                        assert bounds[i, j] == peb(fim).value, (i, bits)
+                        assert np.array_equal(totals[i, j], fim.total), (i, bits)
                         assert np.array_equal(delays[i], [path.tau for path in paths])
 
     @pytest.mark.parametrize("batch_entries", [allocation_module._BATCH_ENTRIES, 1],
@@ -313,10 +321,10 @@ class TestSelect:
         patterns = allocation_module._patterns(0, constraints)
         assert patterns.shape == (1, 0)
         for steer_at in (points, points.mean(axis=0)):
-            bounds, delays, steering = allocation_module._score(bare, points, wave, patterns,
-                                                                steer_at)
+            bounds, steering, paths, _ = allocation_module._score(bare, points, wave,
+                                                                  patterns, steer_at)
             assert bounds.shape == (len(points), 1)
-            assert delays.shape == (len(points), 1)
+            assert paths.tau[:, 0].shape == (len(points), 1)
             assert steering.shape == steer_at.shape[:-1] + (0,)
             for i, point in enumerate(points):
                 paths = build_pathset(bare, Allocation((), ()), point, wave, "ris")
@@ -376,6 +384,125 @@ class TestSelect:
             robust_select(many, [X_HAT], wave, constraints)
         with pytest.raises(ValueError, match="exhaustive"):
             feasible_activations(len(many.ris), constraints)
+
+
+class TestEvaluateAllocation:
+    """evaluate_allocation reads what the last one-sample selection scored
+    only under that selection's exact key (scene, waveform, position
+    bytes, allocation); anything else is built afresh, and only a
+    one-sample selection replaces what it reads."""
+
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        """The build_pathset calls made through the allocation module."""
+        calls = []
+        original = allocation_module.build_pathset
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(allocation_module, "build_pathset", counted)
+        return calls
+
+    @staticmethod
+    def assert_fresh(evaluation, scene, allocation, x, wave):
+        """The evaluation is, float for float, a pathset, FIM and bound
+        built from nothing."""
+        paths, total, bound = evaluation
+        fresh = build_pathset(scene, allocation, x, wave, "ris")
+        fim = fim_total(fresh, wave)
+        assert (paths.kinds, paths.indices) == (fresh.kinds, fresh.indices)
+        for name in ("tau", "alpha", "direction", "anchor", "fixed_leg"):
+            got, want = getattr(paths, name), getattr(fresh, name)
+            assert got.shape == want.shape and np.array_equal(got, want), name
+        assert total.shape == (2, 2) and np.array_equal(total, fim.total)
+        assert bound == peb(fim).value
+
+    @pytest.mark.parametrize("batch_entries", [allocation_module._BATCH_ENTRIES, 1],
+                             ids=["budget", "one"])
+    @pytest.mark.parametrize("k_bar", range(4))
+    def test_selection_is_read_back_exactly(self, scene, wave, rng, builds, monkeypatch,
+                                            k_bar, batch_entries):
+        """Right after select_ris, its allocation's evaluation at the same
+        point builds nothing and equals a fresh build; the bound is the
+        one selection returned. Points include rows near the wall; the
+        patterns are scored in one batch or one per batch."""
+        monkeypatch.setattr(allocation_module, "_BATCH_ENTRIES", batch_entries)
+        constraints = tight_constraints(k_bar, scene, wave)
+        points = [X_HAT, np.array([5.0, 9.5]), np.array([-5.0, 0.5])]
+        points += [np.array([rng.uniform(-5.0, 15.0), rng.uniform(0.5, 9.9)])
+                   for _ in range(15)]
+        for x in points:
+            allocation, value = select_ris(scene, x, wave, constraints)
+            builds.clear()
+            evaluation = evaluate_allocation(scene, allocation, x, wave)
+            assert builds == [], x
+            self.assert_fresh(evaluation, scene, allocation, x, wave)
+            assert evaluation[2] == value.value
+            paths, total, _ = evaluation
+            assert not (paths.tau.flags.writeable or paths.direction.flags.writeable
+                        or total.flags.writeable)
+
+    def test_expected_objective_keeps_the_unclamped_bound(self, scene, wave, builds):
+        """A one-sample "expected" selection scores the capped bound; what
+        it keeps is the allocation's own bound, above the cap."""
+        constraints = tight_constraints(0, scene, wave)
+        _, own = select_ris(scene, X_HAT, wave, constraints)
+        kept = allocation_module._last_choice
+        allocation, score = robust_select(scene, [X_HAT], wave, constraints, "expected")
+        assert allocation_module._last_choice is not kept
+        assert score == constraints.peb_cap < own.value
+        builds.clear()
+        evaluation = evaluate_allocation(scene, allocation, X_HAT, wave)
+        assert builds == []
+        self.assert_fresh(evaluation, scene, allocation, X_HAT, wave)
+        assert evaluation[2] == own.value
+
+    def test_any_other_key_is_built_afresh(self, scene, wave, builds):
+        """After a selection at X_HAT, another point, waveform, scene or
+        allocation (other bits, or the same bits steered elsewhere) is
+        built and scored afresh, and leaves the kept choice in place."""
+        constraints = tight_constraints(2, scene, wave)
+        allocation, _ = select_ris(scene, X_HAT, wave, constraints)
+        kept = allocation_module._last_choice
+        runner_up = build_allocation(scene, X_HAT, wave, (1, 0, 0, 0, 0))
+        assert runner_up.active != allocation.active
+        elsewhere = build_allocation(scene, X_HAT + 0.25, wave, allocation.active)
+        other_scene = dataclasses.replace(scene, wall_offset=scene.wall_offset + 1.0)
+        cases = [(scene, allocation, np.array([3.5, 5.0 + 1e-12]), wave),
+                 (scene, allocation, np.array([8.0, 4.0]), wave),
+                 (scene, allocation, X_HAT, dataclasses.replace(wave, bandwidth_hz=1e9)),
+                 (scene, allocation, X_HAT, dataclasses.replace(wave, noise_psd_w_hz=2e-21)),
+                 (other_scene, allocation, X_HAT, wave),
+                 (scene, runner_up, X_HAT, wave),
+                 (scene, elsewhere, X_HAT, wave)]
+        for case in cases:
+            builds.clear()
+            evaluation = evaluate_allocation(*case)
+            assert len(builds) == 1
+            self.assert_fresh(evaluation, *case)
+            assert allocation_module._last_choice is kept
+        builds.clear()
+        self.assert_fresh(evaluate_allocation(scene, allocation, [3.5, 5.0], wave),
+                          scene, allocation, X_HAT, wave)
+        assert builds == []
+
+    def test_only_a_one_sample_selection_replaces_the_choice(self, scene, wave):
+        """Several samples and sweeps score through the same core but keep
+        nothing; the next one-sample selection replaces the kept choice."""
+        constraints = tight_constraints(1, scene, wave)
+        select_ris(scene, X_HAT, wave, constraints)
+        kept = allocation_module._last_choice
+        robust_select(scene, [X_HAT, [3.0, 5.5], [4.0, 4.5]], wave, constraints)
+        robust_select(scene, [X_HAT, X_HAT], wave, constraints, "expected")
+        assert allocation_module._last_choice is kept
+        grid = GridSpec(x_range=(2.0, 6.0), y_range=(3.0, 5.0), nx=3, ny=2)
+        peb_map(scene, grid, wave, "ris", constraints)
+        assert allocation_module._last_choice is kept
+        robust_select(scene, [[8.0, 4.0]], wave, constraints)
+        assert allocation_module._last_choice is not kept
+        assert allocation_module._last_choice[0][2] == np.array([8.0, 4.0]).tobytes()
 
 
 class TestRobustSelect:

@@ -20,10 +20,11 @@ import rispeb.cli
 import rispeb.fim
 import rispeb.sweep
 import rispeb.waveform
+from rispeb.allocation import build_allocation, feasible_activations
 from rispeb.channel import build_pathset
-from rispeb.cli import main
+from rispeb.cli import _point_report, main
 from rispeb.config import DEFAULT_CONFIG_RESOURCE, default_config, dump_config, loads_config
-from rispeb.fim import count_resolvable_paths
+from rispeb.fim import PebValue, count_resolvable_paths, fim_total, peb
 from rispeb.sweep import CDF_HEADER, MAP_HEADER
 
 
@@ -134,6 +135,74 @@ class TestPoint:
         code, _, err = run(capsys, "point", "0.0", "0.0")
         assert code == 2
         assert err.startswith("error: ")
+
+
+def fresh_evaluation(scene, allocation, x, cfg):
+    """evaluate_allocation built from nothing: point's evaluation before
+    selection kept what it scored."""
+    paths = build_pathset(scene, allocation, x, cfg, "ris")
+    fim = fim_total(paths, cfg)
+    return paths, fim.total, peb(fim).value
+
+
+def runner_up(scene, x_hat, cfg, constraints):
+    """A select_ris that returns the second-best pattern, each pattern
+    built and scored from nothing, as the benchmark's self-test injects."""
+    ranked = []
+    for bits in feasible_activations(len(scene.ris), constraints):
+        allocation = build_allocation(scene, x_hat, cfg, bits)
+        paths = build_pathset(scene, allocation, x_hat, cfg, "ris")
+        ranked.append((peb(fim_total(paths, cfg)).value, bits, allocation))
+    ranked.sort(key=lambda item: item[:2])
+    value, _, allocation = ranked[min(1, len(ranked) - 1)]
+    return allocation, PebValue(value)
+
+
+class TestPointReusesSelection:
+    """In RIS mode point reads the chosen pattern's paths, FIM and bound
+    from the selection that scored them; its reports stay those of a
+    fresh build, byte for byte."""
+
+    XS = np.linspace(-5.0, 15.0, 11)
+    # Rows from 8.7 m up lie within 1.3 m of the wall at 10 m, where the
+    # cells with a single resolvable delay are.
+    YS = (0.5, 3.0, 5.5, 8.0, 8.7, 9.0, 9.3, 9.6, 9.9)
+
+    @pytest.mark.parametrize("k_bar", [1, 2])
+    def test_report_equals_a_fresh_build(self, monkeypatch, k_bar):
+        config = dataclasses.replace(default_config(), k_bar=k_bar)
+        cells = [np.array([x, y]) for x in self.XS for y in self.YS]
+        builds = []
+        build = rispeb.allocation.build_pathset
+
+        def counted(*args):
+            builds.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(rispeb.allocation, "build_pathset", counted)
+        reports = [_point_report(config, x) for x in cells]
+        # One build per report, the selection's: the report read the rest.
+        assert len(builds) == len(cells)
+        monkeypatch.setattr(rispeb.cli, "evaluate_allocation", fresh_evaluation)
+        for x, report in zip(cells, reports):
+            assert report == _point_report(config, x), x
+        assert sum("peb_m: inf  #" in report for report in reports) >= 4
+
+    def test_runner_up_is_reported_as_itself(self, capsys, monkeypatch):
+        """A selection that returns a pattern it did not keep (the
+        benchmark's runner_up fault) gets that pattern's own report, even
+        right after the real selection kept the best one at the point."""
+        code, best, _ = run(capsys, "point", "3.5", "5.0", "--kbar", "2")
+        assert code == 0
+        monkeypatch.setattr(rispeb.cli, "select_ris", runner_up)
+        code, out, _ = run(capsys, "point", "3.5", "5.0", "--kbar", "2")
+        assert code == 0
+        monkeypatch.setattr(rispeb.cli, "evaluate_allocation", fresh_evaluation)
+        assert run(capsys, "point", "3.5", "5.0", "--kbar", "2") == (0, out, "")
+        # The bits (third line) and the bound (last) are the runner-up's.
+        assert best.splitlines()[2] == "allocation_bits: 10010"
+        assert out.splitlines()[2] != best.splitlines()[2]
+        assert out.splitlines()[-1] != best.splitlines()[-1]
 
 
 class TestSelect:
@@ -341,8 +410,8 @@ class TestValidate:
         true_score = rispeb.allocation._score
 
         def scaled(*args):
-            values, delays, steering = true_score(*args)
-            return values * (1.0 + 1e-9), delays, steering
+            scored = true_score(*args)
+            return scored._replace(values=scored.values * (1.0 + 1e-9))
 
         monkeypatch.setattr(rispeb.allocation, "_score", scaled)
         code, out, _ = run(capsys, "validate")
