@@ -33,10 +33,12 @@ MAX_EXHAUSTIVE_RIS = 20
 # at it, and a map flags the cells above it capped.
 DEFAULT_PEB_CAP = 5.0
 
-# Entries of the largest (points x patterns x paths x paths) array that
-# one selection batch builds. Half of it times faster on the 100x100
-# k_bar=1 RIS map only in a process whose heap larger blocks have grown
-# before; from a fresh process it is slower.
+# Budget of points x patterns x paths^2 entries for one selection batch.
+# Its largest arrays, the FIM assembly's weighted pair directions
+# (points x patterns x 2 x path pairs), hold paths x (paths - 1) entries
+# per point and pattern, so they stay below it. Half of it times faster
+# on the 100x100 k_bar=1 RIS map only in a process whose heap larger
+# blocks have grown before; from a fresh process it is slower.
 _BATCH_ENTRIES = 1 << 18
 
 # What the last one-sample robust_select chose, for evaluate_allocation:
@@ -87,11 +89,12 @@ class SelectionConstraints:
     peb_cap: float = DEFAULT_PEB_CAP
 
     def __post_init__(self):
-        if self.k_bar < 0:
+        # Written so that NaN, which compares false either way, fails.
+        if not self.k_bar >= 0:
             raise ValueError("activation budget must be nonnegative")
-        if self.min_gap < 0.0:
+        if not self.min_gap >= 0.0:
             raise ValueError("minimum index gap must be nonnegative")
-        if self.peb_cap <= 0.0:
+        if not self.peb_cap > 0.0:
             raise ValueError("PEB cap must be positive")
 
 
@@ -226,8 +229,8 @@ def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig, patterns: np.n
     flat, steered = paths.alpha[:, :1], paths.alpha[:, -1:]
     # The LOS path, first, is the same in both.
     on = np.concatenate([np.zeros((len(patterns), 1), dtype=bool), patterns], axis=1)
-    # Patterns per batch, so that the (points x patterns x paths x paths)
-    # arrays stay near _BATCH_ENTRIES entries.
+    # Patterns per batch, so that points x patterns x paths^2 stays near
+    # _BATCH_ENTRIES, the budget of the batch's largest arrays.
     step = max(1, _BATCH_ENTRIES // (len(points) * len(paths) ** 2))
     values, totals = [], []
     for start in range(0, len(patterns), step):

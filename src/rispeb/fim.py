@@ -1,13 +1,15 @@
 """Position-block Fisher information, error bounds, and resolvability.
 
-The 2x2 position FIM splits into a direct part (each path contributes
-information |alpha|^2 * kernel(0) along its own direction) and an
-interference part coupling every pair of paths through the kernel at
-their delay difference. Path gains are treated as known constants: their
-dependence on position is deliberately not exploited, matching the
-bound's definition. fim_total and peb broadcast over the leading axes
-of the PathSet's arrays, so a batch of positions and activation
-patterns is one call with one kernel evaluation.
+The 2x2 position FIM is one weighted sum of outer products, made twice:
+over the paths, each adding |alpha_k|^2 kernel(0) on e_k e_k^T (the
+direct part), and over the pairs k < l, each adding 2 Re{alpha_k
+conj(alpha_l)} kernel(tau_k - tau_l) on e_k e_l^T (the interference
+part), which symmetrizing the sum halves onto e_k e_l^T + e_l e_k^T.
+Path gains are treated as known constants: their dependence on position
+is deliberately not exploited, matching the bound's definition.
+fim_total and peb broadcast over the leading axes of the PathSet's
+arrays, so a batch of positions and activation patterns is one call
+with one kernel evaluation.
 """
 
 from __future__ import annotations
@@ -36,11 +38,12 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class Fim2:
-    """2x2 position FIM with its direct/interference provenance split."""
+    """2x2 position FIM. interference is the pair part before symmetrization
+    (pair k < l on e_k e_l^T only); total = sym(direct + interference)."""
 
     direct: np.ndarray
     interference: np.ndarray
-    total: np.ndarray  # symmetrized sum of the two parts
+    total: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -48,11 +51,6 @@ class PebValue:
     """Position error bound in meters; math.inf when the FIM is degenerate."""
 
     value: float
-
-
-def _direct(alpha, directions, cfg: WaveformConfig) -> np.ndarray:
-    weights = np.abs(alpha) ** 2 * delay_kernel_peak(cfg)
-    return (np.swapaxes(directions, -1, -2) * weights[..., None, :]) @ directions
 
 
 @functools.lru_cache(maxsize=32)
@@ -65,26 +63,27 @@ def _pairs(count: int) -> np.ndarray:
     return pairs
 
 
-def _interference(alpha, tau, directions, cfg: WaveformConfig) -> np.ndarray:
-    # Sum over ordered pairs k != k' of
-    # Re{alpha_k * conj(alpha_k')} * kernel(tau_k - tau_k') * e_k e_k'^T.
-    # The kernel is real and even, so the summand is symmetric in the
-    # pair: the kernel is evaluated on the pairs k < k' only.
-    first, second = _pairs(alpha.shape[-1])
-    kernel = delay_kernel(cfg, tau[..., first] - tau[..., second])
-    upper = (alpha[..., first] * alpha[..., second].conj()).real * kernel
-    cross = np.zeros(upper.shape[:-1] + (alpha.shape[-1],) * 2)
-    cross[..., first, second] = upper
-    cross[..., second, first] = upper
-    return np.swapaxes(directions, -1, -2) @ cross @ directions
+def _outer_sum(weights, left, right) -> np.ndarray:
+    """sum_i weights_i l_i r_i^T over the last axis of weights: the l_i are
+    the columns of left (..., 2, terms), the r_i the rows of right."""
+    return (left * weights[..., None, :]) @ right
 
 
 def fim_total(paths: PathSet, cfg: WaveformConfig) -> Fim2:
     """Direct plus interference FIM. A PathSet whose arrays carry leading
     axes gives a stack of 2x2 matrices over those axes, with one delay_kernel
     call for the whole stack."""
-    direct = _direct(paths.alpha, paths.direction, cfg)
-    interference = _interference(paths.alpha, paths.tau, paths.direction, cfg)
+    alpha, tau, e = paths.alpha, paths.tau, paths.direction
+    # C-ordered operands (np.take, not indexing) halve the products' time.
+    columns = np.ascontiguousarray(np.swapaxes(e, -1, -2))
+    direct = _outer_sum(np.abs(alpha) ** 2 * delay_kernel_peak(cfg), columns, e)
+    # The kernel is real and even, so each pair's two ordered terms are
+    # one weight 2 Re{alpha_k conj(alpha_k')} kernel(tau_k - tau_k').
+    first, second = _pairs(alpha.shape[-1])
+    kernel = delay_kernel(cfg, tau[..., first] - tau[..., second])
+    weights = 2.0 * (alpha[..., first] * alpha[..., second].conj()).real * kernel
+    interference = _outer_sum(weights, np.take(columns, first, axis=-1),
+                              np.take(e, second, axis=-2))
     total = direct + interference
     return Fim2(direct=direct, interference=interference,
                 total=0.5 * (total + np.swapaxes(total, -1, -2)))

@@ -7,13 +7,13 @@ flattened once into x-major cells, the order of the CSV rows, and each
 block of consecutive cells is one batch of the array core (paths, FIM
 and bound broadcast over the block's cells, and in RIS mode over the
 feasible activation patterns, enumerated once per sweep). A block holds
-no more than 8,192 delays (cells x paths), and no more cells than keep
-the core's largest array within its entry budget: 4,096 cells of a
-baseline map, 1,213 of a k_bar=1 RIS map. Each block also counts its
-cells' resolvable paths and flags them, so that it returns finished
-cells. Blocks are evaluated in order (optionally in parallel, one block
-per task) and gathered by index, so serial and parallel runs emit
-identical bytes.
+no more than 8,192 delays (cells x paths), and in RIS mode no more
+cells than keep cells x patterns x paths^2 within the core's entry
+budget: 4,096 cells of a baseline map, 1,213 of a k_bar=1 RIS map.
+Each block also counts its cells' resolvable paths and flags them, so
+that it returns finished cells. Blocks are evaluated in order
+(optionally in parallel, one block per task) and gathered by index, so
+serial and parallel runs emit identical bytes.
 """
 
 from __future__ import annotations
@@ -147,8 +147,8 @@ class CdfResult:
 def _block_cells(scene, mode, patterns) -> int:
     """Cells per block of a sweep: at most _COUNT_ENTRIES delays (cells x
     paths), and where patterns are scored, at most
-    allocation._BATCH_ENTRIES entries of the (cells x patterns x paths x
-    paths) arrays of the core."""
+    allocation._BATCH_ENTRIES // (patterns x paths^2), so that a block is
+    one pattern batch of the core."""
     paths = len(_path_table(scene, mode).kinds)
     cells = _COUNT_ENTRIES // paths
     if patterns is not None:
@@ -258,7 +258,10 @@ def peb_map(scene: Scene, grid: GridSpec, cfg: WaveformConfig, mode: str,
     RIS mode runs the activation search per cell with the cell itself as
     the assumed user position when constraints are given, and activates
     every surface otherwise. Baseline modes evaluate their fixed pathset.
+    cap must be positive; NaN is rejected too.
     """
+    if not cap > 0.0:
+        raise ValueError("PEB cap must be positive")
     return _sweep(scene, grid, cfg, mode, constraints, cap, workers,
                   count_only=False)
 

@@ -150,6 +150,16 @@ class TestConstraints:
         with pytest.raises(ValueError):
             SelectionConstraints(k_bar=1, peb_cap=0.0)
 
+    def test_rejects_nan_gap(self):
+        """A NaN gap would fail every pair's check and leave k_bar=2 no pair."""
+        with pytest.raises(ValueError, match="index gap"):
+            SelectionConstraints(k_bar=2, min_gap=math.nan)
+
+    def test_rejects_nan_cap(self):
+        """A NaN cap would make every "expected" score NaN."""
+        with pytest.raises(ValueError, match="PEB cap"):
+            SelectionConstraints(k_bar=1, peb_cap=math.nan)
+
     def test_gap_threshold_default_scene(self, scene, wave):
         assert abs(gap_threshold(scene, wave) - 2.99792458) < 1e-12
 

@@ -26,6 +26,7 @@ from rispeb.fim import (
 from rispeb.geometry import SPEED_OF_LIGHT as C
 from rispeb.waveform import (
     WaveformConfig,
+    delay_kernel,
     delay_kernel_peak,
     delay_resolution,
     unambiguous_range,
@@ -365,3 +366,43 @@ def test_stacked_paths_match_one_by_one(specs):
         assert np.array_equal(fim.total[i], one.total)
         assert np.array_equal(fim.direct[i], one.direct)
         assert value.value[i] == peb(one).value
+
+
+# LOS plus up to seven paths, each 0-6 m longer than the one before, so
+# that neighbours often lie within one resolution cell c/W = 3 m.
+chained_specs = st.lists(
+    st.tuples(st.floats(0.0, 6.0), st.floats(1e-7, 1e-4),
+              st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 2.0 * math.pi)),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(steps=chained_specs)
+@example(steps=[(0.0, 1e-5, 0.0, 0.0)])
+@example(steps=[(0.0, 1e-5, 0.0, 0.0), (0.4, 3e-6, 2.0, 1.0), (0.3, 2e-6, 4.0, 2.0)])
+def test_fim_equals_double_loop_over_paths(steps):
+    """fim_total against a plain double loop: the direct term of every
+    path, |alpha_k|^2 kernel(0) e_k e_k^T, plus, over ordered pairs
+    k != l, Re{alpha_k conj(alpha_l)} kernel(tau_k - tau_l) e_k e_l^T.
+    The sum of |alpha_k|^2 kernel(0), the direct trace, bounds every
+    term, so it scales the tolerance even where the paths' information
+    cancels. A single path has no pair: its interference is exactly 0."""
+    wave = make_wave()
+    meters = 10.0 + np.cumsum([step for step, _, _, _ in steps])
+    paths = spec_pathset([(m,) + spec[1:] for m, spec in zip(meters, steps)])
+    alpha, tau, e = list(paths.alpha), list(paths.tau), list(paths.direction)
+    expected = np.zeros((2, 2))
+    for k in range(len(alpha)):
+        for l in range(len(alpha)):
+            if k == l:
+                weight = abs(alpha[k]) ** 2 * delay_kernel_peak(wave)
+            else:
+                weight = ((alpha[k] * alpha[l].conjugate()).real
+                          * float(delay_kernel(wave, tau[k] - tau[l])))
+            expected += weight * np.outer(e[k], e[l])
+    fim = fim_total(paths, wave)
+    scale = sum(abs(a) ** 2 for a in alpha) * delay_kernel_peak(wave)
+    assert np.max(np.abs(fim.total - expected)) <= 1e-12 * scale
+    if len(alpha) == 1:
+        assert np.array_equal(fim.interference, np.zeros((2, 2)))
+        assert np.array_equal(fim.total, 0.5 * (fim.direct + fim.direct.T))

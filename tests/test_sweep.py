@@ -94,6 +94,12 @@ class TestMapResult:
         result = peb_map(scene, SMALL, wave, "ris")
         assert all(bits == "11111" for bits in result.allocation_bits.ravel())
 
+    @pytest.mark.parametrize("cap", [0.0, -1.0, math.nan])
+    def test_rejects_cap_that_is_not_positive(self, scene, wave, cap):
+        """A NaN cap would flag every finite bound ok."""
+        with pytest.raises(ValueError, match="PEB cap"):
+            peb_map(scene, SMALL, wave, "reflector", cap=cap)
+
     def test_capped_flag_on_tiny_cap(self, scene, wave):
         result = peb_map(scene, SMALL, wave, "reflector", cap=1e-9)
         finite = np.isfinite(result.peb)
