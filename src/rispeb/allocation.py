@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -89,9 +90,10 @@ class SelectionConstraints:
     peb_cap: float = DEFAULT_PEB_CAP
 
     def __post_init__(self):
+        if (isinstance(self.k_bar, bool) or not isinstance(self.k_bar, numbers.Integral)
+                or self.k_bar < 0):
+            raise ValueError("activation budget must be a nonnegative integer")
         # Written so that NaN, which compares false either way, fails.
-        if not self.k_bar >= 0:
-            raise ValueError("activation budget must be nonnegative")
         if not self.min_gap >= 0.0:
             raise ValueError("minimum index gap must be nonnegative")
         if not self.peb_cap > 0.0:

@@ -160,6 +160,16 @@ class TestConstraints:
         with pytest.raises(ValueError, match="PEB cap"):
             SelectionConstraints(k_bar=1, peb_cap=math.nan)
 
+    @pytest.mark.parametrize("k_bar", [1.5, True, "2"])
+    def test_rejects_non_integer_budget(self, k_bar):
+        """1.5 used to fail later inside select_ris with a TypeError, and
+        True was taken as 1."""
+        with pytest.raises(ValueError, match="activation budget"):
+            SelectionConstraints(k_bar=k_bar)
+
+    def test_accepts_numpy_integer_budget(self):
+        assert SelectionConstraints(k_bar=np.int64(2)).k_bar == 2
+
     def test_gap_threshold_default_scene(self, scene, wave):
         assert abs(gap_threshold(scene, wave) - 2.99792458) < 1e-12
 

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rispeb.sweep as sweep_module
 from rispeb.allocation import SelectionConstraints, gap_threshold
@@ -431,7 +432,85 @@ class TestInfoDirections:
         assert intensities[0] == max(intensities)
 
 
+def reference_map_bytes(result):
+    """The map CSV formatted one f-string per row."""
+    rows = [MAP_HEADER]
+    for x, values, flags, counts, bits in zip(
+            result.grid.xs.tolist(), result.peb.tolist(), result.flags.tolist(),
+            result.path_count.tolist(), result.allocation_bits.tolist()):
+        for y, value, flag, count, b in zip(result.grid.ys.tolist(), values, flags,
+                                            counts, bits):
+            rows.append(f"{x:.9g},{y:.9g},{value:.9g},{flag},{count},{b}")
+    return ("\n".join(rows) + "\n").encode("ascii")
+
+
+def reference_cdf_bytes(cdf):
+    """The CDF CSV formatted one f-string per row."""
+    rows = [CDF_HEADER] + [f"{level:.9g},{fraction:.9g}" for level, fraction
+                           in zip(cdf.levels.tolist(), cdf.fractions.tolist())]
+    return ("\n".join(rows) + "\n").encode("ascii")
+
+
+def written(writer, value, directory):
+    path = directory / "out.csv"
+    writer(value, path)
+    return path.read_bytes()
+
+
+# Values the %.9g field must write as the f-string does: infinities, nan,
+# negative zero, subnormals and numbers near the top of the double range.
+EDGE_VALUES = [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 2.5e-310, 1e300, -1e300]
+cell_values = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=True, allow_infinity=True))
+cdf_levels = st.one_of(st.sampled_from([5e-324, 2.5e-310, 1e300, -1e300, -0.0]),
+                   st.floats(-1e300, 1e300))
+
+
+@st.composite
+def map_results(draw):
+    nx, ny = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    lo = draw(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)))
+    width = draw(st.tuples(st.floats(1e-3, 1e6), st.floats(1e-3, 1e6)))
+    grid = GridSpec(x_range=(lo[0], lo[0] + width[0]), y_range=(lo[1], lo[1] + width[1]),
+                    nx=nx, ny=ny)
+    flag = st.sampled_from([FLAG_OK, FLAG_CAPPED, FLAG_INF, FLAG_INVALID])
+    cells = st.lists(st.tuples(cell_values, flag, st.integers(0, 12), st.text("01", max_size=5)),
+                     min_size=nx * ny, max_size=nx * ny)
+    peb, flags, counts, bits = zip(*draw(cells))
+    return MapResult(grid=grid, mode="ris", peb=np.reshape(peb, (nx, ny)),
+                     flags=np.array(flags, dtype=object).reshape(nx, ny),
+                     path_count=np.reshape(counts, (nx, ny)),
+                     allocation_bits=np.array(bits, dtype=object).reshape(nx, ny))
+
+
+@st.composite
+def cdf_results(draw):
+    unique = sorted(set(draw(st.lists(cdf_levels, max_size=20))))
+    fractions = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=len(unique),
+                                     max_size=len(unique))))
+    return CdfResult(levels=np.array(unique, dtype=float),
+                     fractions=np.array(fractions, dtype=float), total_cells=len(unique) + 1)
+
+
 class TestCsv:
+    @settings(max_examples=60, deadline=None)
+    @given(result=map_results(), cdf=cdf_results())
+    def test_writers_match_row_by_row_reference(self, tmp_path_factory, result, cdf):
+        directory = tmp_path_factory.mktemp("csv")
+        assert written(write_map_csv, result, directory) == reference_map_bytes(result)
+        assert written(write_cdf_csv, cdf, directory) == reference_cdf_bytes(cdf)
+
+    def test_empty_cdf_writes_header_only(self, tmp_path):
+        cdf = CdfResult(levels=np.array([]), fractions=np.array([]), total_cells=4)
+        assert written(write_cdf_csv, cdf, tmp_path) == (CDF_HEADER + "\n").encode()
+
+    def test_cdf_longer_than_one_format_call(self, tmp_path):
+        """Rows on both sides of each chunk boundary, and a short last chunk."""
+        n = 2 * sweep_module._CDF_ROWS + 3
+        levels = np.cumsum(np.random.default_rng(3).lognormal(0.0, 2.0, n))
+        cdf = CdfResult(levels=levels, fractions=np.arange(1, n + 1) / (n + 7),
+                        total_cells=n + 7)
+        assert written(write_cdf_csv, cdf, tmp_path) == reference_cdf_bytes(cdf)
+
     def test_map_schema(self, scene, wave, tmp_path):
         result = peb_map(scene, SMALL, wave, "ris")
         out = tmp_path / "map.csv"
