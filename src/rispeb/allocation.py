@@ -291,7 +291,7 @@ def robust_select(scene: Scene, samples, cfg: WaveformConfig,
     values, steering, paths, totals = _score(scene, points, cfg, patterns, centroid)
     delays = paths.tau[:, 0]
     try:
-        _require_unaliased(delays, np.ones(delays.shape, dtype=bool), cfg)
+        _require_unaliased(delays.max(axis=1) - delays.min(axis=1), cfg)
     except _AliasedDelays as exc:
         if len(points) == 1:
             raise

@@ -69,10 +69,11 @@ def _key(section: str, parse, group: str | None = None):
 class RunConfig:
     """Complete description of one run: scene, waveform, grid, and task.
 
-    Stores boundary units as given (dBm, dB); scene()/waveform()/grid()
-    build the validated model objects in SI units. Construction validates
-    (ConfigError), so dataclasses.replace checks an override as loads_config
-    checks a file.
+    Stores boundary units as given (dBm, dB). Construction builds and
+    validates the model objects in SI units once (ConfigError), and
+    scene()/waveform()/grid() return them, the same objects on every call;
+    dataclasses.replace constructs anew, so it checks an override as
+    loads_config checks a file.
 
     The fields are the file's keys in its order. Each names its section,
     parser and optional group (set whole or left out) in its metadata.
@@ -123,15 +124,26 @@ class RunConfig:
         if self.ris_elements < 1:
             raise ConfigError("scene.ris_elements must be at least 1")
         try:
-            scene = self.scene()
-            self.waveform()
-            grid = self.grid()
+            scene, waveform, grid = self._build()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if grid.y_range[1] >= scene.wall_offset:
             raise ConfigError("grid.y_max_m must lie below the wall")
+        # Kept, not fields: the accessors hand out these objects, so a
+        # config builds each once and cache keys holding them compare by
+        # identity first.
+        object.__setattr__(self, "_models", (scene, waveform, grid))
 
     def scene(self) -> Scene:
+        return self._models[0]
+
+    def waveform(self) -> WaveformConfig:
+        return self._models[1]
+
+    def grid(self) -> GridSpec:
+        return self._models[2]
+
+    def _build(self) -> tuple[Scene, WaveformConfig, GridSpec]:
         ris = tuple(
             RisDescriptor(center_x=cx, element_count=self.ris_elements)
             for cx in self.ris_centers_x_m
@@ -147,22 +159,19 @@ class RunConfig:
             scatterer = ScatterDescriptor(
                 x=self.scatter_x_m, rcs=self.scatter_rcs_m2,
             )
-        return Scene(wall_offset=self.wall_offset_m, ris=ris,
-                     reflector=reflector, scatterer=scatterer)
-
-    def waveform(self) -> WaveformConfig:
-        return WaveformConfig(
+        scene = Scene(wall_offset=self.wall_offset_m, ris=ris,
+                      reflector=reflector, scatterer=scatterer)
+        waveform = WaveformConfig(
             carrier_hz=self.carrier_hz,
             bandwidth_hz=self.bandwidth_hz,
             subcarrier_count=self.subcarrier_count,
             tx_power_w=1e-3 * 10.0 ** (self.power_dbm / 10.0),
             noise_psd_w_hz=noise_psd_from_figure(self.noise_figure_db),
         )
-
-    def grid(self) -> GridSpec:
-        return GridSpec(x_range=(self.x_min_m, self.x_max_m),
+        grid = GridSpec(x_range=(self.x_min_m, self.x_max_m),
                         y_range=(self.y_min_m, self.y_max_m),
                         nx=self.nx, ny=self.ny)
+        return scene, waveform, grid
 
     def selection_constraints(self) -> SelectionConstraints:
         return SelectionConstraints(

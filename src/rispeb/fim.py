@@ -10,6 +10,13 @@ is deliberately not exploited, matching the bound's definition.
 fim_total and peb broadcast over the leading axes of the PathSet's
 arrays, so a batch of positions and activation patterns is one call
 with one kernel evaluation.
+
+Resolvability is a count of delay clusters: paths closer than 1/W merge.
+A batch of rows (cells) is counted at once with its sorted delays held
+paths first, so each step across a row's few paths is one elementwise
+operation over all rows, and each row leaves the merge loop at its first
+pass without a merge. The arithmetic is the one-row merge's, so every
+count, and every aliasing error, is the same as row by row.
 """
 
 from __future__ import annotations
@@ -134,19 +141,18 @@ def count_resolvable_paths(paths: PathSet, cfg: WaveformConfig) -> int:
 
     The delay kernel repeats every (N+1)/W, so delays that span more than
     (N+1)/W - 1/W may alias onto each other: such path sets raise
-    ValueError instead of being counted. Sweeps count whole blocks of
-    cells at once through the same merge.
+    ValueError instead of being counted. This is _count_clusters on a
+    batch of one row, the merge that sweeps run on whole blocks of cells.
     """
     return int(_count_clusters(paths.tau[None], (paths.alpha != 0)[None], cfg)[0])
 
 
-def _require_unaliased(tau: np.ndarray, exists: np.ndarray, cfg: WaveformConfig) -> None:
-    """Raise _AliasedDelays naming the first row of tau (rows x paths)
-    whose delays, over the entries where exists, span more path length
-    than the delay kernel separates without aliasing: (N+1)/W - 1/W."""
-    # -inf for a row where no path exists.
-    span = (np.where(exists, tau, -np.inf).max(axis=1)
-            - np.where(exists, tau, np.inf).min(axis=1)) * SPEED_OF_LIGHT
+def _require_unaliased(span: np.ndarray, cfg: WaveformConfig) -> None:
+    """Raise _AliasedDelays naming the first row whose delay span (s), one
+    entry per row, covers more path length than the delay kernel
+    separates without aliasing: (N+1)/W - 1/W. A span is a row's largest
+    existing delay minus its smallest."""
+    span = span * SPEED_OF_LIGHT
     allowed = unambiguous_range(cfg) - delay_resolution(cfg)
     aliased = span > allowed
     if aliased.any():
@@ -156,37 +162,62 @@ def _require_unaliased(tau: np.ndarray, exists: np.ndarray, cfg: WaveformConfig)
                              row)
 
 
+# Stand-in delays (s) for missing paths, 2^1000 s apart. Beyond every real
+# delay and farther than 1/W from it and from each other (for any bandwidth
+# above 2^-1000 Hz), they sort last and are never merged.
+_MISSING_STEP = 2.0 ** 1000
+
+
 def _count_clusters(tau: np.ndarray, exists: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
     """count_resolvable_paths of every row of tau (rows x paths), over the
     entries where exists; a row with no such entry counts 0. Raises
-    _AliasedDelays, a ValueError, naming the first row that aliases."""
-    _require_unaliased(tau, exists, cfg)
-    count = exists.sum(axis=1)
-    ordered = np.sort(np.where(exists, tau, np.inf), axis=1)
-    # Cluster totals and sizes in sorted order, stacked on a first axis,
-    # the first count of each row in use; merging the pair (j, j+1)
-    # shifts the later ones left. The columns past count only need a
-    # finite total and a nonzero size (their gaps are masked): they start
-    # at total 0, size 1, and the last column shifts onto itself. Merging
-    # adjacent clusters keeps their means sorted, so the gaps in use are
-    # never negative.
-    column = np.arange(tau.shape[1])
-    clusters = np.ones((2,) + tau.shape)
-    clusters[0] = np.where(column < count[:, None], ordered, 0.0)
-    following = np.minimum(column + 1, tau.shape[1] - 1)
+    _AliasedDelays, a ValueError, naming the first row that aliases.
+
+    Each row is sorted once, and the sorted delays are held paths first
+    (paths x rows, C-ordered): a row has only a few paths, so every step
+    across them is one elementwise operation over long contiguous rows.
+    A missing path sorts last as a stand-in delay that never merges
+    (_MISSING_STEP), so rows with any number of paths share one layout.
+    A row's span is its last existing delay minus its first, the same
+    floats as max - min. Each pass merges, in every row still in the
+    loop, its closest adjacent pair (the first on a tie) and shifts the
+    later clusters left, so the clusters shrink by one column a pass; a
+    merged cluster's total is left plus right and its delay total/size.
+    Merging adjacent clusters keeps their means sorted, so no gap is
+    negative and a gap needs no absolute value. A row leaves at its first pass without a gap below 1/W: with nothing
+    merged it would stay as it is on every later pass, so dropping it
+    changes no count. The first pass reads the gaps off the sorted delays
+    (a cluster of one is its own mean), so a row with no gap below 1/W
+    never builds cluster arrays.
+    """
+    width = tau.shape[1]
+    ordered = np.where(exists, tau, _MISSING_STEP * np.arange(1.0, width + 1))
+    ordered.sort(axis=1)
+    ordered = ordered.T.copy()
+    # Summed over the leading axis, like every reduction below: elementwise
+    # over rows, where one over each row's few paths is several times slower.
+    count = exists.T.copy().sum(axis=0)
     rows = np.arange(len(tau))
+    _require_unaliased(ordered[np.maximum(count - 1, 0), rows] - ordered[0], cfg)
     limit = 1.0 / cfg.bandwidth_hz
-    while tau.shape[1] > 1:
-        means = clusters[0] / clusters[1]
-        gaps = means[:, 1:] - means[:, :-1]
-        gaps[column[1:] >= count[:, None]] = np.inf
-        j = np.argmin(gaps, axis=1)
-        merge = gaps[rows, j] < limit
-        if not merge.any():
+    # Cluster totals and sizes stacked on a first axis, over the columns
+    # of the rows in the loop (live).
+    means, live, clusters = ordered, rows, None
+    while len(means) > 1:
+        gaps = means[1:] - means[:-1]
+        keep = np.flatnonzero(gaps.min(axis=0) < limit)
+        if not keep.size:
             break
-        j = np.where(merge, j, tau.shape[1])[:, None]
-        later = clusters[..., following]
-        clusters = np.where(column < j, clusters,
-                            np.where(column == j, clusters + later, later))
-        count = count - merge
+        live = live[keep]
+        count[live] -= 1
+        if clusters is None:
+            clusters = np.ones((2, width, keep.size))
+            clusters[0] = ordered.take(keep, axis=1)
+        else:
+            clusters = clusters.take(keep, axis=2)
+        j = gaps.take(keep, axis=1).argmin(axis=0)
+        column = np.arange(len(means) - 1)[:, None]
+        left, right = clusters[:, :-1], clusters[:, 1:]
+        clusters = np.where(column < j, left, np.where(column == j, left + right, right))
+        means = clusters[0] / clusters[1]
     return count

@@ -119,6 +119,9 @@ class CdfResult:
     fractions[i] is the fraction of all cells (finite or not) with value
     <= levels[i], so infinite and invalid cells sit in the tail mass and
     the final fraction equals the finite fraction of the region.
+    Construction raises ValueError for levels that are not finite or not
+    strictly increasing, and for fractions that are NaN, decrease, or lie
+    outside [0, 1 + 1e-12].
     """
 
     levels: np.ndarray
@@ -128,12 +131,15 @@ class CdfResult:
     def __post_init__(self):
         if self.levels.shape != self.fractions.shape:
             raise ValueError("levels and fractions must align")
+        # Finite first: a NaN difference compares false, and inf - inf warns.
+        if not np.isfinite(self.levels).all():
+            raise ValueError("levels must be finite")
         if np.any(np.diff(self.levels) <= 0.0):
             raise ValueError("levels must be strictly increasing")
-        if np.any(np.diff(self.fractions) < 0.0) or (
-            self.fractions.size and self.fractions[-1] > 1.0 + 1e-12
-        ):
-            raise ValueError("fractions must be nondecreasing and at most 1")
+        # NaN fails both comparisons; the range first keeps inf out of diff.
+        if not (np.all((self.fractions >= 0.0) & (self.fractions <= 1.0 + 1e-12))
+                and np.all(np.diff(self.fractions) >= 0.0)):
+            raise ValueError("fractions must be nondecreasing, at least 0 and at most 1")
 
     def coverage(self, level: float) -> float:
         """Fraction of all cells with a finite bound at or below level."""

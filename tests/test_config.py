@@ -66,6 +66,25 @@ class TestDefault:
         assert grid.y_range == (0.5, 9.5)
         assert grid.cell_count == 10000
 
+    def test_model_objects_built_once(self, cfg):
+        assert cfg.scene() is cfg.scene()
+        assert cfg.waveform() is cfg.waveform()
+        assert cfg.grid() is cfg.grid()
+        assert cfg.selection_constraints() == cfg.selection_constraints()
+
+    def test_replace_builds_and_validates_its_own_models(self, cfg):
+        moved = dataclasses.replace(cfg, wall_offset_m=12.0, bandwidth_hz=2e8, nx=7)
+        assert moved.scene().wall_offset == 12.0
+        assert moved.waveform().bandwidth_hz == 2e8
+        assert moved.grid().nx == 7
+        assert moved.selection_constraints().min_gap == pytest.approx(2.99792458 / 2)
+        # The original keeps its own objects.
+        assert cfg.scene().wall_offset == 10.0 and cfg.waveform().bandwidth_hz == 1e8
+        with pytest.raises(ConfigError, match="below the wall"):
+            dataclasses.replace(cfg, wall_offset_m=9.0)
+        with pytest.raises(ConfigError, match="bandwidth"):
+            dataclasses.replace(cfg, bandwidth_hz=-1.0)
+
 
 class TestRoundTrip:
     def test_default_round_trips(self, cfg):

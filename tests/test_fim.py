@@ -285,6 +285,65 @@ def test_batched_count_names_first_aliased_row():
     assert list(_count_clusters(tau, exists, wave)) == [2, 1, 1]
 
 
+def default_grid_points():
+    from rispeb.config import default_config
+    cfg = default_config()
+    grid = cfg.grid()
+    points = np.stack(np.meshgrid(grid.xs, grid.ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    return cfg.scene(), cfg.waveform(), points
+
+
+def assert_counts_match_reference(tau, exists, wave):
+    counts = _count_clusters(tau, exists, wave)
+    reference = [count_clusters(list(t[e]), wave) for t, e in zip(tau, exists)]
+    assert counts.tolist() == reference
+
+
+@pytest.mark.parametrize("bandwidth", [1e8, 1e9])
+def test_batched_count_matches_reference_on_default_ris_grid(bandwidth):
+    """Every cell of the default 100x100 grid: at 100 MHz each row merges
+    3 to 5 times, at 1 GHz most rows stop after 0 or 1 merges."""
+    scene, wave, points = default_grid_points()
+    wave = dataclasses.replace(wave, bandwidth_hz=bandwidth)
+    tau = build_pathset(scene, build_allocation(scene, points, wave, (1, 0, 0, 0, 0)),
+                        points, wave, "ris").tau
+    assert tau.shape == (10_000, 6)
+    assert_counts_match_reference(tau, np.ones(tau.shape, dtype=bool), wave)
+
+
+def test_batched_count_matches_reference_on_default_reflector_grid():
+    """The reflector pathset of every cell of the default grid, whose
+    missed reflector paths have zero gain and do not exist."""
+    scene, wave, points = default_grid_points()
+    paths = build_pathset(scene, None, points, wave, "reflector")
+    exists = paths.alpha != 0
+    assert 0 < (~exists).sum() < exists.size
+    assert_counts_match_reference(paths.tau, exists, wave)
+
+
+def test_rows_leave_the_merge_at_different_passes():
+    """Row m of K paths merges m times, each row leaving the loop at its
+    own pass; an aliased row after them is still named, with the message
+    of the one-row reference."""
+    wave = make_wave()  # 1/W is 3 m of path length
+    width = 6
+    rows = [[10.0] * (m + 1) + [30.0 + 10.0 * i for i in range(width - m - 1)]
+            for m in range(width)]
+    tau = np.array(rows) / C
+    exists = np.ones(tau.shape, dtype=bool)
+    assert _count_clusters(tau, exists, wave).tolist() == list(range(width, 0, -1))
+    assert_counts_match_reference(tau, exists, wave)
+    aliased = np.array([10.0, 11.0, 12.0, 13.0, 14.0, 600.0]) / C
+    tau = np.vstack([tau, aliased, tau[:1]])
+    exists = np.ones(tau.shape, dtype=bool)
+    with pytest.raises(ValueError) as caught:
+        _count_clusters(tau, exists, wave)
+    assert caught.value.row == width
+    with pytest.raises(ValueError) as single:
+        count_clusters(list(aliased), wave)
+    assert str(caught.value) == str(single.value)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     x=st.tuples(st.floats(-8.0, 14.0), st.floats(0.6, 9.4)).map(np.array),

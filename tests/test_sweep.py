@@ -376,6 +376,39 @@ class TestCdf:
             CdfResult(levels=np.array([1.0]), fractions=np.array([1.5]),
                       total_cells=2)
 
+    @pytest.mark.parametrize("levels", [
+        [1.0, math.nan, 0.5], [math.nan], [1.0, math.inf, math.inf],
+        [math.inf], [-math.inf, 1.0], [-math.inf, -math.inf]])
+    def test_nonfinite_levels_rejected(self, levels):
+        with pytest.raises(ValueError, match="levels must be finite"):
+            CdfResult(levels=np.array(levels), fractions=np.full(len(levels), 0.1),
+                      total_cells=10)
+
+    @pytest.mark.parametrize("fractions", [
+        [0.1, math.nan], [math.nan, 0.5], [-0.1, 0.5], [0.5, math.inf],
+        [0.5, 1.0 + 1e-9], [-math.inf, 0.5]])
+    def test_fractions_outside_zero_to_one_rejected(self, fractions):
+        with pytest.raises(ValueError, match="at least 0 and at most 1"):
+            CdfResult(levels=np.array([1.0, 2.0]), fractions=np.array(fractions),
+                      total_cells=10)
+
+    def test_rounding_above_one_accepted(self):
+        cdf = CdfResult(levels=np.array([1.0]), fractions=np.array([1.0 + 1e-13]),
+                        total_cells=3)
+        assert cdf.finite_fraction == 1.0 + 1e-13
+
+    def test_peb_cdf_of_map_with_unbounded_cells_accepted(self):
+        grid = GridSpec(x_range=(0.0, 1.0), y_range=(0.0, 1.0), nx=2, ny=3)
+        values = np.array([[0.5, math.inf, math.nan], [0.25, 0.5, math.inf]])
+        result = MapResult(grid=grid, mode="reflector", peb=values,
+                           flags=np.full((2, 3), "ok", dtype=object),
+                           path_count=np.full((2, 3), 2),
+                           allocation_bits=np.full((2, 3), "", dtype=object))
+        cdf = peb_cdf(result)
+        assert cdf.levels.tolist() == [0.25, 0.5]
+        assert cdf.fractions.tolist() == [1 / 6, 3 / 6]
+        assert cdf.coverage(0.4) == 1 / 6 and cdf.finite_fraction == 0.5
+
     def test_cdf_of_map(self, scene, wave):
         result = peb_map(scene, SMALL, wave, "reflector")
         cdf = peb_cdf(result)
