@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import PathSet, _path_table, _steering, build_pathset
+from .channel import PathSet, _assemble, _path_table, _steering, build_pathset
 from .fim import PebValue, _AliasedDelays, _require_unaliased, fim_total, peb
 from .geometry import SPEED_OF_LIGHT, Scene, _as_point, _require_below_wall
 from .waveform import WaveformConfig
@@ -62,12 +62,16 @@ class Allocation:
     design: tuple[float, ...]
 
     def __post_init__(self):
-        if any(bit not in (0, 1) for bit in self.active):
-            raise ValueError("activation entries must be 0 or 1")
+        # A bool or a float would print as itself in bits.
+        if any(isinstance(bit, bool) or not isinstance(bit, numbers.Integral)
+               or bit not in (0, 1) for bit in self.active):
+            raise ValueError("activation entries must be the integers 0 or 1")
         if len(self.design) != len(self.active):
             raise ValueError("one design steering per RIS is required")
         for bit, design in zip(self.active, self.design):
-            if not bit and np.any(design != 0.0):
+            # A plain comparison for scalars, which np.any makes slow.
+            if not bit and (design != 0.0 if isinstance(design, (int, float))
+                            else np.any(design != 0.0)):
                 raise ValueError("inactive RIS must carry design 0, the flat surface")
 
     @property
@@ -209,25 +213,28 @@ def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig, patterns: np.n
     points), with the work they came from (_Scored). A pattern steers
     the surfaces it turns on at steer_at, as build_allocation does, and
     leaves the others flat: steer_at is either one point for all, or
-    points itself for phases optimal at each. One pathset, from one
-    gain_ris call, holds both gains of every surface, flat and steered;
-    each batch of patterns (a single batch unless the patterns are many)
-    picks one per surface. Two passes over the path table serve it all:
-    one over the surfaces at steer_at for the steering, which _steering
-    computes exactly as build_allocation does, and the pathset's over
-    every path."""
-    _require_below_wall(scene, steer_at)
+    points itself (the same array) for phases optimal at each. One
+    pathset, from one gain_ris call, holds both gains of every surface,
+    flat and steered; each batch of patterns (a single batch unless the
+    patterns are many) picks one per surface. One pass over the path
+    table at the points serves it all when steer_at is points: its
+    surface columns give the steering, which _steering computes exactly
+    as build_allocation does. Another steer_at costs a second pass, over
+    the surfaces at steer_at."""
+    _require_below_wall(scene, points)
     table = _path_table(scene, "ris")
-    steering = _steering(table.anchor[1:, 0], table.fixed_leg[1:],
-                         table.distances(steer_at, slice(1, None)), steer_at)
+    dist, tau = table.delays(points[:, None, :])
+    if steer_at is points:
+        surfaces = dist[:, 0, 1:]
+    else:
+        _require_below_wall(scene, steer_at)
+        surfaces = table.distances(steer_at, slice(1, None))
+    steering = _steering(table.anchor[1:, 0], table.fixed_leg[1:], surfaces, steer_at)
     # Each surface's two designs on the axis before the surfaces': 0.0,
     # the flat surface, then its steering at steer_at.
     design = np.where([[False], [True]], steering[..., None, :], 0.0)
-    paths = build_pathset(scene, Allocation((1,) * len(scene.ris),
-                                            tuple(np.moveaxis(design, -1, 0))),
-                          points[:, None, :], cfg, "ris")
+    paths = _assemble(scene, "ris", table, points[:, None, :], dist, tau, design, cfg)
     # Length-one design axes, which broadcast over a batch's patterns.
-    # Without RIS the design axis has one entry, the LOS path alone.
     flat, steered = paths.alpha[:, :1], paths.alpha[:, -1:]
     # The LOS path, first, is the same in both.
     on = np.concatenate([np.zeros((len(patterns), 1), dtype=bool), patterns], axis=1)
@@ -265,7 +272,8 @@ def robust_select(scene: Scene, samples, cfg: WaveformConfig,
     comparison. Ties go to the lexicographically smallest bit vector.
     The returned allocation carries the centroid steering that _score
     computed and scored, equal to build_allocation's at the centroid, so
-    a call makes _score's two passes over the path table and no other.
+    a call makes _score's passes over the path table and no other: one
+    for one sample, which is its own centroid exactly, two for several.
     A call with one sample keeps, in a one-entry cache that
     evaluate_allocation reads, references to the chosen allocation's
     pathset, FIM total and own bound (unclamped), under the key (scene,
@@ -286,9 +294,11 @@ def robust_select(scene: Scene, samples, cfg: WaveformConfig,
         if p.shape != (2,):
             raise ValueError(f"sample {i} has shape {p.shape}, not one (x, y) point")
     points = _as_point(np.array(points))
-    centroid = np.mean(points, axis=0)
+    # The mean of one sample is that sample, so _score steers at the
+    # points themselves and reads the steering off their one pass.
+    steer_at = points if len(points) == 1 else np.mean(points, axis=0)
     patterns = _patterns(len(scene.ris), constraints)
-    values, steering, paths, totals = _score(scene, points, cfg, patterns, centroid)
+    values, steering, paths, totals = _score(scene, points, cfg, patterns, steer_at)
     delays = paths.tau[:, 0]
     try:
         _require_unaliased(delays.max(axis=1) - delays.min(axis=1), cfg)
@@ -302,8 +312,9 @@ def robust_select(scene: Scene, samples, cfg: WaveformConfig,
     else:
         scores = np.minimum(values, constraints.peb_cap).sum(axis=0) / len(points)
     best = int(np.argmin(scores))
+    # One sample's steering has the points' axis of length one.
     allocation = Allocation(active=tuple(patterns[best].astype(int).tolist()),
-                            design=tuple(np.where(patterns[best], steering, 0.0)))
+                            design=tuple(np.where(patterns[best], steering, 0.0).reshape(-1)))
     if len(points) == 1:
         total = np.concatenate([batch[0] for batch in totals])[best]
         # Shared with every evaluate_allocation that reads them.

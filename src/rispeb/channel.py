@@ -221,19 +221,30 @@ def build_pathset(scene: Scene, allocation: "Allocation | None", x,
         raise ValueError(f"unknown mode {mode!r}")
     p = _as_point(x)
     _require_below_wall(scene, p)
+    design = None
     if mode == "ris":
         if allocation is None:
             raise ValueError("RIS mode needs an allocation")
         if len(allocation.design) != len(scene.ris):
             raise ValueError("allocation does not match the scene's RIS count")
+        design = (np.stack(np.broadcast_arrays(*allocation.design), axis=-1)
+                  if scene.ris else np.zeros(0))
     table = _path_table(scene, mode)
-    dist, tau = table.delays(p)
+    return _assemble(scene, mode, table, p, *table.delays(p), design, cfg)
+
+
+def _assemble(scene: Scene, mode: str, table: _PathTable, p: np.ndarray, dist: np.ndarray,
+              tau: np.ndarray, design: np.ndarray | None, cfg: WaveformConfig) -> PathSet:
+    """build_pathset's pathset at positions p, already checked, from the
+    distances and delays (..., K) that one delays pass over the mode's
+    path table gave. In RIS mode design (..., R) holds each surface's
+    steering difference, as gain_ris takes it; the baseline modes ignore
+    it. The selection core builds its RIS pathsets here too, from the
+    distances it also steers with."""
     # Free space, lambda/(4*pi*d), with the carrier phase.
     los = _carrier(tau[..., :1], cfg) * cfg.wavelength / (4.0 * math.pi * dist[..., :1])
     leg, delay = dist[..., 1:], tau[..., 1:]
     if mode == "ris":
-        design = (np.stack(np.broadcast_arrays(*allocation.design), axis=-1)
-                  if scene.ris else np.zeros(0))
         gains = gain_ris(scene, design, p, leg, delay, cfg)
     elif mode == "reflector":
         # Free space from the virtual anchor times gamma; exactly zero

@@ -20,7 +20,7 @@ import numpy as np
 from .allocation import evaluate_allocation, select_ris
 from .channel import MODES, build_pathset
 from .checks import CHECKS
-from .config import ConfigError, RunConfig, default_config, load_config
+from .config import _PARSE_CACHE_SIZE, ConfigError, RunConfig, default_config, load_config
 from .fim import count_resolvable_paths, fim_total, peb
 from .geometry import SPEED_OF_LIGHT
 from .sweep import peb_cdf, peb_map, write_cdf_csv, write_map_csv
@@ -35,14 +35,28 @@ def _amplitude_db(magnitude: float) -> float:
 
 
 def _load(args) -> RunConfig:
-    """The configured run with the command-line overrides applied; the
-    replacement validates them as a config file would be."""
+    """The configured run (args.config's file, read on every call, or
+    the packaged scenario) with the command-line overrides applied.
+
+    The replacement validates them as a config file would be, and is
+    kept: a process that repeats a query gets the same RunConfig, with
+    the same scene and waveform, for the same base config and overrides,
+    so the caches keyed by them compare by identity. An override that
+    fails raises on every call, and an edited file is a new base config.
+    """
     config = load_config(args.config) if args.config else default_config()
-    overrides = {key: value for key, value in (
+    overrides = tuple((key, value) for key, value in (
         ("mode", args.mode), ("k_bar", args.kbar),
         ("bandwidth_hz", args.bandwidth), ("out_dir", args.out),
-    ) if value is not None}
-    return replace(config, **overrides) if overrides else config
+    ) if value is not None)
+    return _override(config, overrides) if overrides else config
+
+
+@functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)
+def _override(config: RunConfig, overrides: tuple) -> RunConfig:
+    """config with the (key, value) overrides; an exception is never
+    cached."""
+    return replace(config, **dict(overrides))
 
 
 def _point_report(config: RunConfig, x) -> str:

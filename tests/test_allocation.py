@@ -21,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 import rispeb.allocation as allocation_module
 import rispeb.channel as channel_module
 import rispeb.checks as checks
+import rispeb.sweep as sweep_module
 from rispeb.allocation import (
     MAX_EXHAUSTIVE_RIS,
     Allocation,
@@ -118,6 +119,29 @@ class TestAllocation:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError, match="0 or 1"):
             Allocation(active=(2, 0), design=(0.0, 0.0))
+
+    @pytest.mark.parametrize("active", [(True, False), (1, False), (1.0, 0), (1, 0.0),
+                                        (np.True_, 0), ("1", 0)])
+    def test_rejects_bits_that_are_not_integers(self, active):
+        """A bool or a float equals 0 or 1 but would print as itself in
+        bits ('TrueFalse', '1.00'), as SelectionConstraints rejects such
+        a k_bar."""
+        with pytest.raises(ValueError, match="integers 0 or 1"):
+            Allocation(active=active, design=(0.3, 0.0))
+
+    def test_accepts_numpy_integer_bits(self):
+        alloc = Allocation(active=(np.int64(1), np.uint8(0)), design=(0.3, np.float64(0.0)))
+        assert alloc.bits == "10"
+
+    @pytest.mark.parametrize("design", [0, 0.0, -0.0, np.float64(0.0), np.zeros(3)])
+    def test_inactive_design_zero_as_scalar_or_array(self, design):
+        assert Allocation(active=(1, 0), design=(0.3, design)).bits == "10"
+
+    @pytest.mark.parametrize("design", [1e-300, np.float64(0.1), math.nan,
+                                        np.array([0.0, 0.2])])
+    def test_rejects_nonzero_inactive_scalar_or_array(self, design):
+        with pytest.raises(ValueError, match="inactive"):
+            Allocation(active=(1, 0), design=(0.3, design))
 
     def test_rejects_profile_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -404,6 +428,77 @@ class TestSelect:
             robust_select(many, [X_HAT], wave, constraints)
         with pytest.raises(ValueError, match="exhaustive"):
             feasible_activations(len(many.ris), constraints)
+
+
+class TestOneDistancePass:
+    """Steered at the points themselves (a sweep block) or at its one
+    sample (a one-sample select, its own centroid), _score takes the
+    steering from the distances of its one pass over the path table, and
+    its bounds, bits and steering stay the one-point path's."""
+
+    XS = np.linspace(-5.0, 15.0, 11)
+    # Rows from 8.7 m up lie within 1.3 m of the wall at 10 m.
+    YS = (0.5, 3.0, 5.5, 8.0, 8.7, 9.0, 9.3, 9.6, 9.9)
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        distances = channel_module._PathTable.distances
+
+        def counted(table, *args):
+            calls.append(1)
+            return distances(table, *args)
+
+        monkeypatch.setattr(channel_module._PathTable, "distances", counted)
+        return calls
+
+    def test_one_pass_per_score(self, scene, wave, passes):
+        points = np.array([[x, y] for x in self.XS for y in self.YS])
+        patterns = allocation_module._patterns(len(scene.ris), tight_constraints(1, scene, wave))
+        allocation_module._score(scene, points, wave, patterns, points)
+        assert len(passes) == 1
+        passes.clear()
+        select_ris(scene, X_HAT, wave, tight_constraints(2, scene, wave))
+        assert len(passes) == 1
+        # A centroid of several samples is not a point scored: its own pass.
+        passes.clear()
+        robust_select(scene, points[:3], wave, tight_constraints(2, scene, wave))
+        assert len(passes) == 2
+
+    def test_one_pass_per_sweep_batch(self, scene, wave, monkeypatch, passes):
+        scores = []
+        score = sweep_module._score
+
+        def counted(*args):
+            scores.append(1)
+            return score(*args)
+
+        monkeypatch.setattr(sweep_module, "_score", counted)
+        grid = GridSpec(x_range=(-5.0, 15.0), y_range=(8.7, 9.9), nx=11, ny=5)
+        peb_map(scene, grid, wave, "ris", tight_constraints(1, scene, wave))
+        assert len(scores) >= 1
+        assert len(passes) == len(scores)
+
+    @pytest.mark.parametrize("k_bar", [1, 2])
+    def test_matches_the_one_point_path(self, scene, wave, k_bar):
+        constraints = tight_constraints(k_bar, scene, wave)
+        patterns = allocation_module._patterns(len(scene.ris), constraints)
+        points = np.array([[x, y] for x in self.XS for y in self.YS])
+        bounds, steering, _, _ = allocation_module._score(scene, points, wave, patterns,
+                                                          points)
+        for i, point in enumerate(points):
+            aligned = build_allocation(scene, point, wave, (1,) * len(scene.ris))
+            assert tuple(steering[i]) == aligned.design
+            one_point = []
+            for bits in patterns:
+                allocation = build_allocation(scene, point, wave, bits)
+                paths = build_pathset(scene, allocation, point, wave, "ris")
+                one_point.append(peb(fim_total(paths, wave)).value)
+            assert bounds[i].tolist() == one_point, point
+            best = int(np.argmin(one_point))
+            allocation, value = select_ris(scene, point, wave, constraints)
+            assert allocation == build_allocation(scene, point, wave, patterns[best])
+            assert value.value == one_point[best]
 
 
 class TestEvaluateAllocation:

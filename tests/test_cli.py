@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import rispeb.allocation
+import rispeb.channel
 import rispeb.cli
 import rispeb.fim
 import rispeb.sweep
@@ -173,13 +174,16 @@ class TestPointReusesSelection:
         config = dataclasses.replace(default_config(), k_bar=k_bar)
         cells = [np.array([x, y]) for x in self.XS for y in self.YS]
         builds = []
-        build = rispeb.allocation.build_pathset
+        assemble = rispeb.channel._assemble
 
         def counted(*args):
             builds.append(1)
-            return build(*args)
+            return assemble(*args)
 
-        monkeypatch.setattr(rispeb.allocation, "build_pathset", counted)
+        # Every pathset, the selection's and build_pathset's, is assembled
+        # through one of these two bindings.
+        monkeypatch.setattr(rispeb.channel, "_assemble", counted)
+        monkeypatch.setattr(rispeb.allocation, "_assemble", counted)
         reports = [_point_report(config, x) for x in cells]
         # One build per report, the selection's: the report read the rest.
         assert len(builds) == len(cells)
@@ -275,6 +279,60 @@ class TestBadInput:
         assert code == 2
         assert out == ""
         assert f"waveform.{key}" in err
+
+
+class TestOverrideCache:
+    """_load keeps each override's replacement: a repeated query gets the
+    same RunConfig, a bad override fails on every call, and an edited
+    --config file takes effect on its next call."""
+
+    @pytest.fixture
+    def loaded(self, monkeypatch):
+        configs = []
+        load = rispeb.cli._load
+
+        def recorded(args):
+            configs.append(load(args))
+            return configs[-1]
+
+        monkeypatch.setattr(rispeb.cli, "_load", recorded)
+        return configs
+
+    @pytest.mark.parametrize("argv", [("point", "3.5", "5.0", "--kbar", "2"),
+                                      ("point", "7.0", "3.0", "--mode", "reflector")])
+    def test_repeated_override_is_the_same_config(self, capsys, loaded, argv):
+        outs = []
+        for _ in range(3):
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            outs.append(out)
+        assert outs == [FROZEN_REPORTS[argv[1:]]] * 3
+        assert loaded[0] is not default_config()
+        assert all(config is loaded[0] for config in loaded)
+        assert default_config().k_bar == 1 and default_config().mode == "ris"
+
+    @pytest.mark.parametrize("override", [("--kbar", "-1"), ("--bandwidth", "-1")])
+    def test_bad_override_fails_every_time(self, capsys, override):
+        for _ in range(3):
+            code, out, err = run(capsys, "point", "3.5", "5.0", *override)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ")
+
+    def test_edited_config_file_takes_effect(self, capsys, tmp_path, loaded):
+        path = tmp_path / "run.cfg"
+        dump_config(default_config(), path)
+        argv = ("point", "3.5", "5.0", "--config", str(path), "--kbar", "2")
+        code, before, _ = run(capsys, *argv)
+        assert code == 0
+        text = re.sub(r"^power_dbm = .*$", "power_dbm = 10.0", path.read_text(), flags=re.M)
+        path.write_text(text)
+        code, after, _ = run(capsys, *argv)
+        assert code == 0
+        assert loaded[1].power_dbm == 10.0 and loaded[1].k_bar == 2
+        assert loaded[0] is not loaded[1]
+        assert after != before
+        assert after == _point_report(dataclasses.replace(loads_config(text), k_bar=2),
+                                      np.array([3.5, 5.0])) + "\n"
 
 
 @pytest.fixture
