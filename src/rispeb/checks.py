@@ -3,8 +3,9 @@
 Each is written apart from the code it checks, and none calls
 allocation._score, _patterns, feasible_activations or sweep internals:
 all_patterns filters all 2^n bit vectors where _patterns combines index
-sets, kernel_sum is the explicit subcarrier sum behind waveform's closed
-form, count_clusters the one-cell merge behind fim's batched one.
+sets, and kernel_sum is the explicit subcarrier sum behind waveform's
+closed form. fim's two cluster merges, one position on floats and a
+block of rows on arrays, are each other's reference in the tests.
 
 fim_numerical is an independent cross-check of fim_total: it
 differentiates the frequency-domain observation at each subcarrier with
@@ -30,8 +31,6 @@ from .waveform import (
     _TAYLOR_LIMIT,
     delay_kernel,
     delay_kernel_peak,
-    delay_resolution,
-    unambiguous_range,
 )
 
 
@@ -116,29 +115,6 @@ def kernel_sum(cfg, delta):
     d = np.asarray(delta, dtype=float)
     phase = (-2j * math.pi * cfg.bandwidth_hz / cfg.subcarrier_count) * d[..., None] * n
     return np.exp(phase) @ weights
-
-
-def count_clusters(taus, cfg) -> int:
-    """Resolvable delay clusters among the delays taus of the paths that
-    exist: over the sorted delays, merge the closest adjacent pair of
-    clusters (the first on a tie; a cluster's delay is its members' mean)
-    until every adjacent pair is at least 1/W apart. Raises ValueError
-    when the delays span more than the kernel separates without aliasing."""
-    limit = 1.0 / cfg.bandwidth_hz
-    span = (max(taus) - min(taus)) * SPEED_OF_LIGHT if taus else 0.0
-    allowed = unambiguous_range(cfg) - delay_resolution(cfg)
-    if span > allowed:
-        raise ValueError(f"path lengths span {span:.6g} m, more than the "
-                         f"{allowed:.6g} m the delay kernel separates without aliasing")
-    clusters = [(tau, 1) for tau in sorted(taus)]
-    while len(clusters) > 1:
-        means = [total / size for total, size in clusters]
-        gap, i = min((abs(b - a), i) for i, (a, b) in enumerate(zip(means, means[1:])))
-        if gap >= limit:
-            break
-        (first, size1), (second, size2) = clusters[i:i + 2]
-        clusters[i:i + 2] = [(first + second, size1 + size2)]
-    return len(clusters)
 
 
 def conditioning_error(j) -> float:

@@ -12,11 +12,15 @@ arrays, so a batch of positions and activation patterns is one call
 with one kernel evaluation.
 
 Resolvability is a count of delay clusters: paths closer than 1/W merge.
-A batch of rows (cells) is counted at once with its sorted delays held
-paths first, so each step across a row's few paths is one elementwise
+The merge is written twice, once for each size of input, and each
+checks the other in the tests. count_resolvable_paths counts one
+position on Python floats, a few list operations per merge, where numpy
+would spend a call on each of its few entries. _count_clusters counts a
+block of rows (sweep cells) at once with the sorted delays held paths
+first, so each step across a row's few paths is one elementwise
 operation over all rows, and each row leaves the merge loop at its first
-pass without a merge. The arithmetic is the one-row merge's, so every
-count, and every aliasing error, is the same as row by row.
+pass without a merge. Both make the same floating-point operations in
+the same order, so every count, and every aliasing error, is the same.
 """
 
 from __future__ import annotations
@@ -120,16 +124,19 @@ def peb(fim) -> PebValue:
 
 
 class _AliasedDelays(ValueError):
-    """Delays spanning more than the kernel separates; row is the first
-    such row of the batch."""
+    """Delays whose span covers span meters of path length, more than
+    the allowed meters the delay kernel separates without aliasing; row
+    is the first such row of a batch."""
 
-    def __init__(self, message: str, row: int):
-        super().__init__(message)
+    def __init__(self, span: float, allowed: float, row: int = 0):
+        super().__init__(f"path lengths span {span:.6g} m, more than the "
+                         f"{allowed:.6g} m the delay kernel separates without aliasing")
         self.row = row
 
 
 def count_resolvable_paths(paths: PathSet, cfg: WaveformConfig) -> int:
-    """Number of separable delay clusters among the nonzero-gain paths.
+    """Number of separable delay clusters among the nonzero-gain paths of
+    one position.
 
     Paths closer than 1/W in delay cannot be separated. Over the sorted
     delays, the closest pair of adjacent clusters (the first such pair
@@ -141,10 +148,33 @@ def count_resolvable_paths(paths: PathSet, cfg: WaveformConfig) -> int:
 
     The delay kernel repeats every (N+1)/W, so delays that span more than
     (N+1)/W - 1/W may alias onto each other: such path sets raise
-    ValueError instead of being counted. This is _count_clusters on a
-    batch of one row, the merge that sweeps run on whole blocks of cells.
+    ValueError instead of being counted. So does a PathSet whose arrays
+    carry leading axes (a batch of positions or designs): sweeps count a
+    block of cells with _count_clusters, the same merge over rows.
     """
-    return int(_count_clusters(paths.tau[None], (paths.alpha != 0)[None], cfg)[0])
+    tau, alpha = paths.tau, paths.alpha
+    if tau.shape != (len(paths),) or alpha.shape != tau.shape:
+        raise ValueError(f"count_resolvable_paths takes one position's {len(paths)} paths, "
+                         f"not delays {tau.shape} and gains {alpha.shape}")
+    delays = sorted(t for t, a in zip(tau.tolist(), alpha.tolist()) if a)
+    if delays:
+        span = (delays[-1] - delays[0]) * SPEED_OF_LIGHT
+        allowed = unambiguous_range(cfg) - delay_resolution(cfg)
+        if span > allowed:
+            raise _AliasedDelays(span, allowed)
+    limit = 1.0 / cfg.bandwidth_hz
+    # (total, size) of each cluster; a cluster of one is its own mean.
+    clusters, means = [(t, 1) for t in delays], delays
+    while len(means) > 1:
+        gaps = [b - a for a, b in zip(means, means[1:])]
+        gap = min(gaps)
+        if gap >= limit:
+            break
+        i = gaps.index(gap)
+        (left, m), (right, n) = clusters[i:i + 2]
+        clusters[i:i + 2] = [(left + right, m + n)]
+        means = [total / size for total, size in clusters]
+    return len(means)
 
 
 def _require_unaliased(span: np.ndarray, cfg: WaveformConfig) -> None:
@@ -157,9 +187,7 @@ def _require_unaliased(span: np.ndarray, cfg: WaveformConfig) -> None:
     aliased = span > allowed
     if aliased.any():
         row = int(np.argmax(aliased))
-        raise _AliasedDelays(f"path lengths span {span[row]:.6g} m, more than the "
-                             f"{allowed:.6g} m the delay kernel separates without aliasing",
-                             row)
+        raise _AliasedDelays(span[row], allowed, row)
 
 
 # Stand-in delays (s) for missing paths, 2^1000 s apart. Beyond every real
@@ -170,8 +198,9 @@ _MISSING_STEP = 2.0 ** 1000
 
 def _count_clusters(tau: np.ndarray, exists: np.ndarray, cfg: WaveformConfig) -> np.ndarray:
     """count_resolvable_paths of every row of tau (rows x paths), over the
-    entries where exists; a row with no such entry counts 0. Raises
-    _AliasedDelays, a ValueError, naming the first row that aliases.
+    entries where exists, for a block of cells; a row with no such entry
+    counts 0. Raises _AliasedDelays, a ValueError, naming the first row
+    that aliases.
 
     Each row is sorted once, and the sorted delays are held paths first
     (paths x rows, C-ordered): a row has only a few paths, so every step

@@ -94,6 +94,19 @@ class Scene:
             raise ValueError("RIS centers must be strictly increasing")
         if any(abs(gap - gaps[0]) > 1e-9 for gap in gaps):
             raise ValueError("RIS centers must be evenly spaced")
+        # Scenes key process-wide lru_caches, and the generated hash would
+        # hash every descriptor again on each lookup: it is taken once.
+        object.__setattr__(self, "_hash", hash((self.wall_offset, self.ris,
+                                                self.reflector, self.scatterer)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        # Pickling (the sweep's process pool) sends the fields, not the
+        # hash: before Python 3.12, hash(None) differs between processes,
+        # so the receiving process builds the scene, and its hash, anew.
+        return Scene, (self.wall_offset, self.ris, self.reflector, self.scatterer)
 
     @property
     def ris_spacing(self) -> float | None:

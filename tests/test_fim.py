@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rispeb.allocation import build_allocation
 from rispeb.channel import Path, PathSet, build_pathset
-from rispeb.checks import count_clusters, fim_gap
+from rispeb.checks import fim_gap
 from rispeb.fim import (
     _count_clusters,
     count_resolvable_paths,
@@ -142,6 +142,19 @@ def chain(meters, alphas=None):
     return stack(paths)
 
 
+def count_row(tau, exists, wave):
+    """count_resolvable_paths of one position whose delays are tau (s),
+    with unit gain where exists (everywhere for None) and zero gain
+    elsewhere: the one-position merge on a row of _count_clusters."""
+    tau = np.asarray(tau, dtype=float)
+    k = len(tau)
+    alpha = np.ones(k, dtype=complex) if exists is None else np.where(exists, 1.0 + 0j, 0j)
+    paths = PathSet(kinds=("los",) + ("ris",) * (k - 1), indices=(None,) + tuple(range(k - 1)),
+                    tau=tau, alpha=alpha, direction=np.zeros((k, 2)),
+                    anchor=np.zeros((k, 2)), fixed_leg=np.zeros(k))
+    return count_resolvable_paths(paths, wave)
+
+
 class TestResolvableCount:
     def test_two_clusters_from_three_paths(self):
         assert count_resolvable_paths(chain([10.0, 12.7, 15.4]),
@@ -194,6 +207,23 @@ class TestResolvableCount:
                                       wave) == 2
         with pytest.raises(ValueError, match="aliasing"):
             count_resolvable_paths(chain([10.0, 10.0 + allowed + 1e-6]), wave)
+
+    def test_rejects_a_batch_of_positions(self):
+        """One position at a time: a batch of reflector or scatterer
+        pathsets, or a flat LOS-only one whose delays are a batch's, is
+        refused rather than counted as one row."""
+        from rispeb.config import default_config
+        scene, wave = default_config().scene(), make_wave()
+        points = np.array([[3.5, 5.0], [2.0, 1.5], [7.0, 3.0]])
+        reflector = build_pathset(scene, None, points, wave, "reflector")
+        scatterer = build_pathset(scene, None, points[:2], wave, "scatterer")
+        flat = dataclasses.replace(reflector, kinds=("los",), indices=(None,),
+                                   tau=reflector.tau[:, 0], alpha=reflector.alpha[:, 0])
+        for paths in (reflector, scatterer, flat):
+            with pytest.raises(ValueError, match="takes one position"):
+                count_resolvable_paths(paths, wave)
+        one = build_pathset(scene, None, points[0], wave, "reflector")
+        assert count_resolvable_paths(one, wave) == 2
 
 
 @settings(max_examples=30)
@@ -252,8 +282,35 @@ def test_batched_count_matches_reference_on_lattice(rows):
     exists = np.array([[flag for _, flag in row] for row in rows])
     counts = _count_clusters(tau, exists, DYADIC)
     for r in range(len(rows)):
-        assert counts[r] == count_clusters(list(tau[r][exists[r]]), DYADIC)
+        assert counts[r] == count_row(tau[r], exists[r], DYADIC)
     assert counts[-1] == 0
+
+
+# The 129-subcarrier kernel separates spans up to 128/W, 1024 lattice
+# steps at DYADIC. Delays are drawn near 0 and near 1000-1100 steps, so a
+# position may merge at either end and may span past the limit.
+ALIAS_STEPS = 128 * 8
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=st.lists(st.tuples(st.one_of(st.integers(0, 40), st.integers(1000, 1100)),
+                                st.booleans()), min_size=1, max_size=8))
+@example(cells=TIED[1])
+@example(cells=[(0, True), (ALIAS_STEPS, True), (ALIAS_STEPS + 1, False)])
+@example(cells=[(0, True), (ALIAS_STEPS + 1, True)])
+def test_one_position_count_matches_batched_row(cells):
+    """count_resolvable_paths of one position equals _count_clusters of
+    the same delays as a row of one, or both raise the same message."""
+    tau = np.array([2.0**-25 + step * STEP for step, _ in cells])
+    exists = np.array([flag for _, flag in cells])
+    try:
+        batched = int(_count_clusters(tau[None], exists[None], DYADIC)[0])
+    except ValueError as exc:
+        with pytest.raises(ValueError) as single:
+            count_row(tau, exists, DYADIC)
+        assert str(single.value) == str(exc)
+    else:
+        assert count_row(tau, exists, DYADIC) == batched
 
 
 @settings(max_examples=100, deadline=None)
@@ -266,7 +323,7 @@ def test_batched_count_matches_reference(rows):
     exists = np.array([[flag for _, flag in row] for row in rows])
     counts = _count_clusters(tau, exists, wave)
     for r in range(len(rows)):
-        assert counts[r] == count_clusters(list(tau[r][exists[r]]), wave)
+        assert counts[r] == count_row(tau[r], exists[r], wave)
 
 
 def test_batched_count_names_first_aliased_row():
@@ -278,7 +335,7 @@ def test_batched_count_names_first_aliased_row():
         _count_clusters(tau, np.ones(tau.shape, dtype=bool), wave)
     assert caught.value.row == 1
     with pytest.raises(ValueError) as single:
-        count_clusters(list(tau[1]), wave)
+        count_row(tau[1], None, wave)
     assert str(single.value) == str(caught.value)
     # A missing path does not count toward the span.
     exists = np.array([[True, True], [True, False], [True, False]])
@@ -295,7 +352,7 @@ def default_grid_points():
 
 def assert_counts_match_reference(tau, exists, wave):
     counts = _count_clusters(tau, exists, wave)
-    reference = [count_clusters(list(t[e]), wave) for t, e in zip(tau, exists)]
+    reference = [count_row(t, e, wave) for t, e in zip(tau, exists)]
     assert counts.tolist() == reference
 
 
@@ -340,7 +397,7 @@ def test_rows_leave_the_merge_at_different_passes():
         _count_clusters(tau, exists, wave)
     assert caught.value.row == width
     with pytest.raises(ValueError) as single:
-        count_clusters(list(aliased), wave)
+        count_row(aliased, None, wave)
     assert str(caught.value) == str(single.value)
 
 

@@ -8,13 +8,17 @@ channel.build_pathset computes.
 """
 
 import math
+import os
+import pickle
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from rispeb.allocation import build_allocation, robust_select, select_ris
-from rispeb.channel import MODES, build_pathset
+from rispeb.channel import MODES, _path_table, build_pathset
 from rispeb.fim import fim_total, peb
 from rispeb.geometry import (
     SPEED_OF_LIGHT,
@@ -200,6 +204,52 @@ class TestSceneValidation:
     def test_element_count_positive(self):
         with pytest.raises(ValueError):
             RisDescriptor(center_x=1.5, element_count=0)
+
+
+def full_scene(wall=10.0, ris=(RisDescriptor(1.0, 8), RisDescriptor(2.5, 8))):
+    return Scene(wall_offset=wall, ris=ris,
+                 reflector=ReflectorDescriptor(h1=1.0, h2=6.0, gamma=0.5),
+                 scatterer=ScatterDescriptor(x=3.5, rcs=0.01))
+
+
+class TestSceneHash:
+    def test_equal_scenes_share_path_tables(self):
+        first, second = full_scene(), full_scene(ris=[RisDescriptor(1.0, 8),
+                                                     RisDescriptor(2.5, 8)])
+        assert first is not second and first == second
+        assert hash(first) == hash(second)
+        for mode in MODES:
+            assert _path_table(first, mode) is _path_table(second, mode)
+        assert _path_table(full_scene(wall=12.0), "ris") is not _path_table(first, "ris")
+
+    def test_pickled_scene_compares_and_hashes_equal(self):
+        """Also in another process, where hash(None) may differ (before
+        Python 3.12), for a scene without a scatterer."""
+        scene = full_scene()
+        copy = pickle.loads(pickle.dumps(scene))
+        assert copy == scene and hash(copy) == hash(scene)
+        assert _path_table(copy, "ris") is _path_table(scene, "ris")
+        bare = Scene(wall_offset=10.0, ris=(RisDescriptor(1.0, 8),))
+        check = ("import pickle, sys; from rispeb.geometry import RisDescriptor, Scene; "
+                 "copy = pickle.loads(sys.stdin.buffer.read()); "
+                 "fresh = Scene(wall_offset=10.0, ris=(RisDescriptor(1.0, 8),)); "
+                 "assert copy == fresh and hash(copy) == hash(fresh)")
+        subprocess.run([sys.executable, "-c", check], input=pickle.dumps(bare), check=True,
+                       env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+
+    def test_hash_is_taken_once(self, monkeypatch):
+        """Each lookup reads the stored hash; it hashes no descriptor."""
+        scene = full_scene()
+        calls = []
+
+        def counted(self):
+            calls.append(self)
+            return 0
+
+        monkeypatch.setattr(RisDescriptor, "__hash__", counted)
+        for _ in range(3):
+            hash(scene)
+        assert calls == []
 
 
 @given(p=points)
