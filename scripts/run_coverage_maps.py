@@ -32,7 +32,15 @@ def main(argv=None) -> int:
     ap.add_argument("--out", help="output directory override")
     ap.add_argument("--workers", type=int, help="parallel workers override")
     args = ap.parse_args(argv)
+    # Bad input (ConfigError is a ValueError) exits 2, as rispeb's does.
+    try:
+        return run(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def run(args) -> int:
     config = load_config(args.config) if args.config else default_config()
     # The replacement validates the overrides (ConfigError on a bad one).
     config = dataclasses.replace(config, **{key: value for key, value in (

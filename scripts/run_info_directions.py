@@ -23,9 +23,14 @@ DEFAULT_POINTS = "3.5,5.0;7.0,3.0;-3.0,5.0"
 
 
 def parse_points(raw: str):
+    """The positions of --points; ValueError, naming the item, for one
+    that is not two comma-separated numbers."""
     points = []
     for chunk in raw.split(";"):
-        x, y = (float(v) for v in chunk.split(","))
+        try:
+            x, y = (float(v) for v in chunk.split(","))
+        except ValueError:
+            raise ValueError(f"point {chunk!r} is not an x,y pair") from None
         points.append(np.array([x, y]))
     return points
 
@@ -39,26 +44,37 @@ def main(argv=None) -> int:
                          f"(default: {DEFAULT_POINTS})")
     ap.add_argument("--out", help="output directory override")
     args = ap.parse_args(argv)
+    # Bad input (ConfigError, DegeneratePositionError and a position above
+    # the wall are ValueErrors) exits 2, as rispeb's does.
+    try:
+        return run(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def run(args) -> int:
     config = load_config(args.config) if args.config else default_config()
     out_dir = args.out if args.out is not None else config.out_dir
     scene, wave = config.scene(), config.waveform()
+    # Every position is analyzed before the CSV is opened, so bad input
+    # writes nothing.
+    arrows = [(point, mode, info_directions(scene, point, wave, mode))
+              for point in parse_points(args.points) for mode in MODES]
 
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, "info_directions.csv")
     with open(out_path, "w", encoding="ascii", newline="") as fh:
         fh.write(HEADER + "\n")
-        for point in parse_points(args.points):
-            for mode in MODES:
-                arrows = info_directions(scene, point, wave, mode)
-                print(f"({point[0]:g}, {point[1]:g}) {mode}: "
-                      f"{len(arrows)} arrows")
-                for i, (direction, intensity) in enumerate(arrows):
-                    print(f"  arrow {i}: direction ({direction[0]:+.4f}, "
-                          f"{direction[1]:+.4f}), intensity {intensity:.6g}")
-                    fh.write(f"{mode},{point[0]:.9g},{point[1]:.9g},{i},"
-                             f"{direction[0]:.9g},{direction[1]:.9g},"
-                             f"{intensity:.9g}\n")
+        for point, mode, point_arrows in arrows:
+            print(f"({point[0]:g}, {point[1]:g}) {mode}: "
+                  f"{len(point_arrows)} arrows")
+            for i, (direction, intensity) in enumerate(point_arrows):
+                print(f"  arrow {i}: direction ({direction[0]:+.4f}, "
+                      f"{direction[1]:+.4f}), intensity {intensity:.6g}")
+                fh.write(f"{mode},{point[0]:.9g},{point[1]:.9g},{i},"
+                         f"{direction[0]:.9g},{direction[1]:.9g},"
+                         f"{intensity:.9g}\n")
     print(f"wrote {out_path}", file=sys.stderr)
     return 0
 

@@ -17,12 +17,12 @@ import functools
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .channel import PathSet, _assemble, _path_table, _steering, build_pathset
+from .channel import PathSet, _assemble, _path_table, _steering
 from .fim import PebValue, _AliasedDelays, _require_unaliased, fim_total, peb
 from .geometry import SPEED_OF_LIGHT, Scene, _as_point, _require_below_wall
 from .waveform import WaveformConfig
@@ -41,11 +41,6 @@ DEFAULT_PEB_CAP = 5.0
 # on the 100x100 k_bar=1 RIS map only in a process whose heap larger
 # blocks have grown before; from a fresh process it is slower.
 _BATCH_ENTRIES = 1 << 18
-
-# What the last one-sample robust_select chose, for evaluate_allocation:
-# (key, pathset, FIM total, bound), the key being (scene, cfg, the
-# position's float64 bytes, allocation). None until such a call.
-_last_choice = None
 
 
 @dataclass(frozen=True)
@@ -249,14 +244,38 @@ def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig, patterns: np.n
     return _Scored(np.concatenate(values, axis=-1), steering, paths, totals)
 
 
+@dataclass(frozen=True, eq=False)
+class ChosenBound(PebValue):
+    """select_ris's bound, a PebValue that compares by value only, which
+    also gives the chosen allocation's pathset at the point (paths) and
+    its 2x2 FIM total (total). Both are taken, when first read, from
+    what the selection scored: the same floats as build_pathset and
+    fim_total give."""
+
+    _scored: _Scored = field(repr=False)
+    _best: int = field(repr=False)
+    _active: tuple[int, ...] = field(repr=False)
+
+    @functools.cached_property
+    def paths(self) -> PathSet:
+        paths = self._scored.paths
+        # The pattern picks each surface's steered or flat gain; LOS first.
+        alpha = np.where((0,) + self._active, paths.alpha[0, -1], paths.alpha[0, 0])
+        return replace(paths, tau=paths.tau[0, 0], alpha=alpha,
+                       direction=paths.direction[0, 0])
+
+    @functools.cached_property
+    def total(self) -> np.ndarray:
+        return np.concatenate([batch[0] for batch in self._scored.totals])[self._best]
+
+
 def select_ris(scene: Scene, x_hat, cfg: WaveformConfig,
-               constraints: SelectionConstraints) -> tuple[Allocation, PebValue]:
+               constraints: SelectionConstraints) -> tuple[Allocation, ChosenBound]:
     """Exhaustive activation search minimizing the full-FIM bound at x_hat,
-    with phases optimal for x_hat: robust_select over the one sample, so
-    it keeps the chosen allocation's pathset, FIM and bound for
-    evaluate_allocation."""
-    allocation, value = robust_select(scene, [x_hat], cfg, constraints)
-    return allocation, PebValue(value)
+    with phases optimal for x_hat: robust_select over the one sample,
+    whose bound also gives the chosen pathset and FIM (ChosenBound)."""
+    allocation, score, scored, best = _select(scene, [x_hat], cfg, constraints, "worst_case")
+    return allocation, ChosenBound(score, scored, best, allocation.active)
 
 
 def robust_select(scene: Scene, samples, cfg: WaveformConfig,
@@ -274,17 +293,18 @@ def robust_select(scene: Scene, samples, cfg: WaveformConfig,
     computed and scored, equal to build_allocation's at the centroid, so
     a call makes _score's passes over the path table and no other: one
     for one sample, which is its own centroid exactly, two for several.
-    A call with one sample keeps, in a one-entry cache that
-    evaluate_allocation reads, references to the chosen allocation's
-    pathset, FIM total and own bound (unclamped), under the key (scene,
-    cfg, the sample's float64 bytes, allocation); a call with several
-    samples leaves the cache as it is.
     Raises ValueError, naming the sample, for a sample that is not one
     (x, y) point, and where a sample's delays alias, as
     count_resolvable_paths does; with several samples that error names
     the first aliased sample's index and position.
     """
-    global _last_choice
+    return _select(scene, samples, cfg, constraints, objective)[:2]
+
+
+def _select(scene: Scene, samples, cfg: WaveformConfig, constraints: SelectionConstraints,
+            objective: str) -> tuple[Allocation, float, _Scored, int]:
+    """robust_select's allocation and score, with what _score returned
+    and the chosen pattern's index in it."""
     if objective not in ("worst_case", "expected"):
         raise ValueError(f"unknown robust objective {objective!r}")
     points = [np.asarray(s, dtype=float) for s in samples]
@@ -298,7 +318,8 @@ def robust_select(scene: Scene, samples, cfg: WaveformConfig,
     # points themselves and reads the steering off their one pass.
     steer_at = points if len(points) == 1 else np.mean(points, axis=0)
     patterns = _patterns(len(scene.ris), constraints)
-    values, steering, paths, totals = _score(scene, points, cfg, patterns, steer_at)
+    scored = _score(scene, points, cfg, patterns, steer_at)
+    values, steering, paths, _ = scored
     delays = paths.tau[:, 0]
     try:
         _require_unaliased(delays.max(axis=1) - delays.min(axis=1), cfg)
@@ -315,33 +336,4 @@ def robust_select(scene: Scene, samples, cfg: WaveformConfig,
     # One sample's steering has the points' axis of length one.
     allocation = Allocation(active=tuple(patterns[best].astype(int).tolist()),
                             design=tuple(np.where(patterns[best], steering, 0.0).reshape(-1)))
-    if len(points) == 1:
-        total = np.concatenate([batch[0] for batch in totals])[best]
-        # Shared with every evaluate_allocation that reads them.
-        for array in (paths.tau, paths.alpha, paths.direction, total):
-            array.flags.writeable = False
-        _last_choice = ((scene, cfg, points[0].tobytes(), allocation), paths, total,
-                        float(values[0, best]))
-    return allocation, float(scores[best])
-
-
-def evaluate_allocation(scene: Scene, allocation: Allocation, x,
-                        cfg: WaveformConfig) -> tuple[PathSet, np.ndarray, float]:
-    """The RIS pathset of allocation at the one point x, its 2x2 FIM total
-    and its bound. When scene, cfg, x's float64 bytes and allocation all
-    equal the key of the last one-sample robust_select (select_ris), they
-    are read from what that call scored, as views; otherwise they are
-    built with build_pathset, fim_total and peb. Either way they are the
-    same floats; the read ones are read-only."""
-    p = _as_point(x)
-    # One read of the entry, which a selection replaces whole.
-    choice = _last_choice
-    if choice is not None and choice[0] == (scene, cfg, p.tobytes(), allocation):
-        _, paths, total, bound = choice
-        # The pattern picks each surface's steered or flat gain; LOS first.
-        alpha = np.where((0,) + allocation.active, paths.alpha[0, -1], paths.alpha[0, 0])
-        return (replace(paths, tau=paths.tau[0, 0], alpha=alpha,
-                        direction=paths.direction[0, 0]), total, bound)
-    paths = build_pathset(scene, allocation, p, cfg, "ris")
-    total = fim_total(paths, cfg).total
-    return paths, total, peb(total).value
+    return allocation, float(scores[best]), scored, best

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .allocation import evaluate_allocation, select_ris
+from .allocation import ChosenBound, select_ris
 from .channel import MODES, build_pathset
 from .checks import CHECKS
 from .config import _PARSE_CACHE_SIZE, ConfigError, RunConfig, default_config, load_config
@@ -40,9 +40,9 @@ def _load(args) -> RunConfig:
 
     The replacement validates them as a config file would be, and is
     kept: a process that repeats a query gets the same RunConfig, with
-    the same scene and waveform, for the same base config and overrides,
-    so the caches keyed by them compare by identity. An override that
-    fails raises on every call, and an edited file is a new base config.
+    the same scene and waveform, for the same base config and overrides.
+    An override that fails raises on every call, and an edited file is a
+    new base config.
     """
     config = load_config(args.config) if args.config else default_config()
     overrides = tuple((key, value) for key, value in (
@@ -60,22 +60,21 @@ def _override(config: RunConfig, overrides: tuple) -> RunConfig:
 
 
 def _point_report(config: RunConfig, x) -> str:
-    """The report of `rispeb point` at x. In RIS mode select_ris picks
-    the allocation and keeps what it scored, so evaluate_allocation reads
-    the chosen pathset, FIM and bound from that one-sample selection
-    (keyed by scene, waveform, x's bytes and allocation) instead of
-    building them again; only the resolvable-path count is computed
-    here. An allocation the selection did not choose is built afresh."""
+    """The report of `rispeb point` at x. In RIS mode the allocation is
+    select_ris's, and the chosen pathset, FIM and bound are read from its
+    ChosenBound; a bound that is not one has them built afresh, as the
+    baseline modes do. The resolvable-path count is computed here."""
     scene = config.scene()
     cfg = config.waveform()
     lines = [f"position_m: {x[0]:.6g}, {x[1]:.6g}", f"mode: {config.mode}"]
+    allocation = bound = None
     if config.mode == "ris":
-        allocation, _ = select_ris(scene, x, cfg,
-                                   config.selection_constraints())
+        allocation, bound = select_ris(scene, x, cfg, config.selection_constraints())
         lines.append(f"allocation_bits: {allocation.bits}")
-        paths, total, bound = evaluate_allocation(scene, allocation, x, cfg)
+    if isinstance(bound, ChosenBound):
+        paths, total, bound = bound.paths, bound.total, bound.value
     else:
-        paths = build_pathset(scene, None, x, cfg, config.mode)
+        paths = build_pathset(scene, allocation, x, cfg, config.mode)
         total, bound = fim_total(paths, cfg).total, None
     # Plain floats format as the numpy scalars of Path views would, faster.
     for kind, index, tau, mag in zip(paths.kinds, paths.indices, paths.tau.tolist(),

@@ -25,10 +25,10 @@ import rispeb.sweep as sweep_module
 from rispeb.allocation import (
     MAX_EXHAUSTIVE_RIS,
     Allocation,
+    ChosenBound,
     SelectionConstraints,
     build_allocation,
     d_min,
-    evaluate_allocation,
     feasible_activations,
     gap_threshold,
     optimal_phases,
@@ -502,122 +502,69 @@ class TestOneDistancePass:
 
 
 class TestEvaluateAllocation:
-    """evaluate_allocation reads what the last one-sample selection scored
-    only under that selection's exact key (scene, waveform, position
-    bytes, allocation); anything else is built afresh, and only a
-    one-sample selection replaces what it reads."""
-
-    @pytest.fixture()
-    def builds(self, monkeypatch):
-        """The build_pathset calls made through the allocation module."""
-        calls = []
-        original = allocation_module.build_pathset
-
-        def counted(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(allocation_module, "build_pathset", counted)
-        return calls
+    """select_ris's bound, a ChosenBound, carries the evaluation of the
+    allocation it chose at its own point: the pathset, 2x2 FIM total and
+    bound that a fresh build gives, float for float, whatever was
+    selected after it."""
 
     @staticmethod
-    def assert_fresh(evaluation, scene, allocation, x, wave):
-        """The evaluation is, float for float, a pathset, FIM and bound
+    def assert_fresh(chosen, scene, allocation, x, wave):
+        """chosen's paths, total and value are a pathset, FIM and bound
         built from nothing."""
-        paths, total, bound = evaluation
         fresh = build_pathset(scene, allocation, x, wave, "ris")
         fim = fim_total(fresh, wave)
+        paths = chosen.paths
         assert (paths.kinds, paths.indices) == (fresh.kinds, fresh.indices)
         for name in ("tau", "alpha", "direction", "anchor", "fixed_leg"):
             got, want = getattr(paths, name), getattr(fresh, name)
             assert got.shape == want.shape and np.array_equal(got, want), name
-        assert total.shape == (2, 2) and np.array_equal(total, fim.total)
-        assert bound == peb(fim).value
+        assert chosen.total.shape == (2, 2) and np.array_equal(chosen.total, fim.total)
+        assert chosen.value == peb(fim).value
 
     @pytest.mark.parametrize("batch_entries", [allocation_module._BATCH_ENTRIES, 1],
                              ids=["budget", "one"])
     @pytest.mark.parametrize("k_bar", range(4))
-    def test_selection_is_read_back_exactly(self, scene, wave, rng, builds, monkeypatch,
+    def test_selection_is_read_back_exactly(self, scene, wave, rng, monkeypatch,
                                             k_bar, batch_entries):
-        """Right after select_ris, its allocation's evaluation at the same
-        point builds nothing and equals a fresh build; the bound is the
-        one selection returned. Points include rows near the wall; the
-        patterns are scored in one batch or one per batch."""
+        """Every selection's bound reads back its allocation's fresh
+        evaluation. Points include rows near the wall; the patterns are
+        scored in one batch or one per batch."""
         monkeypatch.setattr(allocation_module, "_BATCH_ENTRIES", batch_entries)
         constraints = tight_constraints(k_bar, scene, wave)
         points = [X_HAT, np.array([5.0, 9.5]), np.array([-5.0, 0.5])]
         points += [np.array([rng.uniform(-5.0, 15.0), rng.uniform(0.5, 9.9)])
                    for _ in range(15)]
         for x in points:
-            allocation, value = select_ris(scene, x, wave, constraints)
-            builds.clear()
-            evaluation = evaluate_allocation(scene, allocation, x, wave)
-            assert builds == [], x
-            self.assert_fresh(evaluation, scene, allocation, x, wave)
-            assert evaluation[2] == value.value
-            paths, total, _ = evaluation
-            assert not (paths.tau.flags.writeable or paths.direction.flags.writeable
-                        or total.flags.writeable)
+            allocation, chosen = select_ris(scene, x, wave, constraints)
+            assert isinstance(chosen, ChosenBound)
+            self.assert_fresh(chosen, scene, allocation, x, wave)
 
-    def test_expected_objective_keeps_the_unclamped_bound(self, scene, wave, builds):
-        """A one-sample "expected" selection scores the capped bound; what
-        it keeps is the allocation's own bound, above the cap."""
-        constraints = tight_constraints(0, scene, wave)
-        _, own = select_ris(scene, X_HAT, wave, constraints)
-        kept = allocation_module._last_choice
-        allocation, score = robust_select(scene, [X_HAT], wave, constraints, "expected")
-        assert allocation_module._last_choice is not kept
-        assert score == constraints.peb_cap < own.value
-        builds.clear()
-        evaluation = evaluate_allocation(scene, allocation, X_HAT, wave)
-        assert builds == []
-        self.assert_fresh(evaluation, scene, allocation, X_HAT, wave)
-        assert evaluation[2] == own.value
-
-    def test_any_other_key_is_built_afresh(self, scene, wave, builds):
-        """After a selection at X_HAT, another point, waveform, scene or
-        allocation (other bits, or the same bits steered elsewhere) is
-        built and scored afresh, and leaves the kept choice in place."""
+    def test_a_bound_outlives_later_selections(self, scene, wave):
+        """A bound read before, and one first read after, selections at
+        other points, budgets and scenes, robust selections and a sweep
+        still give their own point's evaluation."""
         constraints = tight_constraints(2, scene, wave)
-        allocation, _ = select_ris(scene, X_HAT, wave, constraints)
-        kept = allocation_module._last_choice
-        runner_up = build_allocation(scene, X_HAT, wave, (1, 0, 0, 0, 0))
-        assert runner_up.active != allocation.active
-        elsewhere = build_allocation(scene, X_HAT + 0.25, wave, allocation.active)
+        allocation, read = select_ris(scene, X_HAT, wave, constraints)
+        self.assert_fresh(read, scene, allocation, X_HAT, wave)
+        _, unread = select_ris(scene, X_HAT, wave, constraints)
         other_scene = dataclasses.replace(scene, wall_offset=scene.wall_offset + 1.0)
-        cases = [(scene, allocation, np.array([3.5, 5.0 + 1e-12]), wave),
-                 (scene, allocation, np.array([8.0, 4.0]), wave),
-                 (scene, allocation, X_HAT, dataclasses.replace(wave, bandwidth_hz=1e9)),
-                 (scene, allocation, X_HAT, dataclasses.replace(wave, noise_psd_w_hz=2e-21)),
-                 (other_scene, allocation, X_HAT, wave),
-                 (scene, runner_up, X_HAT, wave),
-                 (scene, elsewhere, X_HAT, wave)]
-        for case in cases:
-            builds.clear()
-            evaluation = evaluate_allocation(*case)
-            assert len(builds) == 1
-            self.assert_fresh(evaluation, *case)
-            assert allocation_module._last_choice is kept
-        builds.clear()
-        self.assert_fresh(evaluate_allocation(scene, allocation, [3.5, 5.0], wave),
-                          scene, allocation, X_HAT, wave)
-        assert builds == []
-
-    def test_only_a_one_sample_selection_replaces_the_choice(self, scene, wave):
-        """Several samples and sweeps score through the same core but keep
-        nothing; the next one-sample selection replaces the kept choice."""
-        constraints = tight_constraints(1, scene, wave)
-        select_ris(scene, X_HAT, wave, constraints)
-        kept = allocation_module._last_choice
+        select_ris(scene, np.array([8.0, 4.0]), wave, constraints)
+        select_ris(scene, X_HAT, wave, tight_constraints(1, scene, wave))
+        select_ris(other_scene, X_HAT, wave, constraints)
         robust_select(scene, [X_HAT, [3.0, 5.5], [4.0, 4.5]], wave, constraints)
-        robust_select(scene, [X_HAT, X_HAT], wave, constraints, "expected")
-        assert allocation_module._last_choice is kept
         grid = GridSpec(x_range=(2.0, 6.0), y_range=(3.0, 5.0), nx=3, ny=2)
         peb_map(scene, grid, wave, "ris", constraints)
-        assert allocation_module._last_choice is kept
-        robust_select(scene, [[8.0, 4.0]], wave, constraints)
-        assert allocation_module._last_choice is not kept
-        assert allocation_module._last_choice[0][2] == np.array([8.0, 4.0]).tobytes()
+        for chosen in (read, unread):
+            self.assert_fresh(chosen, scene, allocation, X_HAT, wave)
+
+    def test_bounds_compare_by_value_only(self, scene, wave):
+        """Two selections at one point give equal bounds, with equal
+        hashes, though each holds its own scored arrays."""
+        constraints = tight_constraints(1, scene, wave)
+        _, first = select_ris(scene, X_HAT, wave, constraints)
+        _, second = select_ris(scene, X_HAT, wave, constraints)
+        assert first.paths.alpha is not second.paths.alpha
+        assert first == second and hash(first) == hash(second)
 
 
 class TestRobustSelect:

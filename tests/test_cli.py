@@ -138,12 +138,12 @@ class TestPoint:
         assert err.startswith("error: ")
 
 
-def fresh_evaluation(scene, allocation, x, cfg):
-    """evaluate_allocation built from nothing: point's evaluation before
-    selection kept what it scored."""
-    paths = build_pathset(scene, allocation, x, cfg, "ris")
-    fim = fim_total(paths, cfg)
-    return paths, fim.total, peb(fim).value
+def plain_bound(scene, x_hat, cfg, constraints):
+    """select_ris with its bound as a plain PebValue, which carries no
+    pathset or FIM: point builds them from nothing, as it did before
+    selection returned what it scored."""
+    allocation, bound = rispeb.allocation.select_ris(scene, x_hat, cfg, constraints)
+    return allocation, PebValue(bound.value)
 
 
 def runner_up(scene, x_hat, cfg, constraints):
@@ -161,8 +161,8 @@ def runner_up(scene, x_hat, cfg, constraints):
 
 class TestPointReusesSelection:
     """In RIS mode point reads the chosen pattern's paths, FIM and bound
-    from the selection that scored them; its reports stay those of a
-    fresh build, byte for byte."""
+    from the bound select_ris returns; its reports stay those of a fresh
+    build, byte for byte."""
 
     XS = np.linspace(-5.0, 15.0, 11)
     # Rows from 8.7 m up lie within 1.3 m of the wall at 10 m, where the
@@ -187,22 +187,26 @@ class TestPointReusesSelection:
         reports = [_point_report(config, x) for x in cells]
         # One build per report, the selection's: the report read the rest.
         assert len(builds) == len(cells)
-        monkeypatch.setattr(rispeb.cli, "evaluate_allocation", fresh_evaluation)
+        monkeypatch.setattr(rispeb.cli, "select_ris", plain_bound)
         for x, report in zip(cells, reports):
             assert report == _point_report(config, x), x
         assert sum("peb_m: inf  #" in report for report in reports) >= 4
 
     def test_runner_up_is_reported_as_itself(self, capsys, monkeypatch):
-        """A selection that returns a pattern it did not keep (the
-        benchmark's runner_up fault) gets that pattern's own report, even
-        right after the real selection kept the best one at the point."""
+        """A selection that returns another pattern than the best with a
+        plain bound (the benchmark's runner_up fault) gets that pattern's
+        own report, built afresh, even right after the real selection
+        scored the best one at the point."""
         code, best, _ = run(capsys, "point", "3.5", "5.0", "--kbar", "2")
         assert code == 0
         monkeypatch.setattr(rispeb.cli, "select_ris", runner_up)
         code, out, _ = run(capsys, "point", "3.5", "5.0", "--kbar", "2")
         assert code == 0
-        monkeypatch.setattr(rispeb.cli, "evaluate_allocation", fresh_evaluation)
-        assert run(capsys, "point", "3.5", "5.0", "--kbar", "2") == (0, out, "")
+        config = dataclasses.replace(default_config(), k_bar=2)
+        allocation, value = runner_up(config.scene(), np.array([3.5, 5.0]),
+                                      config.waveform(), config.selection_constraints())
+        assert out.splitlines()[2] == f"allocation_bits: {allocation.bits}"
+        assert out.splitlines()[-1] == f"peb_m: {value.value:.9g}"
         # The bits (third line) and the bound (last) are the runner-up's.
         assert best.splitlines()[2] == "allocation_bits: 10010"
         assert out.splitlines()[2] != best.splitlines()[2]

@@ -48,6 +48,33 @@ def test_run_info_directions(small_config, tmp_path):
                   {"info_directions.csv": script.HEADER})
 
 
+@pytest.mark.parametrize("points", ["1;2", "1,2;", "1,2,3", "a,b", "0,0", "3,12"])
+def test_run_info_directions_rejects_bad_points(points, tmp_path, capsys):
+    """A malformed item, the BS position or a position above the wall
+    exits 2, rispeb's bad-input code (1 is validate's), with one error
+    line and no file written."""
+    script = load_script("run_info_directions")
+    out = tmp_path / "arrows"
+    assert script.main(["--points", points, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_run_coverage_maps_rejects_bad_workers(workers, tmp_path, capsys):
+    """A worker count below one is a ConfigError, which exits 2 with one
+    error line before anything runs."""
+    out = tmp_path / "maps"
+    assert load_script("run_coverage_maps").main(["--workers", workers,
+                                                  "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: run.workers must be at least 1\n"
+    assert not out.exists()
+
+
 def test_readme_library_example():
     """README's python block exits 0 and prints the bits and bound that
     its comment gives."""
