@@ -133,7 +133,11 @@ def build_allocation(scene: Scene, x_hat, cfg: WaveformConfig, active) -> Alloca
     positions gives one design per position on each active RIS."""
     p = _as_point(x_hat)
     _require_below_wall(scene, p)
-    bits = tuple(int(bool(bit)) for bit in active)
+    bits = tuple(active)
+    # Compared, not tested for truth: "0", 2 and 0.5 are not active bits.
+    if any(bit not in (0, 1) for bit in bits):
+        raise ValueError("activation entries must be 0 or 1")
+    bits = tuple(map(int, bits))
     if len(bits) != len(scene.ris):
         raise ValueError("activation length must match the RIS count")
     # Only the active surfaces are steered, and only their anchors are
@@ -239,7 +243,7 @@ def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig, patterns: np.n
     values, totals = [], []
     for start in range(0, len(patterns), step):
         alpha = np.where(on[start:start + step], steered, flat)
-        totals.append(fim_total(replace(paths, alpha=alpha), cfg).total)
+        totals.append(fim_total(replace(paths, alpha=alpha), cfg))
         values.append(peb(totals[-1]).value)
     return _Scored(np.concatenate(values, axis=-1), steering, paths, totals)
 

@@ -102,7 +102,7 @@ def fim_gap(paths, cfg) -> float:
     scale = np.linalg.norm(reference)
     if scale == 0.0:
         return 0.0
-    return float(np.linalg.norm(fim_total(paths, cfg).total - reference) / scale)
+    return float(np.linalg.norm(fim_total(paths, cfg) - reference) / scale)
 
 
 def kernel_sum(cfg, delta):

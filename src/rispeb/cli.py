@@ -75,7 +75,7 @@ def _point_report(config: RunConfig, x) -> str:
         paths, total, bound = bound.paths, bound.total, bound.value
     else:
         paths = build_pathset(scene, allocation, x, cfg, config.mode)
-        total, bound = fim_total(paths, cfg).total, None
+        total, bound = fim_total(paths, cfg), None
     # Plain floats format as the numpy scalars of Path views would, faster.
     for kind, index, tau, mag in zip(paths.kinds, paths.indices, paths.tau.tolist(),
                                      np.abs(paths.alpha).tolist()):

@@ -1,15 +1,16 @@
 """Position-block Fisher information, error bounds, and resolvability.
 
-The 2x2 position FIM is one weighted sum of outer products, made twice:
-over the paths, each adding |alpha_k|^2 kernel(0) on e_k e_k^T (the
-direct part), and over the pairs k < l, each adding 2 Re{alpha_k
-conj(alpha_l)} kernel(tau_k - tau_l) on e_k e_l^T (the interference
-part), which symmetrizing the sum halves onto e_k e_l^T + e_l e_k^T.
-Path gains are treated as known constants: their dependence on position
-is deliberately not exploited, matching the bound's definition.
-fim_total and peb broadcast over the leading axes of the PathSet's
-arrays, so a batch of positions and activation patterns is one call
-with one kernel evaluation.
+fim_total returns the 2x2 position FIM as a plain array, and peb takes
+it. The FIM is one weighted sum of outer products, made twice: over the
+paths, each adding |alpha_k|^2 kernel(0) on e_k e_k^T (the direct sum),
+and over the pairs k < l, each adding 2 Re{alpha_k conj(alpha_l)}
+kernel(tau_k - tau_l) on e_k e_l^T (the interference), which
+symmetrizing the sum halves onto e_k e_l^T + e_l e_k^T. Path gains are
+treated as known constants: their dependence on position is
+deliberately not exploited, matching the bound's definition. Both
+broadcast over the leading axes of the PathSet's arrays: a batch of
+positions and activation patterns is one (..., 2, 2) stack, made with
+one kernel evaluation.
 
 Resolvability is a count of delay clusters: paths closer than 1/W merge.
 The merge is written twice, once for each size of input, and each
@@ -48,16 +49,6 @@ CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
-class Fim2:
-    """2x2 position FIM. interference is the pair part before symmetrization
-    (pair k < l on e_k e_l^T only); total = sym(direct + interference)."""
-
-    direct: np.ndarray
-    interference: np.ndarray
-    total: np.ndarray
-
-
-@dataclass(frozen=True)
 class PebValue:
     """Position error bound in meters; math.inf when the FIM is degenerate."""
 
@@ -80,10 +71,11 @@ def _outer_sum(weights, left, right) -> np.ndarray:
     return (left * weights[..., None, :]) @ right
 
 
-def fim_total(paths: PathSet, cfg: WaveformConfig) -> Fim2:
-    """Direct plus interference FIM. A PathSet whose arrays carry leading
-    axes gives a stack of 2x2 matrices over those axes, with one delay_kernel
-    call for the whole stack."""
+def fim_total(paths: PathSet, cfg: WaveformConfig) -> np.ndarray:
+    """The symmetrized 2x2 position FIM, direct sum plus interference, as
+    a (..., 2, 2) array. A PathSet whose arrays carry leading axes gives a
+    stack of matrices over those axes, with one delay_kernel call for the
+    whole stack."""
     alpha, tau, e = paths.alpha, paths.tau, paths.direction
     # C-ordered operands (np.take, not indexing) halve the products' time.
     columns = np.ascontiguousarray(np.swapaxes(e, -1, -2))
@@ -96,19 +88,18 @@ def fim_total(paths: PathSet, cfg: WaveformConfig) -> Fim2:
     interference = _outer_sum(weights, np.take(columns, first, axis=-1),
                               np.take(e, second, axis=-2))
     total = direct + interference
-    return Fim2(direct=direct, interference=interference,
-                total=0.5 * (total + np.swapaxes(total, -1, -2)))
+    return 0.5 * (total + np.swapaxes(total, -1, -2))
 
 
 def peb(fim) -> PebValue:
     """sqrt(trace(J^-1)) through the closed-form 2x2 adjugate inverse.
 
-    Accepts a Fim2 or a raw 2x2 array, or a stack of them (..., 2, 2), for
-    which value is an array over the leading axes. Returns infinity when
-    the symmetrized matrix has nonpositive determinant or a condition
+    Takes a 2x2 FIM, such as fim_total's, or a stack of them (..., 2, 2),
+    for which value is an array over the leading axes. Returns infinity
+    when the symmetrized matrix has nonpositive determinant or a condition
     number beyond CONDITION_LIMIT.
     """
-    j = fim.total if isinstance(fim, Fim2) else np.asarray(fim, dtype=float)
+    j = np.asarray(fim, dtype=float)
     a = j[..., 0, 0]
     d = j[..., 1, 1]
     b = 0.5 * (j[..., 0, 1] + j[..., 1, 0])

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,6 +227,9 @@ def _sweep(scene, grid, cfg, mode, constraints, cap, workers,
            count_only) -> MapResult:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    if workers is not None and (isinstance(workers, bool) or not isinstance(
+            workers, numbers.Integral) or workers < 1):
+        raise ValueError("workers must be None or a positive integer")
     if grid.y_range[1] >= scene.wall_offset:
         raise ValueError("grid must stay strictly below the wall")
     patterns = _patterns(len(scene.ris), constraints) if mode == "ris" and not count_only else None
@@ -254,7 +258,8 @@ def _sweep(scene, grid, cfg, mode, constraints, cap, workers,
 def path_count_map(scene: Scene, grid: GridSpec, cfg: WaveformConfig,
                    mode: str, workers: int | None = None) -> MapResult:
     """Resolvable-path count per cell; RIS mode activates every surface
-    with phases optimal for the cell."""
+    with phases optimal for the cell. workers is None (serial) or a
+    positive integer."""
     return _sweep(scene, grid, cfg, mode, None, DEFAULT_PEB_CAP, workers,
                   count_only=True)
 
@@ -267,7 +272,8 @@ def peb_map(scene: Scene, grid: GridSpec, cfg: WaveformConfig, mode: str,
     RIS mode runs the activation search per cell with the cell itself as
     the assumed user position when constraints are given, and activates
     every surface otherwise. Baseline modes evaluate their fixed pathset.
-    cap must be positive; NaN is rejected too.
+    cap must be positive; NaN is rejected too. workers is None (serial)
+    or a positive integer.
     """
     if not cap > 0.0:
         raise ValueError("PEB cap must be positive")

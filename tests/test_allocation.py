@@ -66,7 +66,7 @@ def frozen_tolerance(scene, wave, active):
     2 eps, and 1e-12 wherever the FIM is well conditioned.
     """
     allocation = build_allocation(scene, X_HAT, wave, active)
-    j = fim_total(build_pathset(scene, allocation, X_HAT, wave, "ris"), wave).total
+    j = fim_total(build_pathset(scene, allocation, X_HAT, wave, "ris"), wave)
     return max(1e-12, checks.conditioning_error(j))
 
 
@@ -159,6 +159,14 @@ class TestAllocation:
     def test_build_rejects_wrong_length(self, scene, wave):
         with pytest.raises(ValueError, match="length"):
             build_allocation(scene, X_HAT, wave, (1, 0))
+
+    @pytest.mark.parametrize("active", ["01000", (2, 0, 0.5, 0, 0), (1, 0, 0, 0, -1),
+                                        ("1", 0, 0, 0, 0), (math.nan, 0, 0, 0, 0)])
+    def test_build_rejects_entries_other_than_0_or_1(self, scene, wave, active):
+        """A truthy entry is not an active surface: "01000", the form bits
+        prints, would otherwise activate all five."""
+        with pytest.raises(ValueError, match="0 or 1"):
+            build_allocation(scene, X_HAT, wave, active)
 
 
 class TestConstraints:
@@ -327,7 +335,7 @@ class TestSelect:
                         paths = build_pathset(scene, allocation, point, wave, "ris")
                         fim = fim_total(paths, wave)
                         assert bounds[i, j] == peb(fim).value, (i, bits)
-                        assert np.array_equal(totals[i, j], fim.total), (i, bits)
+                        assert np.array_equal(totals[i, j], fim), (i, bits)
                         assert np.array_equal(delays[i], [path.tau for path in paths])
 
     @pytest.mark.parametrize("batch_entries", [allocation_module._BATCH_ENTRIES, 1],
@@ -518,7 +526,7 @@ class TestEvaluateAllocation:
         for name in ("tau", "alpha", "direction", "anchor", "fixed_leg"):
             got, want = getattr(paths, name), getattr(fresh, name)
             assert got.shape == want.shape and np.array_equal(got, want), name
-        assert chosen.total.shape == (2, 2) and np.array_equal(chosen.total, fim.total)
+        assert chosen.total.shape == (2, 2) and np.array_equal(chosen.total, fim)
         assert chosen.value == peb(fim).value
 
     @pytest.mark.parametrize("batch_entries", [allocation_module._BATCH_ENTRIES, 1],

@@ -76,18 +76,11 @@ def synthetic_pair():
 
 class TestSyntheticOracle:
     def test_total_matches_frozen(self):
-        total = fim_total(synthetic_pair(), make_wave()).total
+        total = fim_total(synthetic_pair(), make_wave())
         assert np.linalg.norm(total - FROZEN_J) / np.linalg.norm(FROZEN_J) < 1e-12
 
-    def test_total_is_direct_plus_interference(self):
-        paths, wave = synthetic_pair(), make_wave()
-        fim = fim_total(paths, wave)
-        recomposed = fim.direct + fim.interference
-        assert np.allclose(fim.total, 0.5 * (recomposed + recomposed.T),
-                           rtol=1e-15, atol=0)
-
     def test_total_symmetric(self):
-        total = fim_total(synthetic_pair(), make_wave()).total
+        total = fim_total(synthetic_pair(), make_wave())
         assert total[0, 1] == total[1, 0]
 
     def test_peb_matches_frozen(self):
@@ -96,15 +89,6 @@ class TestSyntheticOracle:
 
     def test_numerical_oracle_agrees(self):
         assert fim_gap(synthetic_pair(), make_wave()) < 1e-6
-
-    def test_direct_term_alone(self):
-        paths, wave = synthetic_pair(), make_wave()
-        direct = fim_total(paths, wave).direct
-        peak = delay_kernel_peak(wave)
-        e0, e1 = np.array([1.0, 0.0]), np.array([0.6, 0.8])
-        expected = (abs(1e-4) ** 2 * peak * np.outer(e0, e0)
-                    + abs((3 + 4j) * 1e-5) ** 2 * peak * np.outer(e1, e1))
-        assert np.allclose(direct, expected, rtol=1e-12, atol=0)
 
 
 class TestPeb:
@@ -126,10 +110,6 @@ class TestPeb:
 
     def test_zero_matrix(self):
         assert peb(np.zeros((2, 2))).value == math.inf
-
-    def test_accepts_fim2(self):
-        fim = fim_total(synthetic_pair(), make_wave())
-        assert peb(fim).value == peb(fim.total).value
 
 
 def chain(meters, alphas=None):
@@ -443,21 +423,22 @@ def spec_pathset(specs):
 @given(specs=path_specs)
 def test_fim_is_positive_semidefinite(specs):
     """The FIM is a sum over subcarriers of Re{g g^H}: no direction may
-    carry negative information beyond rounding. Every term is bounded by
-    the direct part, so its trace scales the rounding even where the
-    paths' information cancels."""
-    fim = fim_total(spec_pathset(specs), make_wave())
-    assert np.min(np.linalg.eigvalsh(fim.total)) >= -1e-12 * np.trace(fim.direct)
+    carry negative information beyond rounding. The sum of |alpha_k|^2
+    kernel(0), the direct trace, bounds every term, so it scales the
+    rounding even where the paths' information cancels."""
+    paths, wave = spec_pathset(specs), make_wave()
+    scale = np.sum(np.abs(paths.alpha) ** 2) * delay_kernel_peak(wave)
+    assert np.min(np.linalg.eigvalsh(fim_total(paths, wave))) >= -1e-12 * scale
 
 
 @settings(max_examples=50, deadline=None)
 @given(specs=path_specs, order=st.randoms())
 def test_fim_ignores_order_of_reradiated_paths(specs, order):
     wave = make_wave()
-    base = fim_total(spec_pathset(specs), wave).total
+    base = fim_total(spec_pathset(specs), wave)
     shuffled = list(specs[1:])
     order.shuffle(shuffled)
-    permuted = fim_total(spec_pathset([specs[0]] + shuffled), wave).total
+    permuted = fim_total(spec_pathset([specs[0]] + shuffled), wave)
     assert np.linalg.norm(permuted - base) <= 1e-12 * np.linalg.norm(base)
 
 
@@ -476,11 +457,10 @@ def test_stacked_paths_match_one_by_one(specs):
         for column in zip(*sets)])
     fim = fim_total(stacked, wave)
     value = peb(fim)
-    assert fim.total.shape == (len(sets), 2, 2)
+    assert isinstance(fim, np.ndarray) and fim.shape == (len(sets), 2, 2)
     for i, paths in enumerate(sets):
         one = fim_total(paths, wave)
-        assert np.array_equal(fim.total[i], one.total)
-        assert np.array_equal(fim.direct[i], one.direct)
+        assert np.array_equal(fim[i], one)
         assert value.value[i] == peb(one).value
 
 
@@ -502,7 +482,8 @@ def test_fim_equals_double_loop_over_paths(steps):
     k != l, Re{alpha_k conj(alpha_l)} kernel(tau_k - tau_l) e_k e_l^T.
     The sum of |alpha_k|^2 kernel(0), the direct trace, bounds every
     term, so it scales the tolerance even where the paths' information
-    cancels. A single path has no pair: its interference is exactly 0."""
+    cancels. A single path has no pair: its FIM is its direct term
+    alone."""
     wave = make_wave()
     meters = 10.0 + np.cumsum([step for step, _, _, _ in steps])
     paths = spec_pathset([(m,) + spec[1:] for m, spec in zip(meters, steps)])
@@ -518,7 +499,7 @@ def test_fim_equals_double_loop_over_paths(steps):
             expected += weight * np.outer(e[k], e[l])
     fim = fim_total(paths, wave)
     scale = sum(abs(a) ** 2 for a in alpha) * delay_kernel_peak(wave)
-    assert np.max(np.abs(fim.total - expected)) <= 1e-12 * scale
+    assert np.max(np.abs(fim - expected)) <= 1e-12 * scale
     if len(alpha) == 1:
-        assert np.array_equal(fim.interference, np.zeros((2, 2)))
-        assert np.array_equal(fim.total, 0.5 * (fim.direct + fim.direct.T))
+        direct = abs(alpha[0]) ** 2 * delay_kernel_peak(wave) * np.outer(e[0], e[0])
+        assert np.allclose(fim, direct, rtol=1e-12, atol=0)

@@ -230,7 +230,7 @@ def test_baseline_map_matches_cells_one_by_one(cfg, scene, wave, mode):
             if math.isinf(value):
                 assert math.isinf(result.peb[ix, iy])
             else:
-                tolerance = max(1e-9, 16.0 * conditioning_error(fim.total))
+                tolerance = max(1e-9, 16.0 * conditioning_error(fim))
                 assert abs(result.peb[ix, iy] - value) <= tolerance * value
 
 
@@ -352,6 +352,22 @@ class TestParallel:
         assert sizes == [3]
         assert np.array_equal(pooled.peb, peb_map(scene, grid, wave, "reflector").peb,
                               equal_nan=True)
+
+    @pytest.mark.parametrize("workers", [-4, 0, 2.5, True, "2"])
+    @pytest.mark.parametrize("count_only", [False, True], ids=["peb_map", "path_count_map"])
+    def test_rejects_invalid_workers(self, cfg, scene, wave, monkeypatch, workers,
+                                     count_only):
+        """workers is None or a positive integer; anything else fails
+        before a pool could start."""
+
+        class Pool:
+            def __init__(self, max_workers):
+                raise AssertionError("a pool started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        build = path_count_map if count_only else peb_map
+        with pytest.raises(ValueError, match="workers"):
+            build(scene, cfg.grid(), wave, "reflector", workers=workers)
 
 
 class TestCdf:
