@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .channel import PathSet, _assemble, _path_table, _steering
 from .fim import PebValue, _AliasedDelays, _require_unaliased, fim_total, peb
-from .geometry import SPEED_OF_LIGHT, Scene, _as_point, _require_below_wall
+from .geometry import SPEED_OF_LIGHT, Scene, _as_point, _is_integer, _require_below_wall
 from .waveform import WaveformConfig
 
 # Beyond this many RIS the exhaustive enumeration is off the table.
@@ -58,8 +57,7 @@ class Allocation:
 
     def __post_init__(self):
         # A bool or a float would print as itself in bits.
-        if any(isinstance(bit, bool) or not isinstance(bit, numbers.Integral)
-               or bit not in (0, 1) for bit in self.active):
+        if any(not _is_integer(bit) or bit not in (0, 1) for bit in self.active):
             raise ValueError("activation entries must be the integers 0 or 1")
         if len(self.design) != len(self.active):
             raise ValueError("one design steering per RIS is required")
@@ -89,8 +87,7 @@ class SelectionConstraints:
     peb_cap: float = DEFAULT_PEB_CAP
 
     def __post_init__(self):
-        if (isinstance(self.k_bar, bool) or not isinstance(self.k_bar, numbers.Integral)
-                or self.k_bar < 0):
+        if not _is_integer(self.k_bar) or self.k_bar < 0:
             raise ValueError("activation budget must be a nonnegative integer")
         # Written so that NaN, which compares false either way, fails.
         if not self.min_gap >= 0.0:

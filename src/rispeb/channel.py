@@ -1,10 +1,10 @@
 """Path construction and complex gains for every propagation mechanism.
 
-A PathSet holds, path by path, everything the information modules
-need: delay, complex gain, and the unit direction along which the path
-informs the position estimate. It also keeps each path's anchor point
-and the fixed leg length ahead of it, so the delay can be re-evaluated
-at perturbed user positions (the numerical FIM cross-check relies on
+A PathSet holds, as arrays over its paths, everything the information
+modules need: delay, complex gain, and the unit direction along which
+the path informs the position estimate. It also keeps each path's anchor
+point and the fixed leg length ahead of it, so the delay can be
+re-evaluated at perturbed user positions (checks.observation relies on
 this).
 
 Which paths a mode has is listed once, in the path table of a (scene,
@@ -55,10 +55,8 @@ class Path:
     """One path of a PathSet, at a user position (or a batch of them).
 
     kind is one of "los", "ris", "reflector", "scatterer"; index is the RIS
-    index for kind == "ris" and None otherwise. anchor is the last point the
-    signal departs from toward the user and fixed_leg the path length (m)
-    accumulated before that point, so tau == (fixed_leg + ||x - anchor||)/c
-    and direction == (x - anchor)/||x - anchor||.
+    index for kind == "ris" and None otherwise. Anchors and fixed legs
+    live on the PathSet.
     """
 
     kind: str
@@ -66,8 +64,6 @@ class Path:
     tau: float
     alpha: complex
     direction: np.ndarray
-    anchor: np.ndarray
-    fixed_leg: float
 
 
 @dataclass(frozen=True)
@@ -75,8 +71,8 @@ class PathSet:
     """The K paths at a user position (or batch), the LOS path first, named
     by kinds and indices as in Path: tau (..., K) and direction (..., K, 2)
     over the position's leading axes, alpha (..., K) over those broadcast
-    against the design, anchor (K, 2), fixed_leg (K). An int index, or
-    iteration, gives Path views of the arrays."""
+    against the design. Path k leaves anchor[k] (K, 2) with fixed_leg[k]
+    (K) metres behind it: tau == (fixed_leg + ||x - anchor||)/c."""
 
     kinds: tuple[str, ...]
     indices: tuple[int | None, ...]
@@ -94,10 +90,10 @@ class PathSet:
         return len(self.kinds)
 
     def __getitem__(self, i) -> Path:
+        """Path view i (iteration gives them all); rispeb reads the arrays."""
         i = operator.index(i)
         return Path(kind=self.kinds[i], index=self.indices[i], tau=self.tau[..., i],
-                    alpha=self.alpha[..., i], direction=self.direction[..., i, :],
-                    anchor=self.anchor[i], fixed_leg=self.fixed_leg[i])
+                    alpha=self.alpha[..., i], direction=self.direction[..., i, :])
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,11 @@ sets, and kernel_sum is the explicit subcarrier sum behind waveform's
 closed form. fim's two cluster merges, one position on floats and a
 block of rows on arrays, are each other's reference in the tests.
 
-fim_numerical is an independent cross-check of fim_total: it
-differentiates the frequency-domain observation at each subcarrier with
-central differences over the user position (gains frozen) and
-accumulates the information sum directly, sharing no algebra with the
-closed-form assembly.
+observation is the per-subcarrier observation over a PathSet's arrays,
+delays rebuilt from the anchors at any position and gains frozen.
+fim_numerical, the independent cross-check of fim_total, takes its
+central differences and sums the information directly, sharing no
+algebra with the closed-form assembly.
 
 CHECKS is validate's table of (name, check(config, rng) -> worst, tolerance).
 """
@@ -61,38 +61,32 @@ def aligned_gain(scene, k: int, x, cfg) -> float:
             / (16 * math.pi * d1 * d2))
 
 
+def observation(paths, x, cfg) -> np.ndarray:
+    """Per-subcarrier observation at position(s) x of one position's paths,
+    mu_n(x) = sum_k alpha_k * sqrt(E_s) * exp(-j*2*pi*n*W*tau_k(x)/(N+1)),
+    subcarriers along a last axis over x's leading axes. Each tau_k(x) is
+    rebuilt from the path's anchor and fixed leg; the gains stay frozen."""
+    x = np.asarray(x, dtype=float)[..., None, :]
+    dist = np.hypot(x[..., 0] - paths.anchor[:, 0], x[..., 1] - paths.anchor[:, 1])
+    tau = (paths.fixed_leg + dist) / SPEED_OF_LIGHT
+    angular = -2j * math.pi * cfg.bandwidth_hz / cfg.subcarrier_count
+    phases = np.exp(angular * tau[..., None] * cfg.subcarrier_indices)
+    return (paths.alpha * math.sqrt(cfg.pilot_energy)) @ phases
+
+
 def fim_numerical(paths, cfg, step: float = 1e-6) -> np.ndarray:
     """Finite-difference FIM: differentiate the observation, not the algebra.
 
-    Rebuilds each path delay from its anchor at positions perturbed by
-    +-step along each axis, forms the per-subcarrier observation with the
-    stored (frozen) gains, and sums (1/N0) * Re{conj(df/dx_i) * df/dx_j}
-    across subcarriers.
+    Recovers the user position from the LOS path, evaluates observation
+    at positions perturbed by +-step along each axis, and sums
+    (1/N0) * Re{conj(dmu/dx_i) * dmu/dx_j} across subcarriers.
     """
-    los = paths[0]
-    x = los.anchor + los.direction * (SPEED_OF_LIGHT * los.tau - los.fixed_leg)
-    n = cfg.subcarrier_indices
-    amplitude = math.sqrt(cfg.pilot_energy)
-    angular = -2j * math.pi * cfg.bandwidth_hz / cfg.subcarrier_count
-
-    def observation(pos: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(n), dtype=complex)
-        for p in paths:
-            dist = math.hypot(pos[0] - p.anchor[0], pos[1] - p.anchor[1])
-            tau = (p.fixed_leg + dist) / SPEED_OF_LIGHT
-            out += p.alpha * amplitude * np.exp(angular * tau * n)
-        return out
-
-    gradients = []
-    for axis in range(2):
-        offset = np.zeros(2)
-        offset[axis] = step
-        gradients.append((observation(x + offset) - observation(x - offset)) / (2.0 * step))
-    out = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            out[i, j] = np.sum((np.conj(gradients[i]) * gradients[j]).real)
-    return out / cfg.noise_psd_w_hz
+    x = paths.anchor[0] + paths.direction[0] * (SPEED_OF_LIGHT * paths.tau[0]
+                                                - paths.fixed_leg[0])
+    offsets = step * np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+    mu = observation(paths, x + offsets, cfg)
+    gradients = (mu[0::2] - mu[1::2]) / (2.0 * step)
+    return (np.conj(gradients) @ gradients.T).real / cfg.noise_psd_w_hz
 
 
 def fim_gap(paths, cfg) -> float:

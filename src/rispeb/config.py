@@ -69,11 +69,12 @@ def _key(section: str, parse, group: str | None = None):
 class RunConfig:
     """Complete description of one run: scene, waveform, grid, and task.
 
-    Stores boundary units as given (dBm, dB). Construction builds and
-    validates the model objects in SI units once (ConfigError), and
-    scene()/waveform()/grid() return them, the same objects on every call;
-    dataclasses.replace constructs anew, so it checks an override as
-    loads_config checks a file.
+    Stores boundary units as given (dBm, dB). Construction checks that
+    every key is set and each optional group set whole or left out (None),
+    then builds and validates the model objects in SI units once
+    (ConfigError); scene()/waveform()/grid() return them, the same objects
+    on every call. dataclasses.replace constructs anew, so it checks an
+    override as loads_config checks a file.
 
     The fields are the file's keys in its order. Each names its section,
     parser and optional group (set whole or left out) in its metadata.
@@ -105,6 +106,18 @@ class RunConfig:
     out_dir: str = _key("run", _parse_text)
 
     def __post_init__(self):
+        for name, entries in _SCHEMA.items():
+            groups = {}
+            for key, _, group in entries:
+                if group is None and getattr(self, key) is None:
+                    raise ConfigError(f"missing key {name}.{key}")
+                if group is not None:
+                    groups.setdefault(group, []).append(key)
+            for keys in groups.values():
+                present = [key for key in keys if getattr(self, key) is not None]
+                if present and present != keys:
+                    missing = ", ".join(sorted(set(keys) - set(present)))
+                    raise ConfigError(f"section [{name}] sets {present[0]} but not {missing}")
         if self.mode not in MODES:
             raise ConfigError(f"run.mode: expected one of {', '.join(MODES)}, "
                               f"got {self.mode!r}")
@@ -214,6 +227,9 @@ def _parse(text: str, source: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
 
+    for name in parser.sections():
+        if name not in _SCHEMA:
+            raise ConfigError(f"{source}: unknown section [{name}]")
     sections = {}
     for name, entries in _SCHEMA.items():
         if not parser.has_section(name):
@@ -223,19 +239,8 @@ def _parse(text: str, source: str) -> RunConfig:
         for key in items:
             if key not in known:
                 raise ConfigError(f"{source}: unknown key {name}.{key}")
-        groups = {}
-        for key, _, group in entries:
-            if group is None and key not in items:
-                raise ConfigError(f"{source}: missing key {name}.{key}")
-            if group is not None:
-                groups.setdefault(group, []).append(key)
-        for keys in groups.values():
-            present = [key for key in keys if key in items]
-            if present and present != keys:
-                missing = ", ".join(sorted(set(keys) - set(present)))
-                raise ConfigError(f"{source}: section [{name}] sets "
-                                  f"{present[0]} but not {missing}")
 
+    # Absent keys are None: RunConfig reports the missing ones.
     values = {
         key: parse(sections[name][key], f"{source}: {name}.{key}")
         if key in sections[name] else None

@@ -11,6 +11,7 @@ path's anchor and builds its delay, direction and RIS angles from it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,11 @@ class DegeneratePositionError(ValueError):
     """User position coincides (within COINCIDENCE_LIMIT) with an anchor."""
 
 
+def _is_integer(value) -> bool:
+    """An int or numpy integer, but not a bool (which is an int too)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RisDescriptor:
     """One RIS: a wall-parallel ULA of half-wavelength-spaced elements.
@@ -41,6 +47,8 @@ class RisDescriptor:
     def __post_init__(self):
         if not math.isfinite(self.center_x):
             raise ValueError("RIS center must be finite")
+        if not _is_integer(self.element_count):
+            raise ValueError("RIS element count must be an integer")
         if self.element_count < 1:
             raise ValueError("RIS needs at least one element")
 

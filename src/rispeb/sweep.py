@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ from .allocation import (_BATCH_ENTRIES, DEFAULT_PEB_CAP, SelectionConstraints, 
                          _score, build_allocation)
 from .channel import MODES, _path_table, build_pathset
 from .fim import _AliasedDelays, _count_clusters, fim_total, peb
-from .geometry import DegeneratePositionError, Scene
+from .geometry import DegeneratePositionError, Scene, _is_integer
 from .waveform import WaveformConfig, delay_kernel_peak
 
 # Delays (cells x paths) at most per block of cells that a sweep
@@ -67,6 +66,8 @@ class GridSpec:
                 raise ValueError("grid ranges must be finite")
             if hi <= lo:
                 raise ValueError("grid range max must exceed min")
+        if not (_is_integer(self.nx) and _is_integer(self.ny)):
+            raise ValueError("grid sample counts must be integers")
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2 samples per axis")
 
@@ -227,8 +228,7 @@ def _sweep(scene, grid, cfg, mode, constraints, cap, workers,
            count_only) -> MapResult:
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if workers is not None and (isinstance(workers, bool) or not isinstance(
-            workers, numbers.Integral) or workers < 1):
+    if workers is not None and (not _is_integer(workers) or workers < 1):
         raise ValueError("workers must be None or a positive integer")
     if grid.y_range[1] >= scene.wall_offset:
         raise ValueError("grid must stay strictly below the wall")
@@ -299,17 +299,12 @@ def info_directions(scene: Scene, x, cfg: WaveformConfig, mode: str):
     Intensity is |alpha|^2 times the zero-lag delay kernel; zero-gain
     paths (shadowed reflector) are dropped.
     """
-    if mode == "ris":
-        allocation = build_allocation(scene, x, cfg, (1,) * len(scene.ris))
-        paths = build_pathset(scene, allocation, x, cfg, mode)
-    else:
-        paths = build_pathset(scene, None, x, cfg, mode)
-    peak = delay_kernel_peak(cfg)
-    return [
-        (path.direction.copy(), abs(path.alpha) ** 2 * peak)
-        for path in paths
-        if path.alpha != 0
-    ]
+    allocation = (build_allocation(scene, x, cfg, (1,) * len(scene.ris))
+                  if mode == "ris" else None)
+    paths = build_pathset(scene, allocation, x, cfg, mode)
+    keep = paths.alpha != 0
+    intensity = np.abs(paths.alpha[keep]) ** 2 * delay_kernel_peak(cfg)
+    return list(zip(paths.direction[keep], intensity))
 
 
 def write_map_csv(result: MapResult, path) -> None:

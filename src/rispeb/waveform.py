@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import SPEED_OF_LIGHT
+from .geometry import SPEED_OF_LIGHT, _is_integer
 
 BOLTZMANN = 1.380649e-23  # J/K, exact SI
 REFERENCE_TEMPERATURE = 290.0  # K
@@ -67,6 +67,8 @@ class WaveformConfig:
     def __post_init__(self):
         if not (0.0 < self.carrier_hz < math.inf and 0.0 < self.bandwidth_hz < math.inf):
             raise ValueError("carrier and bandwidth must be positive and finite")
+        if not _is_integer(self.subcarrier_count):
+            raise ValueError("subcarrier count must be an integer")
         if self.subcarrier_count < 1 or self.subcarrier_count % 2 == 0:
             raise ValueError(
                 "subcarrier count must be odd so indices span -N/2..N/2"

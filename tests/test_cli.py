@@ -414,6 +414,24 @@ class TestSweep:
         assert f"wrote {config.out_dir}/peb_map_reflector.csv" in err
 
 
+def test_no_path_views_are_built(capsys, small_config, monkeypatch):
+    """rispeb reads a PathSet only as arrays: with Path views forbidden,
+    point, select, a sweep, validate and info_directions all still run."""
+    def forbidden(paths, i):
+        raise AssertionError("a Path view was built")
+
+    monkeypatch.setattr(rispeb.channel.PathSet, "__getitem__", forbidden)
+    path, config = small_config
+    for argv in (("point", "3.5", "5.0", "--kbar", "2"),
+                 ("point", "3.5", "5.0", "--mode", "reflector"),
+                 ("point", "3.5", "5.0", "--mode", "scatterer"),
+                 ("select", "3.5", "5.0"), ("sweep", "--config", str(path)), ("validate",)):
+        assert run(capsys, *argv)[0] == 0, argv
+    for mode in rispeb.channel.MODES:
+        assert rispeb.sweep.info_directions(config.scene(), np.array([3.5, 5.0]),
+                                            config.waveform(), mode)
+
+
 class TestValidate:
     def test_checks_pass(self, capsys):
         code, out, _ = run(capsys, "validate")

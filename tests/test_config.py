@@ -162,7 +162,7 @@ def broken(replace_key=None, value=None, drop_key=None, extra=None):
 
 class TestErrors:
     def test_missing_key_names_it(self):
-        with pytest.raises(ConfigError, match=r"missing key grid\.nx"):
+        with pytest.raises(ConfigError, match=r"^run\.cfg: missing key grid\.nx$"):
             loads_config(broken(drop_key="nx"), source="run.cfg")
 
     def test_unknown_key_names_it(self):
@@ -212,6 +212,26 @@ class TestErrors:
         with pytest.raises(ConfigError):
             dataclasses.replace(default_config(), **{key: value})
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"wall_offset_m": None}, "missing key scene.wall_offset_m"),
+        ({"carrier_hz": None}, "missing key waveform.carrier_hz"),
+        ({"reflector_h1_m": None}, "section [scene] sets reflector_h2_m but not reflector_h1_m"),
+        ({"scatter_rcs_m2": None}, "section [scene] sets scatter_x_m but not scatter_rcs_m2"),
+        ({"scatter_x_m": None, "scatter_rcs_m2": None, "reflector_gamma": None},
+         "section [scene] sets reflector_h1_m but not reflector_gamma"),
+    ])
+    def test_replace_checks_presence(self, overrides, message):
+        """dataclasses.replace applies a file's presence rules: every key
+        set, each optional group whole or left out."""
+        with pytest.raises(ConfigError) as caught:
+            dataclasses.replace(default_config(), **overrides)
+        assert str(caught.value) == message
+
+    def test_unknown_section_names_it(self):
+        text = dumps_config(default_config()) + "\n[notes]\nauthor = someone\n"
+        with pytest.raises(ConfigError, match=r"^run\.cfg: unknown section \[notes\]$"):
+            loads_config(text, source="run.cfg")
+
     def test_grid_reaching_wall(self):
         with pytest.raises(ConfigError, match="below the wall"):
             loads_config(broken(replace_key="y_max_m", value="10.0"))
@@ -220,8 +240,8 @@ class TestErrors:
         for dropped, message in (
                 ("reflector_h2_m", "sets reflector_h1_m but not reflector_h2_m$"),
                 ("scatter_rcs_m2", "sets scatter_x_m but not scatter_rcs_m2$")):
-            with pytest.raises(ConfigError, match=message):
-                loads_config(broken(drop_key=dropped))
+            with pytest.raises(ConfigError, match=r"^run\.cfg: section \[scene\] " + message):
+                loads_config(broken(drop_key=dropped), source="run.cfg")
 
     def test_scene_validation_surfaces_as_config_error(self):
         with pytest.raises(ConfigError, match="increasing"):

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rispeb.allocation import build_allocation
-from rispeb.channel import Path, PathSet, build_pathset
-from rispeb.checks import fim_gap
+from rispeb.channel import PathSet, build_pathset
+from rispeb.checks import fim_gap, observation
 from rispeb.fim import (
     _count_clusters,
     count_resolvable_paths,
@@ -36,23 +36,19 @@ X = np.array([2.0, 1.5])
 
 
 def synthetic_path(kind, tau, alpha, e, span=1.0, index=None):
-    """Path with arbitrary delay/gain/direction, internally consistent so
-    the numerical oracle can re-evaluate it around X."""
+    """One path's fields in PathSet order, with arbitrary delay, gain and
+    direction, its anchor span behind X along e, so that the numerical
+    oracle can re-evaluate it around X."""
     e = np.asarray(e, dtype=float)
-    return Path(kind=kind, index=index, tau=tau, alpha=alpha, direction=e,
-                anchor=X - span * e, fixed_leg=tau * C - span)
+    return kind, index, tau, alpha, e, X - span * e, tau * C - span
 
 
 def stack(paths):
-    """PathSet of Paths whose fields carry the same leading axes."""
-    return PathSet(
-        kinds=tuple(p.kind for p in paths), indices=tuple(p.index for p in paths),
-        tau=np.stack([np.asarray(p.tau, dtype=float) for p in paths], axis=-1),
-        alpha=np.stack(np.broadcast_arrays(*(np.asarray(p.alpha, dtype=complex)
-                                             for p in paths)), axis=-1),
-        direction=np.stack([p.direction for p in paths], axis=-2),
-        anchor=np.array([p.anchor for p in paths]),
-        fixed_leg=np.array([p.fixed_leg for p in paths]))
+    """PathSet of synthetic_path fields, built as its arrays."""
+    kinds, indices, tau, alpha, direction, anchor, fixed_leg = zip(*paths)
+    return PathSet(kinds, indices, tau=np.array(tau), alpha=np.array(alpha, dtype=complex),
+                   direction=np.array(direction), anchor=np.array(anchor),
+                   fixed_leg=np.array(fixed_leg))
 
 
 def make_wave(bandwidth=1e8):
@@ -401,6 +397,23 @@ def test_fim_oracle_on_scene(x, mode):
     assert fim_gap(paths, wave) < 1e-5
 
 
+@pytest.mark.parametrize("mode", ["ris", "reflector", "scatterer"])
+def test_observation_at_own_position_is_the_sum_over_tau(mode, scene, wave):
+    """observation rebuilds each delay from its anchor and fixed leg: at
+    the pathset's own position it is the subcarrier sum formed from
+    paths.tau, for one position and for each row of a batch."""
+    x = np.array([7.0, 3.0])
+    allocation = build_allocation(scene, x, wave, (1, 0, 1, 0, 1)) if mode == "ris" else None
+    paths = build_pathset(scene, allocation, x, wave, mode)
+    n = wave.subcarrier_indices
+    expected = sum(alpha * math.sqrt(wave.pilot_energy)
+                   * np.exp(-2j * math.pi * n * wave.bandwidth_hz * tau / wave.subcarrier_count)
+                   for alpha, tau in zip(paths.alpha, paths.tau))
+    for got in (observation(paths, x, wave), *observation(paths, np.stack([x, x]), wave)):
+        assert got.shape == n.shape
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 # Synthetic path sets: LOS plus up to five more paths with random
 # delays (m), gains and directions, consistent around X.
 path_specs = st.lists(
@@ -449,12 +462,9 @@ def test_stacked_paths_match_one_by_one(specs):
     as the path sets evaluated one at a time."""
     wave = make_wave()
     sets = [spec_pathset(s) for s in specs]
-    stacked = stack([
-        dataclasses.replace(
-            column[0], tau=np.array([p.tau for p in column]),
-            alpha=np.array([p.alpha for p in column]),
-            direction=np.array([p.direction for p in column]))
-        for column in zip(*sets)])
+    stacked = dataclasses.replace(
+        sets[0], **{name: np.stack([getattr(s, name) for s in sets])
+                    for name in ("tau", "alpha", "direction")})
     fim = fim_total(stacked, wave)
     value = peb(fim)
     assert isinstance(fim, np.ndarray) and fim.shape == (len(sets), 2, 2)

@@ -3,7 +3,7 @@
 Expected values are frozen from independent stdlib-math computations of
 the delay and image-source formulas; tests compare the package against
 those literals rather than re-deriving them with package code. Path
-delays and directions are read from the Path fields that
+delays and directions are read from the PathSet arrays that
 channel.build_pathset computes.
 """
 
@@ -202,8 +202,18 @@ class TestSceneValidation:
             ScatterDescriptor(x=3.5, rcs=-0.01)
 
     def test_element_count_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="at least one element"):
             RisDescriptor(center_x=1.5, element_count=0)
+
+    @pytest.mark.parametrize("count", [100.5, 100.0, True, "100"])
+    def test_element_count_is_an_integer(self, count):
+        """A fractional M would scale every RIS gain silently; a bool is
+        not a count."""
+        with pytest.raises(ValueError, match="must be an integer"):
+            RisDescriptor(center_x=3.5, element_count=count)
+
+    def test_element_count_takes_numpy_integers(self):
+        assert RisDescriptor(center_x=3.5, element_count=np.int64(100)).element_count == 100
 
 
 def full_scene(wall=10.0, ris=(RisDescriptor(1.0, 8), RisDescriptor(2.5, 8))):
@@ -278,10 +288,11 @@ def test_image_distance_identity(p):
 @given(p=points)
 def test_unit_direction_is_unit(p):
     scene = Scene(wall_offset=10.0, scatterer=ScatterDescriptor(1.0, 0.01))
-    for path in build_pathset(scene, None, p, WAVE, "scatterer"):
-        assert abs(np.linalg.norm(path.direction) - 1.0) < 1e-12
+    paths = build_pathset(scene, None, p, WAVE, "scatterer")
+    for i in range(len(paths)):
+        assert abs(np.linalg.norm(paths.direction[i]) - 1.0) < 1e-12
         # points away from the anchor
-        assert np.dot(path.direction, p - path.anchor) > 0.0
+        assert np.dot(paths.direction[i], p - paths.anchor[i]) > 0.0
 
 
 @given(p=points)

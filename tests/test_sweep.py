@@ -59,6 +59,15 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="finite"):
             GridSpec(x_range=(0.0, math.inf), y_range=(0.0, 1.0), nx=2, ny=2)
 
+    @pytest.mark.parametrize("nx, ny", [(2.5, 3), (3, 3.0), (True, 3), (3, True)])
+    def test_rejects_noninteger_counts(self, nx, ny):
+        with pytest.raises(ValueError, match="must be integers"):
+            GridSpec(x_range=(0.0, 1.0), y_range=(0.0, 1.0), nx=nx, ny=ny)
+
+    def test_takes_numpy_integer_counts(self):
+        grid = GridSpec(x_range=(0.0, 1.0), y_range=(0.0, 1.0), nx=np.int64(3), ny=np.int32(2))
+        assert grid.xs.tolist() == [0.0, 0.5, 1.0] and grid.cell_count == 6
+
 
 class TestMapResult:
     def test_shape_validation(self):

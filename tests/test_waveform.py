@@ -78,6 +78,17 @@ class TestValidation:
             WaveformConfig(carrier_hz=28e9, bandwidth_hz=1e8,
                            subcarrier_count=128)
 
+    @pytest.mark.parametrize("count", [129.0, 128.5, True, np.float64(129.0)],
+                             ids=["float", "fraction", "bool", "numpy_float"])
+    def test_subcarrier_count_is_an_integer(self, count):
+        with pytest.raises(ValueError, match="must be an integer"):
+            WaveformConfig(carrier_hz=28e9, bandwidth_hz=1e8, subcarrier_count=count)
+
+    def test_subcarrier_count_takes_numpy_integers(self):
+        wave = WaveformConfig(carrier_hz=28e9, bandwidth_hz=1e8,
+                              subcarrier_count=np.int64(129))
+        assert len(wave.subcarrier_indices) == 129
+
     def test_nonpositive_values(self):
         with pytest.raises(ValueError):
             WaveformConfig(carrier_hz=0.0, bandwidth_hz=1e8,
