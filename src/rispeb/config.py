@@ -12,12 +12,14 @@ from __future__ import annotations
 import configparser
 import functools
 import math
+import numbers
+import re
 from dataclasses import dataclass, field, fields
 from importlib import resources
 
 from .allocation import SelectionConstraints, gap_threshold
 from .channel import MODES
-from .geometry import ReflectorDescriptor, RisDescriptor, ScatterDescriptor, Scene
+from .geometry import ReflectorDescriptor, RisDescriptor, ScatterDescriptor, Scene, _is_integer
 from .sweep import GridSpec
 from .waveform import WaveformConfig, noise_psd_from_figure
 
@@ -60,6 +62,32 @@ def _parse_text(raw: str, where: str) -> str:
     return raw.strip()
 
 
+def _number(value, where: str) -> float:
+    """A number key's value as a RunConfig holds it: a finite float, as a
+    file would give it. A bool is refused, though it is an int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: value must be finite, got {value!r}")
+    return float(value)
+
+
+def _held(parse, value, where: str):
+    """value as a RunConfig holds the key that parse reads: as a file would
+    give it, so that the config hashes and round-trips through
+    dumps_config. Integer keys are checked by their users."""
+    if parse is _parse_float:
+        return _number(value, where)
+    if parse is _parse_float_list:
+        return tuple(_number(item, where) for item in value)
+    if parse is _parse_text and not (isinstance(value, str) and value == value.strip()
+                                     and len(value.splitlines()) <= 1
+                                     and not re.search(r"\s#", value)):
+        # A file would not read it back the same.
+        raise ConfigError(f"{where}: expected one line of text, got {value!r}")
+    return value
+
+
 def _key(section: str, parse, group: str | None = None):
     """A RunConfig field: the key of its name in [section], read by parse."""
     return field(metadata={"section": section, "parse": parse, "group": group})
@@ -71,10 +99,12 @@ class RunConfig:
 
     Stores boundary units as given (dBm, dB). Construction checks that
     every key is set and each optional group set whole or left out (None),
+    holds number keys as floats and the RIS centers as a tuple of them,
     then builds and validates the model objects in SI units once
-    (ConfigError); scene()/waveform()/grid() return them, the same objects
-    on every call. dataclasses.replace constructs anew, so it checks an
-    override as loads_config checks a file.
+    (ConfigError); scene()/waveform()/grid()/selection_constraints()
+    return them, the same objects on every call. dataclasses.replace
+    constructs anew, so it checks an override as loads_config checks a
+    file, and what it accepts hashes and round-trips through dumps_config.
 
     The fields are the file's keys in its order. Each names its section,
     parser and optional group (set whole or left out) in its metadata.
@@ -108,11 +138,14 @@ class RunConfig:
     def __post_init__(self):
         for name, entries in _SCHEMA.items():
             groups = {}
-            for key, _, group in entries:
-                if group is None and getattr(self, key) is None:
-                    raise ConfigError(f"missing key {name}.{key}")
+            for key, parse, group in entries:
+                value = getattr(self, key)
                 if group is not None:
                     groups.setdefault(group, []).append(key)
+                elif value is None:
+                    raise ConfigError(f"missing key {name}.{key}")
+                if value is not None:
+                    object.__setattr__(self, key, _held(parse, value, f"{name}.{key}"))
             for keys in groups.values():
                 present = [key for key in keys if getattr(self, key) is not None]
                 if present and present != keys:
@@ -123,6 +156,8 @@ class RunConfig:
                               f"got {self.mode!r}")
         if self.k_bar < 0:
             raise ConfigError("run.k_bar must be nonnegative")
+        if not _is_integer(self.workers):
+            raise ConfigError("run.workers must be an integer")
         if self.workers < 1:
             raise ConfigError("run.workers must be at least 1")
         if not 0.0 < self.peb_cap_m < math.inf:
@@ -134,18 +169,21 @@ class RunConfig:
                 10.0 ** (getattr(self, key) / 10.0)
             except OverflowError:
                 raise ConfigError(f"waveform.{key} overflows a float in linear units") from None
+        if not _is_integer(self.ris_elements):
+            raise ConfigError("scene.ris_elements must be an integer")
         if self.ris_elements < 1:
             raise ConfigError("scene.ris_elements must be at least 1")
         try:
-            scene, waveform, grid = self._build()
+            models = self._build()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        scene, _, grid, _ = models
         if grid.y_range[1] >= scene.wall_offset:
             raise ConfigError("grid.y_max_m must lie below the wall")
         # Kept, not fields: the accessors hand out these objects, so a
         # config builds each once and cache keys holding them compare by
         # identity first.
-        object.__setattr__(self, "_models", (scene, waveform, grid))
+        object.__setattr__(self, "_models", models)
 
     def scene(self) -> Scene:
         return self._models[0]
@@ -156,7 +194,10 @@ class RunConfig:
     def grid(self) -> GridSpec:
         return self._models[2]
 
-    def _build(self) -> tuple[Scene, WaveformConfig, GridSpec]:
+    def selection_constraints(self) -> SelectionConstraints:
+        return self._models[3]
+
+    def _build(self) -> tuple[Scene, WaveformConfig, GridSpec, SelectionConstraints]:
         ris = tuple(
             RisDescriptor(center_x=cx, element_count=self.ris_elements)
             for cx in self.ris_centers_x_m
@@ -184,14 +225,10 @@ class RunConfig:
         grid = GridSpec(x_range=(self.x_min_m, self.x_max_m),
                         y_range=(self.y_min_m, self.y_max_m),
                         nx=self.nx, ny=self.ny)
-        return scene, waveform, grid
-
-    def selection_constraints(self) -> SelectionConstraints:
-        return SelectionConstraints(
-            k_bar=self.k_bar,
-            min_gap=gap_threshold(self.scene(), self.waveform()),
-            peb_cap=self.peb_cap_m,
-        )
+        constraints = SelectionConstraints(k_bar=self.k_bar,
+                                           min_gap=gap_threshold(scene, waveform),
+                                           peb_cap=self.peb_cap_m)
+        return scene, waveform, grid, constraints
 
 
 # Section -> [(key, parser, group)], in RunConfig's field order: the file's.
@@ -275,11 +312,8 @@ def _packaged_default() -> RunConfig:
 
 
 def _fmt_value(value) -> str:
-    if isinstance(value, tuple):
-        return ", ".join(repr(item) for item in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    # str of a float is its repr, which reparses to the same float.
+    return ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def dumps_config(config: RunConfig) -> str:

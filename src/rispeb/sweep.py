@@ -167,26 +167,45 @@ def _block_cells(scene, mode, patterns) -> int:
     return max(1, cells)
 
 
-def _evaluate_block(scene, cfg, mode, patterns, count_only, cap, points):
+def _evaluate_block(scene, cfg, mode, patterns, cap, points):
     """Finished cells of one block of the grid, as arrays over the rows of
-    points: the bound (nan when count_only), the index of the flag in
-    _FLAGS, the resolvable-path count and the allocation bit strings.
+    points: the bound, the index of the flag in _FLAGS, the
+    resolvable-path count and the allocation bit strings.
 
-    The block is one batch of the array core. If a cell coincides with an
-    anchor, the block is split in halves, recursively, down to that cell,
-    which is invalid: no bound, no path, no bits. A cell whose delays
-    alias stops the sweep with a ValueError naming it.
+    The block is one batch of the array core: a baseline pathset, the
+    per-cell argmin of the patterns' RIS scores, or, with no patterns,
+    the delays of every surface. cap None marks a count map: its bounds
+    are nan and its cells ok. If a cell coincides with an anchor, the
+    block is split in halves, recursively, down to that cell, which is
+    invalid: no bound, no path, no bits. A cell whose delays alias stops
+    the sweep with a ValueError naming it.
     """
+    nan = np.full(len(points), math.nan)
     try:
-        values, bits, delays, exists = _evaluate_batch(scene, cfg, mode, patterns,
-                                                       count_only, points)
+        if mode != "ris":
+            paths = build_pathset(scene, None, points, cfg, mode)
+            values = nan if cap is None else peb(fim_total(paths, cfg)).value
+            bits = np.array([""] * len(points), dtype=object)
+            delays, exists = paths.tau, paths.alpha != 0
+        elif patterns is None:
+            values, delays = nan, _path_table(scene, mode).delays(points)[1]
+            bits = np.array(["1" * len(scene.ris)] * len(points), dtype=object)  # shares one str
+        else:
+            scored = _score(scene, points, cfg, patterns, points)
+            best = np.argmin(scored.values, axis=1)
+            names = np.array(["".join(map(str, row)) for row in patterns.astype(int)],
+                             dtype=object)
+            values, bits = scored.values[np.arange(len(points)), best], names[best]
+            delays = scored.paths.tau[:, 0]
     except DegeneratePositionError:
         if len(points) == 1:
             return np.array([math.nan]), np.array([1]), np.array([0]), np.array([""], dtype=object)
         half = len(points) // 2
-        parts = [_evaluate_block(scene, cfg, mode, patterns, count_only, cap, p)
+        parts = [_evaluate_block(scene, cfg, mode, patterns, cap, p)
                  for p in (points[:half], points[half:])]
         return tuple(np.concatenate(field) for field in zip(*parts))
+    if mode == "ris":
+        exists = np.ones(delays.shape, dtype=bool)  # every RIS gain is nonzero
     try:
         counts = _count_clusters(delays, exists, cfg)
     except _AliasedDelays as exc:
@@ -194,46 +213,23 @@ def _evaluate_block(scene, cfg, mode, patterns, count_only, cap, points):
         # back from a worker.
         x, y = points[exc.row]
         raise ValueError(f"cell ({x:.9g}, {y:.9g}): {exc}") from None
-    if count_only:
+    if cap is None:
         return values, np.zeros(len(points), dtype=int), counts, bits
     # One resolvable delay pins the user to a circle, not a point.
     values = np.where(counts <= 1, math.inf, values)
     return values, np.select([np.isinf(values), values > cap], [2, 3], 0), counts, bits
 
 
-def _evaluate_batch(scene, cfg, mode, patterns, count_only, points):
-    """The bounds (nan when count_only), allocation bit strings, path
-    delays and whether each path exists (nonzero gain) of cells that
-    coincide with no anchor."""
-    nan = np.full(len(points), math.nan)
-    if mode == "ris" and count_only:
-        # Every RIS path has a nonzero gain: the counts need the delays only.
-        delays = _path_table(scene, mode).delays(points)[1]
-        return (nan, np.array(["1" * len(scene.ris)] * len(points), dtype=object), delays,
-                np.ones(delays.shape, dtype=bool))
-    if mode == "ris":
-        scored = _score(scene, points, cfg, patterns, points)
-        scores, delays = scored.values, scored.paths.tau[:, 0]
-        best = np.argmin(scores, axis=1)
-        names = np.array(["".join(map(str, row)) for row in patterns.astype(int)],
-                         dtype=object)
-        return (scores[np.arange(len(points)), best], names[best], delays,
-                np.ones(delays.shape, dtype=bool))
-    paths = build_pathset(scene, None, points, cfg, mode)
-    return ((nan if count_only else peb(fim_total(paths, cfg)).value),
-            np.array([""] * len(points), dtype=object), paths.tau, paths.alpha != 0)
-
-
-def _sweep(scene, grid, cfg, mode, constraints, cap, workers,
-           count_only) -> MapResult:
+def _sweep(scene, grid, cfg, mode, constraints, cap, workers) -> MapResult:
+    """The map of mode over grid; cap None makes it a count map."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if workers is not None and (not _is_integer(workers) or workers < 1):
         raise ValueError("workers must be None or a positive integer")
     if grid.y_range[1] >= scene.wall_offset:
         raise ValueError("grid must stay strictly below the wall")
-    patterns = _patterns(len(scene.ris), constraints) if mode == "ris" and not count_only else None
-    evaluate = functools.partial(_evaluate_block, scene, cfg, mode, patterns, count_only, cap)
+    patterns = None if mode != "ris" or cap is None else _patterns(len(scene.ris), constraints)
+    evaluate = functools.partial(_evaluate_block, scene, cfg, mode, patterns, cap)
     points = np.stack(np.meshgrid(grid.xs, grid.ys, indexing="ij"), axis=-1).reshape(-1, 2)
     size = _block_cells(scene, mode, patterns)
     blocks = [points[start:start + size] for start in range(0, len(points), size)]
@@ -257,11 +253,10 @@ def _sweep(scene, grid, cfg, mode, constraints, cap, workers,
 
 def path_count_map(scene: Scene, grid: GridSpec, cfg: WaveformConfig,
                    mode: str, workers: int | None = None) -> MapResult:
-    """Resolvable-path count per cell; RIS mode activates every surface
-    with phases optimal for the cell. workers is None (serial) or a
-    positive integer."""
-    return _sweep(scene, grid, cfg, mode, None, DEFAULT_PEB_CAP, workers,
-                  count_only=True)
+    """Resolvable-path count per cell, with no bound (peb nan, flag ok
+    except at an anchor); RIS mode activates every surface with phases
+    optimal for the cell. workers is None (serial) or a positive integer."""
+    return _sweep(scene, grid, cfg, mode, None, None, workers)
 
 
 def peb_map(scene: Scene, grid: GridSpec, cfg: WaveformConfig, mode: str,
@@ -277,8 +272,7 @@ def peb_map(scene: Scene, grid: GridSpec, cfg: WaveformConfig, mode: str,
     """
     if not cap > 0.0:
         raise ValueError("PEB cap must be positive")
-    return _sweep(scene, grid, cfg, mode, constraints, cap, workers,
-                  count_only=False)
+    return _sweep(scene, grid, cfg, mode, constraints, cap, workers)
 
 
 def peb_cdf(result: MapResult) -> CdfResult:

@@ -51,7 +51,8 @@ THERMAL_NOISE_PSD = BOLTZMANN * REFERENCE_TEMPERATURE  # W/Hz
 
 def noise_psd_from_figure(noise_figure_db: float = 0.0) -> float:
     """Noise PSD in W/Hz for a receiver noise figure in dB over the thermal floor."""
-    if noise_figure_db < 0.0:
+    # Written so that NaN, which compares false either way, fails.
+    if not noise_figure_db >= 0.0:
         raise ValueError("noise figure must be >= 0 dB")
     return THERMAL_NOISE_PSD * 10.0 ** (noise_figure_db / 10.0)
 

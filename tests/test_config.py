@@ -8,9 +8,12 @@ import re
 import shutil
 from importlib import resources
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rispeb.config
+from rispeb.allocation import SelectionConstraints
 from rispeb.config import (
     DEFAULT_CONFIG_RESOURCE,
     ConfigError,
@@ -70,7 +73,8 @@ class TestDefault:
         assert cfg.scene() is cfg.scene()
         assert cfg.waveform() is cfg.waveform()
         assert cfg.grid() is cfg.grid()
-        assert cfg.selection_constraints() == cfg.selection_constraints()
+        assert cfg.selection_constraints() is cfg.selection_constraints()
+        assert isinstance(cfg.selection_constraints(), SelectionConstraints)
 
     def test_replace_builds_and_validates_its_own_models(self, cfg):
         moved = dataclasses.replace(cfg, wall_offset_m=12.0, bandwidth_hz=2e8, nx=7)
@@ -126,6 +130,38 @@ class TestRoundTrip:
         reparsed = loads_config(text)
         assert reparsed == bare
         assert reparsed.scene().ris == ()
+
+    def test_replace_holds_centers_as_a_tuple(self, cfg):
+        listed = dataclasses.replace(cfg, ris_centers_x_m=[1.5, 2.5, 3.5, 4.5, 5.5])
+        assert listed.ris_centers_x_m == (1.5, 2.5, 3.5, 4.5, 5.5)
+        assert listed == cfg and hash(listed) == hash(cfg)
+        assert loads_config(dumps_config(listed)) == cfg
+
+    def test_replace_holds_numpy_floats_as_floats(self, cfg):
+        tweaked = dataclasses.replace(cfg, power_dbm=np.float64(1.5),
+                                      ris_centers_x_m=np.array([1.5, 3.5]))
+        assert type(tweaked.power_dbm) is float
+        assert all(type(center) is float for center in tweaked.ris_centers_x_m)
+        assert loads_config(dumps_config(tweaked)) == tweaked
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from([f.name for f in dataclasses.fields(RunConfig)]),
+           value=st.one_of(
+               st.none(), st.booleans(), st.integers(-3, 200),
+               st.floats(-20.0, 20.0), st.sampled_from([math.nan, math.inf, -math.inf]),
+               st.floats(-20.0, 20.0).map(np.float64), st.integers(0, 200).map(np.int64),
+               st.sampled_from([[1.5, 2.5, 3.5, 4.5, 5.5], [True, 2.5], (2.5, 7.0), ()]),
+               st.sampled_from(["ris", "reflector", " ris", "out", "out dir", "a#b",
+                                "a #b", "a\nb", "", 5.0])))
+    def test_every_accepted_replace_hashes_and_round_trips(self, key, value):
+        """Whatever dataclasses.replace accepts hashes and reads back equal
+        from its dumped text."""
+        try:
+            config = dataclasses.replace(default_config(), **{key: value})
+        except (ConfigError, TypeError):
+            return
+        hash(config)
+        assert loads_config(dumps_config(config)) == config
 
 
 class TestDumpOrder:
@@ -195,6 +231,26 @@ class TestErrors:
     def test_negative_budget(self):
         with pytest.raises(ConfigError, match="k_bar"):
             loads_config(broken(replace_key="k_bar", value="-1"))
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"k_bar": 1.5}, "activation budget must be a nonnegative integer"),
+        ({"k_bar": True}, "activation budget must be a nonnegative integer"),
+        ({"workers": 2.5}, "run.workers must be an integer"),
+        ({"workers": True}, "run.workers must be an integer"),
+        ({"ris_centers_x_m": (), "ris_elements": 1.5}, "scene.ris_elements must be an integer"),
+        ({"ris_centers_x_m": (), "ris_elements": True}, "scene.ris_elements must be an integer"),
+        ({"peb_cap_m": True}, "run.peb_cap_m: expected a number, got True"),
+        ({"power_dbm": True}, "waveform.power_dbm: expected a number, got True"),
+        ({"ris_centers_x_m": (True, 2.5)}, "scene.ris_centers_x_m: expected a number, got True"),
+        ({"out_dir": 5}, "run.out_dir: expected one line of text, got 5"),
+    ], ids=["k_bar_float", "k_bar_bool", "workers_float", "workers_bool", "ris_elements_float",
+            "ris_elements_bool", "peb_cap_bool", "power_bool", "center_bool", "out_dir_number"])
+    def test_replace_rejects_what_a_file_cannot_hold(self, overrides, message):
+        """Counts are integers and numbers are not bools; neither waits for
+        a selection or a sweep to fail."""
+        with pytest.raises(ConfigError) as caught:
+            dataclasses.replace(default_config(), **overrides)
+        assert str(caught.value) == message
 
     def test_zero_workers(self):
         with pytest.raises(ConfigError, match=r"^run\.cfg: run\.workers"):

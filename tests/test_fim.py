@@ -486,6 +486,7 @@ chained_specs = st.lists(
 @given(steps=chained_specs)
 @example(steps=[(0.0, 1e-5, 0.0, 0.0)])
 @example(steps=[(0.0, 1e-5, 0.0, 0.0), (0.4, 3e-6, 2.0, 1.0), (0.3, 2e-6, 4.0, 2.0)])
+@example(steps=[(0.0, 4.157840937729062e-05, 0.0, 5.571796011174869e-160)])
 def test_fim_equals_double_loop_over_paths(steps):
     """fim_total against a plain double loop: the direct term of every
     path, |alpha_k|^2 kernel(0) e_k e_k^T, plus, over ordered pairs
@@ -511,5 +512,7 @@ def test_fim_equals_double_loop_over_paths(steps):
     scale = sum(abs(a) ** 2 for a in alpha) * delay_kernel_peak(wave)
     assert np.max(np.abs(fim - expected)) <= 1e-12 * scale
     if len(alpha) == 1:
-        direct = abs(alpha[0]) ** 2 * delay_kernel_peak(wave) * np.outer(e[0], e[0])
+        # Weight one factor before the outer product: a direction entry
+        # near 1e-160 squared alone is subnormal and has lost its digits.
+        direct = np.outer(abs(alpha[0]) ** 2 * delay_kernel_peak(wave) * e[0], e[0])
         assert np.allclose(fim, direct, rtol=1e-12, atol=0)

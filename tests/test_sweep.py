@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import rispeb.sweep as sweep_module
 from rispeb.allocation import SelectionConstraints, gap_threshold
-from rispeb.channel import build_pathset
+from rispeb.channel import _path_table, build_pathset
 from rispeb.checks import best_pattern, conditioning_error
 from rispeb.fim import count_resolvable_paths, fim_total, peb
 from rispeb.geometry import Scene
@@ -145,22 +145,31 @@ class TestDegenerateCells:
                     assert result.path_count[ix, iy] >= 1
                     assert len(result.allocation_bits[ix, iy]) == len(scene.ris)
 
+    @staticmethod
+    def _count_batches(monkeypatch, owner, name, points_at):
+        """Patch owner.name, a core call of the sweep, to record the cell
+        count of every batch it is given (points is its points_at-th
+        argument); returns that list."""
+        sizes = []
+        core = getattr(owner, name)
+
+        def counted(*args):
+            sizes.append(len(args[points_at]))
+            return core(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+        return sizes
+
     @pytest.mark.parametrize("k_bar", [None, 1])
     def test_anchor_cell_is_found_by_halving_its_block(self, scene, wave, monkeypatch, k_bar):
         """A block of 420 cells holding the BS cell is split in halves
         down to that cell: O(log cells) batches, not one per cell."""
         grid = GridSpec(x_range=(-5.0, 15.0), y_range=(0.0, 9.5), nx=21, ny=20)
-        sizes = []
-
-        def counted(scene, cfg, mode, patterns, count_only, points):
-            sizes.append(len(points))
-            return evaluate_batch(scene, cfg, mode, patterns, count_only, points)
-
-        evaluate_batch = sweep_module._evaluate_batch
-        monkeypatch.setattr(sweep_module, "_evaluate_batch", counted)
         if k_bar is None:
+            sizes = self._count_batches(monkeypatch, sweep_module, "build_pathset", 2)
             result = peb_map(scene, grid, wave, "reflector")
         else:
+            sizes = self._count_batches(monkeypatch, sweep_module, "_score", 1)
             result = peb_map(scene, grid, wave, "ris", budget(k_bar, scene, wave))
         assert sizes[0] == grid.cell_count
         assert len(sizes) <= 1 + 2 * math.ceil(math.log2(grid.cell_count))
@@ -168,6 +177,27 @@ class TestDegenerateCells:
         assert invalid == [[5, 0]]
         assert math.isnan(result.peb[5, 0]) and result.path_count[5, 0] == 0
         assert result.allocation_bits[5, 0] == ""
+
+    def test_ris_count_map_halves_to_the_anchor_cell(self, scene, wave, monkeypatch):
+        """The RIS count map reads only the path table's delays; its block
+        holding the BS cell is halved the same way, and every other cell
+        activates every surface."""
+        grid = GridSpec(x_range=(-5.0, 15.0), y_range=(0.0, 9.5), nx=21, ny=20)
+        table = type(_path_table(scene, "ris"))
+        sizes = self._count_batches(monkeypatch, table, "delays", 1)
+        result = path_count_map(scene, grid, wave, "ris")
+        assert sizes[0] == grid.cell_count
+        assert len(sizes) <= 1 + 2 * math.ceil(math.log2(grid.cell_count))
+        invalid = np.argwhere(result.flags == FLAG_INVALID).tolist()
+        assert invalid == [[5, 0]]
+        assert math.isnan(result.peb[5, 0]) and result.path_count[5, 0] == 0
+        assert result.allocation_bits[5, 0] == ""
+        others = np.ones(result.flags.shape, dtype=bool)
+        others[5, 0] = False
+        assert np.all(result.flags[others] == FLAG_OK)
+        assert np.all(np.isnan(result.peb))
+        assert np.all(result.path_count[others] >= 1)
+        assert np.all(result.allocation_bits[others] == "11111")
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_aliased_cell_is_named_after_a_halved_block(self, scene, wave, monkeypatch,

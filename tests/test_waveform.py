@@ -57,6 +57,11 @@ class TestFrozenValues:
         with pytest.raises(ValueError):
             noise_psd_from_figure(-1.0)
 
+    def test_noise_figure_rejects_nan(self):
+        """NaN compares false against 0 either way."""
+        with pytest.raises(ValueError, match="noise figure must be >= 0 dB"):
+            noise_psd_from_figure(math.nan)
+
 
 class TestResolutionNumbers:
     def test_resolution_100mhz(self):
