@@ -22,16 +22,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .channel import PathSet, _assemble, _path_table, _steering
-from .fim import PebValue, _AliasedDelays, _require_unaliased, fim_total, peb
+from .fim import PebValue, _require_unaliased, fim_total, peb
 from .geometry import SPEED_OF_LIGHT, Scene, _as_point, _is_integer, _require_below_wall
 from .waveform import WaveformConfig
 
 # Beyond this many RIS the exhaustive enumeration is off the table.
 MAX_EXHAUSTIVE_RIS = 20
-
-# Default PEB cap (m): robust_select's "expected" objective clamps bounds
-# at it, and a map flags the cells above it capped.
-DEFAULT_PEB_CAP = 5.0
 
 # Budget of points x patterns x paths^2 entries for one selection batch.
 # Its largest arrays, the FIM assembly's weighted pair directions
@@ -77,14 +73,12 @@ class SelectionConstraints:
     """Activation budget and delay-separation constraint for selection.
 
     min_gap is the real-valued threshold the index gap between any two
-    activated RIS must strictly exceed (c/(W*D) for spacing D); peb_cap
-    only clamps the bounds that robust_select's "expected" objective
-    averages (maps take their cap as an argument of peb_map).
+    activated RIS must strictly exceed (c/(W*D) for spacing D). Maps take
+    their PEB cap as an argument of peb_map.
     """
 
     k_bar: int
     min_gap: float = 0.0
-    peb_cap: float = DEFAULT_PEB_CAP
 
     def __post_init__(self):
         if not _is_integer(self.k_bar) or self.k_bar < 0:
@@ -92,8 +86,6 @@ class SelectionConstraints:
         # Written so that NaN, which compares false either way, fails.
         if not self.min_gap >= 0.0:
             raise ValueError("minimum index gap must be nonnegative")
-        if not self.peb_cap > 0.0:
-            raise ValueError("PEB cap must be positive")
 
 
 def gap_threshold(scene: Scene, cfg: WaveformConfig) -> float:
@@ -191,11 +183,11 @@ def _feasible_patterns(ris_count: int, k_bar: int, min_gap: float) -> np.ndarray
 
 class _Scored(NamedTuple):
     """_score's result: bounds (points x patterns); the steering of every
-    surface at steer_at (..., surfaces); the pathset at the points, with
-    both designs of every surface, flat then steered, on an axis after
-    the points' (the delays, pattern-free, are paths.tau[:, 0]); and the
-    FIM totals (points x patterns x 2 x 2) of each batch of patterns,
-    in pattern order."""
+    surface at every point (points x surfaces); the pathset at the
+    points, with both designs of every surface, flat then steered, on an
+    axis after the points' (the delays, pattern-free, are
+    paths.tau[:, 0]); and the FIM totals (points x patterns x 2 x 2) of
+    each batch of patterns, in pattern order."""
 
     values: np.ndarray
     steering: np.ndarray
@@ -203,31 +195,23 @@ class _Scored(NamedTuple):
     totals: list[np.ndarray]
 
 
-def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig, patterns: np.ndarray,
-           steer_at: np.ndarray) -> _Scored:
+def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
+           patterns: np.ndarray) -> _Scored:
     """Bounds of every pattern (rows of patterns) at every point (rows of
     points), with the work they came from (_Scored). A pattern steers
-    the surfaces it turns on at steer_at, as build_allocation does, and
-    leaves the others flat: steer_at is either one point for all, or
-    points itself (the same array) for phases optimal at each. One
-    pathset, from one gain_ris call, holds both gains of every surface,
-    flat and steered; each batch of patterns (a single batch unless the
-    patterns are many) picks one per surface. One pass over the path
-    table at the points serves it all when steer_at is points: its
-    surface columns give the steering, which _steering computes exactly
-    as build_allocation does. Another steer_at costs a second pass, over
-    the surfaces at steer_at."""
+    the surfaces it turns on at the point it is scored at, as
+    build_allocation does, and leaves the others flat. One pathset, from
+    one gain_ris call, holds both gains of every surface, flat and
+    steered; each batch of patterns (a single batch unless the patterns
+    are many) picks one per surface. One pass over the path table at the
+    points serves it all: its surface columns give the steering, which
+    _steering computes exactly as build_allocation does."""
     _require_below_wall(scene, points)
     table = _path_table(scene, "ris")
     dist, tau = table.delays(points[:, None, :])
-    if steer_at is points:
-        surfaces = dist[:, 0, 1:]
-    else:
-        _require_below_wall(scene, steer_at)
-        surfaces = table.distances(steer_at, slice(1, None))
-    steering = _steering(table.anchor[1:, 0], table.fixed_leg[1:], surfaces, steer_at)
+    steering = _steering(table.anchor[1:, 0], table.fixed_leg[1:], dist[:, 0, 1:], points)
     # Each surface's two designs on the axis before the surfaces': 0.0,
-    # the flat surface, then its steering at steer_at.
+    # the flat surface, then its steering at the point.
     design = np.where([[False], [True]], steering[..., None, :], 0.0)
     paths = _assemble(scene, "ris", table, points[:, None, :], dist, tau, design, cfg)
     # Length-one design axes, which broadcast over a batch's patterns.
@@ -243,6 +227,17 @@ def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig, patterns: np.n
         totals.append(fim_total(replace(paths, alpha=alpha), cfg))
         values.append(peb(totals[-1]).value)
     return _Scored(np.concatenate(values, axis=-1), steering, paths, totals)
+
+
+def _choose(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
+            patterns: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Scored]:
+    """The pattern each point chooses: its bound (values), its index in
+    patterns (best), and what _score returned. The first minimum wins,
+    so ties go to the smallest bits. The one chooser of select_ris and
+    of a RIS sweep's blocks."""
+    scored = _score(scene, points, cfg, patterns)
+    best = np.argmin(scored.values, axis=1)
+    return scored.values[np.arange(len(points)), best], best, scored
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,68 +268,18 @@ class ChosenBound(PebValue):
 def select_ris(scene: Scene, x_hat, cfg: WaveformConfig,
                constraints: SelectionConstraints) -> tuple[Allocation, ChosenBound]:
     """Exhaustive activation search minimizing the full-FIM bound at x_hat,
-    with phases optimal for x_hat: robust_select over the one sample,
-    whose bound also gives the chosen pathset and FIM (ChosenBound)."""
-    allocation, score, scored, best = _select(scene, [x_hat], cfg, constraints, "worst_case")
-    return allocation, ChosenBound(score, scored, best, allocation.active)
-
-
-def robust_select(scene: Scene, samples, cfg: WaveformConfig,
-                  constraints: SelectionConstraints,
-                  objective: str = "worst_case") -> tuple[Allocation, float]:
-    """Activation choice hedged over a set of candidate user positions.
-
-    Every pattern carries phases built at the sample centroid, the
-    allocation it would return, and is scored at each sample; the scores
-    are then aggregated: "worst_case" takes the maximum bound (infinite
-    bounds poison a pattern), "expected" the mean with infinite bounds
-    clamped at the cap so a single shadowed sample cannot flatten the
-    comparison. Ties go to the lexicographically smallest bit vector.
-    The returned allocation carries the centroid steering that _score
-    computed and scored, equal to build_allocation's at the centroid, so
-    a call makes _score's passes over the path table and no other: one
-    for one sample, which is its own centroid exactly, two for several.
-    Raises ValueError, naming the sample, for a sample that is not one
-    (x, y) point, and where a sample's delays alias, as
-    count_resolvable_paths does; with several samples that error names
-    the first aliased sample's index and position.
-    """
-    return _select(scene, samples, cfg, constraints, objective)[:2]
-
-
-def _select(scene: Scene, samples, cfg: WaveformConfig, constraints: SelectionConstraints,
-            objective: str) -> tuple[Allocation, float, _Scored, int]:
-    """robust_select's allocation and score, with what _score returned
-    and the chosen pattern's index in it."""
-    if objective not in ("worst_case", "expected"):
-        raise ValueError(f"unknown robust objective {objective!r}")
-    points = [np.asarray(s, dtype=float) for s in samples]
-    if not points:
-        raise ValueError("robust selection needs at least one sample")
-    for i, p in enumerate(points):
-        if p.shape != (2,):
-            raise ValueError(f"sample {i} has shape {p.shape}, not one (x, y) point")
-    points = _as_point(np.array(points))
-    # The mean of one sample is that sample, so _score steers at the
-    # points themselves and reads the steering off their one pass.
-    steer_at = points if len(points) == 1 else np.mean(points, axis=0)
+    with phases optimal for x_hat: _choose on a batch of one point. The
+    bound also gives the chosen pathset and FIM (ChosenBound). Raises
+    ValueError for an x_hat that is not one (x, y) point, and where the
+    delays at x_hat alias, as count_resolvable_paths does."""
+    p = np.asarray(x_hat, dtype=float)
+    if p.shape != (2,):
+        raise ValueError(f"x_hat has shape {p.shape}, not one (x, y) point")
     patterns = _patterns(len(scene.ris), constraints)
-    scored = _score(scene, points, cfg, patterns, steer_at)
-    values, steering, paths, _ = scored
-    delays = paths.tau[:, 0]
-    try:
-        _require_unaliased(delays.max(axis=1) - delays.min(axis=1), cfg)
-    except _AliasedDelays as exc:
-        if len(points) == 1:
-            raise
-        x, y = points[exc.row]
-        raise ValueError(f"sample {exc.row} at ({x:.9g}, {y:.9g}): {exc}") from None
-    if objective == "worst_case":
-        scores = values.max(axis=0)
-    else:
-        scores = np.minimum(values, constraints.peb_cap).sum(axis=0) / len(points)
-    best = int(np.argmin(scores))
-    # One sample's steering has the points' axis of length one.
+    values, best, scored = _choose(scene, _as_point(p[None]), cfg, patterns)
+    delays = scored.paths.tau[:, 0]
+    _require_unaliased(delays.max(axis=1) - delays.min(axis=1), cfg)
+    best = int(best[0])
     allocation = Allocation(active=tuple(patterns[best].astype(int).tolist()),
-                            design=tuple(np.where(patterns[best], steering, 0.0).reshape(-1)))
-    return allocation, float(scores[best]), scored, best
+                            design=tuple(np.where(patterns[best], scored.steering[0], 0.0)))
+    return allocation, ChosenBound(float(values[0]), scored, best, allocation.active)

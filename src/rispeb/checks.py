@@ -1,11 +1,12 @@
 """Reference implementations shared by `rispeb validate` and the tests.
 
 Each is written apart from the code it checks, and none calls
-allocation._score, _patterns, feasible_activations or sweep internals:
-all_patterns filters all 2^n bit vectors where _patterns combines index
-sets, and kernel_sum is the explicit subcarrier sum behind waveform's
-closed form. fim's two cluster merges, one position on floats and a
-block of rows on arrays, are each other's reference in the tests.
+allocation._score, _choose, _patterns, feasible_activations or sweep
+internals: all_patterns filters all 2^n bit vectors where _patterns
+combines index sets, and kernel_sum is the explicit subcarrier sum
+behind waveform's closed form. fim's two cluster merges, one position on
+floats and a block of rows on arrays, are each other's reference in the
+tests.
 
 observation is the per-subcarrier observation over a PathSet's arrays,
 delays rebuilt from the anchors at any position and gains frozen.

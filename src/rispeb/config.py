@@ -75,7 +75,11 @@ def _number(value, where: str) -> float:
 def _held(parse, value, where: str):
     """value as a RunConfig holds the key that parse reads: as a file would
     give it, so that the config hashes and round-trips through
-    dumps_config. Integer keys are checked by their users."""
+    dumps_config. An integer key refuses a bool, though it is an int."""
+    if parse is _parse_int:
+        if not _is_integer(value):
+            raise ConfigError(f"{where} must be an integer")
+        return int(value)
     if parse is _parse_float:
         return _number(value, where)
     if parse is _parse_float_list:
@@ -99,12 +103,13 @@ class RunConfig:
 
     Stores boundary units as given (dBm, dB). Construction checks that
     every key is set and each optional group set whole or left out (None),
-    holds number keys as floats and the RIS centers as a tuple of them,
-    then builds and validates the model objects in SI units once
-    (ConfigError); scene()/waveform()/grid()/selection_constraints()
-    return them, the same objects on every call. dataclasses.replace
-    constructs anew, so it checks an override as loads_config checks a
-    file, and what it accepts hashes and round-trips through dumps_config.
+    holds integer keys as ints, number keys as floats and the RIS centers
+    as a tuple of them, then builds and validates the model objects in SI
+    units once (ConfigError); scene()/waveform()/grid()/
+    selection_constraints() return them, the same objects on every call.
+    dataclasses.replace constructs anew, so it checks an override as
+    loads_config checks a file, and what it accepts hashes and
+    round-trips through dumps_config.
 
     The fields are the file's keys in its order. Each names its section,
     parser and optional group (set whole or left out) in its metadata.
@@ -154,10 +159,11 @@ class RunConfig:
         if self.mode not in MODES:
             raise ConfigError(f"run.mode: expected one of {', '.join(MODES)}, "
                               f"got {self.mode!r}")
+        if not self.out_dir:
+            # A sweep would compute its map before failing to write it.
+            raise ConfigError("run.out_dir must not be empty")
         if self.k_bar < 0:
             raise ConfigError("run.k_bar must be nonnegative")
-        if not _is_integer(self.workers):
-            raise ConfigError("run.workers must be an integer")
         if self.workers < 1:
             raise ConfigError("run.workers must be at least 1")
         if not 0.0 < self.peb_cap_m < math.inf:
@@ -169,8 +175,6 @@ class RunConfig:
                 10.0 ** (getattr(self, key) / 10.0)
             except OverflowError:
                 raise ConfigError(f"waveform.{key} overflows a float in linear units") from None
-        if not _is_integer(self.ris_elements):
-            raise ConfigError("scene.ris_elements must be an integer")
         if self.ris_elements < 1:
             raise ConfigError("scene.ris_elements must be at least 1")
         try:
@@ -226,8 +230,7 @@ class RunConfig:
                         y_range=(self.y_min_m, self.y_max_m),
                         nx=self.nx, ny=self.ny)
         constraints = SelectionConstraints(k_bar=self.k_bar,
-                                           min_gap=gap_threshold(scene, waveform),
-                                           peb_cap=self.peb_cap_m)
+                                           min_gap=gap_threshold(scene, waveform))
         return scene, waveform, grid, constraints
 
 

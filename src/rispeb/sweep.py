@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocation import (_BATCH_ENTRIES, DEFAULT_PEB_CAP, SelectionConstraints, _patterns,
-                         _score, build_allocation)
+from .allocation import _BATCH_ENTRIES, SelectionConstraints, _choose, _patterns, build_allocation
 from .channel import MODES, _path_table, build_pathset
 from .fim import _AliasedDelays, _count_clusters, fim_total, peb
 from .geometry import DegeneratePositionError, Scene, _is_integer
@@ -39,6 +38,9 @@ from .waveform import WaveformConfig, delay_kernel_peak
 # column per block takes a fifth more time.
 _COUNT_ENTRIES = 8192
 _CDF_ROWS = 4096  # rows per format call of write_cdf_csv
+
+# Default PEB cap (m) of peb_map: cells above it are flagged capped.
+DEFAULT_PEB_CAP = 5.0
 
 FLAG_OK = "ok"
 FLAG_CAPPED = "capped"
@@ -173,8 +175,8 @@ def _evaluate_block(scene, cfg, mode, patterns, cap, points):
     resolvable-path count and the allocation bit strings.
 
     The block is one batch of the array core: a baseline pathset, the
-    per-cell argmin of the patterns' RIS scores, or, with no patterns,
-    the delays of every surface. cap None marks a count map: its bounds
+    pattern allocation._choose picks per cell, or, with no patterns, the
+    delays of every surface. cap None marks a count map: its bounds
     are nan and its cells ok. If a cell coincides with an anchor, the
     block is split in halves, recursively, down to that cell, which is
     invalid: no bound, no path, no bits. A cell whose delays alias stops
@@ -191,12 +193,10 @@ def _evaluate_block(scene, cfg, mode, patterns, cap, points):
             values, delays = nan, _path_table(scene, mode).delays(points)[1]
             bits = np.array(["1" * len(scene.ris)] * len(points), dtype=object)  # shares one str
         else:
-            scored = _score(scene, points, cfg, patterns, points)
-            best = np.argmin(scored.values, axis=1)
+            values, best, scored = _choose(scene, points, cfg, patterns)
             names = np.array(["".join(map(str, row)) for row in patterns.astype(int)],
                              dtype=object)
-            values, bits = scored.values[np.arange(len(points)), best], names[best]
-            delays = scored.paths.tau[:, 0]
+            bits, delays = names[best], scored.paths.tau[:, 0]
     except DegeneratePositionError:
         if len(points) == 1:
             return np.array([math.nan]), np.array([1]), np.array([0]), np.array([""], dtype=object)

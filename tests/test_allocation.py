@@ -13,6 +13,7 @@ TestSelect::test_frozen_values_match_derivation runs it again.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from rispeb.allocation import (
     feasible_activations,
     gap_threshold,
     optimal_phases,
-    robust_select,
     select_ris,
 )
 from rispeb.channel import build_pathset
@@ -178,19 +178,10 @@ class TestConstraints:
         with pytest.raises(ValueError):
             SelectionConstraints(k_bar=1, min_gap=-0.5)
 
-    def test_rejects_nonpositive_cap(self):
-        with pytest.raises(ValueError):
-            SelectionConstraints(k_bar=1, peb_cap=0.0)
-
     def test_rejects_nan_gap(self):
         """A NaN gap would fail every pair's check and leave k_bar=2 no pair."""
         with pytest.raises(ValueError, match="index gap"):
             SelectionConstraints(k_bar=2, min_gap=math.nan)
-
-    def test_rejects_nan_cap(self):
-        """A NaN cap would make every "expected" score NaN."""
-        with pytest.raises(ValueError, match="PEB cap"):
-            SelectionConstraints(k_bar=1, peb_cap=math.nan)
 
     @pytest.mark.parametrize("k_bar", [1.5, True, "2"])
     def test_rejects_non_integer_budget(self, k_bar):
@@ -274,7 +265,7 @@ class TestSelect:
         def broken(*args, **kwargs):
             raise AssertionError("the oracle reached the code it checks")
 
-        for name in ("_score", "_patterns", "feasible_activations"):
+        for name in ("_score", "_choose", "_patterns", "feasible_activations"):
             monkeypatch.setattr(allocation_module, name, broken)
             monkeypatch.setattr(checks, name, broken, raising=False)
         for k_bar, (bits, expected) in FROZEN_SELECTIONS.items():
@@ -308,35 +299,30 @@ class TestSelect:
         """Every entry of the core's score, not just the winner, is the
         bound of the pattern's own allocation, its FIM total that of its
         pathset, and the delays are those of its pathset; in one batch or
-        one pattern per batch, with the phases steered at each point
-        (sweeps) or at the points' centroid (robust_select)."""
+        one pattern per batch, with the phases steered at each point."""
         monkeypatch.setattr(allocation_module, "_BATCH_ENTRIES", batch_entries)
         points = np.array([X_HAT, [8.0, 4.0], [-2.0, 7.0]])
-        centroid = points.mean(axis=0)
         for constraints in [tight_constraints(k_bar, scene, wave) for k_bar in range(3)] + [
                 SelectionConstraints(k_bar=5)]:
             patterns = allocation_module._patterns(len(scene.ris), constraints)
-            for steer_at in (points, centroid):
-                bounds, steering, pathset, totals = allocation_module._score(
-                    scene, points, wave, patterns, steer_at)
-                delays = pathset.tau[:, 0]
-                assert bounds.shape == (len(points), len(patterns))
-                assert [len(total[0]) for total in totals] == (
-                    [1] * len(patterns) if batch_entries == 1 else [len(patterns)])
-                totals = np.concatenate(totals, axis=1)
-                assert steering.shape == steer_at.shape[:-1] + (len(scene.ris),)
-                for i, point in enumerate(points):
-                    design_point = steer_at[i] if steer_at.ndim == 2 else steer_at
-                    aligned = build_allocation(scene, design_point, wave, (1,) * len(scene.ris))
-                    row = steering[i] if steer_at.ndim == 2 else steering
-                    assert tuple(row) == aligned.design
-                    for j, bits in enumerate(patterns):
-                        allocation = build_allocation(scene, design_point, wave, bits)
-                        paths = build_pathset(scene, allocation, point, wave, "ris")
-                        fim = fim_total(paths, wave)
-                        assert bounds[i, j] == peb(fim).value, (i, bits)
-                        assert np.array_equal(totals[i, j], fim), (i, bits)
-                        assert np.array_equal(delays[i], [path.tau for path in paths])
+            bounds, steering, pathset, totals = allocation_module._score(
+                scene, points, wave, patterns)
+            delays = pathset.tau[:, 0]
+            assert bounds.shape == (len(points), len(patterns))
+            assert [len(total[0]) for total in totals] == (
+                [1] * len(patterns) if batch_entries == 1 else [len(patterns)])
+            totals = np.concatenate(totals, axis=1)
+            assert steering.shape == (len(points), len(scene.ris))
+            for i, point in enumerate(points):
+                aligned = build_allocation(scene, point, wave, (1,) * len(scene.ris))
+                assert tuple(steering[i]) == aligned.design
+                for j, bits in enumerate(patterns):
+                    allocation = build_allocation(scene, point, wave, bits)
+                    paths = build_pathset(scene, allocation, point, wave, "ris")
+                    fim = fim_total(paths, wave)
+                    assert bounds[i, j] == peb(fim).value, (i, bits)
+                    assert np.array_equal(totals[i, j], fim), (i, bits)
+                    assert np.array_equal(delays[i], [path.tau for path in paths])
 
     @pytest.mark.parametrize("batch_entries", [allocation_module._BATCH_ENTRIES, 1],
                              ids=["budget", "one"])
@@ -361,7 +347,7 @@ class TestSelect:
                             SelectionConstraints(k_bar=k_bar)):
             patterns = allocation_module._patterns(len(scene.ris), constraints)
             shapes.clear()
-            allocation_module._score(scene, points, wave, patterns, points)
+            allocation_module._score(scene, points, wave, patterns)
             assert shapes == [(len(points), 2, len(scene.ris))], len(patterns)
 
     def test_scene_without_ris_scores_the_los_bound(self, wave):
@@ -372,15 +358,13 @@ class TestSelect:
         constraints = SelectionConstraints(k_bar=1)
         patterns = allocation_module._patterns(0, constraints)
         assert patterns.shape == (1, 0)
-        for steer_at in (points, points.mean(axis=0)):
-            bounds, steering, paths, _ = allocation_module._score(bare, points, wave,
-                                                                  patterns, steer_at)
-            assert bounds.shape == (len(points), 1)
-            assert paths.tau[:, 0].shape == (len(points), 1)
-            assert steering.shape == steer_at.shape[:-1] + (0,)
-            for i, point in enumerate(points):
-                paths = build_pathset(bare, Allocation((), ()), point, wave, "ris")
-                assert bounds[i, 0] == peb(fim_total(paths, wave)).value
+        bounds, steering, paths, _ = allocation_module._score(bare, points, wave, patterns)
+        assert bounds.shape == (len(points), 1)
+        assert paths.tau[:, 0].shape == (len(points), 1)
+        assert steering.shape == (len(points), 0)
+        for i, point in enumerate(points):
+            paths = build_pathset(bare, Allocation((), ()), point, wave, "ris")
+            assert bounds[i, 0] == peb(fim_total(paths, wave)).value
         allocation, value = select_ris(bare, X_HAT, wave, constraints)
         assert allocation == Allocation((), ())
         paths = build_pathset(bare, allocation, X_HAT, wave, "ris")
@@ -402,28 +386,36 @@ class TestSelect:
 
     def test_pattern_table_is_cached_and_read_only(self):
         """The feasible table is built once per surface count, k_bar and
-        min_gap and shared: a write to it raises, and constraints that
-        differ only in peb_cap get the same array. feasible_activations
-        still hands out fresh tuples."""
+        min_gap and shared: a write to it raises, and equal constraints
+        get the same array. feasible_activations still hands out fresh
+        tuples."""
         constraints = SelectionConstraints(k_bar=2, min_gap=1.5)
         table = allocation_module._patterns(5, constraints)
         with pytest.raises(ValueError, match="read-only"):
             table[0, 0] = True
-        capped = dataclasses.replace(constraints, peb_cap=1.0)
-        assert allocation_module._patterns(5, capped) is table
+        copy = dataclasses.replace(constraints)
+        assert allocation_module._patterns(5, copy) is table
         assert allocation_module._patterns(5, dataclasses.replace(constraints, k_bar=1)) \
             is not table
         first = feasible_activations(5, constraints)
-        assert first == feasible_activations(5, capped)
-        assert first is not feasible_activations(5, capped)
+        assert first == feasible_activations(5, copy)
+        assert first is not feasible_activations(5, copy)
 
     def test_aliased_delays_rejected(self, scene, wave):
         """At 5 GHz the paths at X_HAT span more than the kernel separates."""
         wide = dataclasses.replace(wave, bandwidth_hz=5e9)
-        with pytest.raises(ValueError, match="path lengths span"):
+        with pytest.raises(ValueError, match="^path lengths span"):
             select_ris(scene, X_HAT, wide, tight_constraints(1, scene, wide))
-        with pytest.raises(ValueError, match="path lengths span"):
-            robust_select(scene, [X_HAT], wide, tight_constraints(1, scene, wide))
+
+    def test_aliased_point_is_refused_with_the_plain_message(self, scene, wave):
+        """At 1 GHz and 33 subcarriers the paths at (0.05, 0.05) span more
+        than the kernel separates, and those at (3.5, 9.0) do not. The
+        message is the one select and point print, with no prefix."""
+        narrow = dataclasses.replace(wave, bandwidth_hz=1e9, subcarrier_count=33)
+        constraints = tight_constraints(1, scene, narrow)
+        with pytest.raises(ValueError, match="^path lengths span"):
+            select_ris(scene, np.array([0.05, 0.05]), narrow, constraints)
+        select_ris(scene, np.array([3.5, 9.0]), narrow, constraints)
 
     def test_exhaustive_budget_guard(self, wave):
         many = Scene(wall_offset=10.0,
@@ -433,16 +425,36 @@ class TestSelect:
         with pytest.raises(ValueError, match="exhaustive"):
             select_ris(many, X_HAT, wave, constraints)
         with pytest.raises(ValueError, match="exhaustive"):
-            robust_select(many, [X_HAT], wave, constraints)
-        with pytest.raises(ValueError, match="exhaustive"):
             feasible_activations(len(many.ris), constraints)
+
+    @pytest.mark.parametrize("x_hat", [[[3.5, 5.0]], [[3.5, 5.0], [8.0, 4.0]], [1.0, 2.0, 3.0],
+                                       []], ids=["1x2", "2x2", "3", "empty"])
+    def test_select_rejects_a_point_that_is_not_a_2_vector(self, scene, wave, x_hat):
+        """A (1, 2) batch of one point is refused too: _choose takes
+        batches, select_ris one point."""
+        x_hat = np.array(x_hat)
+        with pytest.raises(ValueError, match=rf"^x_hat has shape {re.escape(str(x_hat.shape))}"):
+            select_ris(scene, x_hat, wave, tight_constraints(1, scene, wave))
+
+    def test_pattern_batches_do_not_change_the_result(self, scene, wave, monkeypatch):
+        """Many patterns are scored in batches that bound memory; one
+        pattern per batch gives _choose the same bounds and indices as all
+        at once, at each of three points."""
+        patterns = allocation_module._patterns(len(scene.ris), tight_constraints(2, scene, wave))
+        points = np.array([[3.0, 4.5], [8.0, 4.0], [-2.0, 7.0]])
+        whole = allocation_module._choose(scene, points, wave, patterns)
+        monkeypatch.setattr(allocation_module, "_BATCH_ENTRIES", 1)
+        split = allocation_module._choose(scene, points, wave, patterns)
+        assert len(split[2].totals) == len(patterns)
+        assert np.array_equal(split[0], whole[0])
+        assert np.array_equal(split[1], whole[1])
 
 
 class TestOneDistancePass:
-    """Steered at the points themselves (a sweep block) or at its one
-    sample (a one-sample select, its own centroid), _score takes the
-    steering from the distances of its one pass over the path table, and
-    its bounds, bits and steering stay the one-point path's."""
+    """Steered at the points themselves (a sweep block, or select_ris's
+    one point), _score takes the steering from the distances of its one
+    pass over the path table, and its bounds, bits and steering stay the
+    one-point path's."""
 
     XS = np.linspace(-5.0, 15.0, 11)
     # Rows from 8.7 m up lie within 1.3 m of the wall at 10 m.
@@ -463,25 +475,21 @@ class TestOneDistancePass:
     def test_one_pass_per_score(self, scene, wave, passes):
         points = np.array([[x, y] for x in self.XS for y in self.YS])
         patterns = allocation_module._patterns(len(scene.ris), tight_constraints(1, scene, wave))
-        allocation_module._score(scene, points, wave, patterns, points)
+        allocation_module._score(scene, points, wave, patterns)
         assert len(passes) == 1
         passes.clear()
         select_ris(scene, X_HAT, wave, tight_constraints(2, scene, wave))
         assert len(passes) == 1
-        # A centroid of several samples is not a point scored: its own pass.
-        passes.clear()
-        robust_select(scene, points[:3], wave, tight_constraints(2, scene, wave))
-        assert len(passes) == 2
 
     def test_one_pass_per_sweep_batch(self, scene, wave, monkeypatch, passes):
         scores = []
-        score = sweep_module._score
+        choose = sweep_module._choose
 
         def counted(*args):
             scores.append(1)
-            return score(*args)
+            return choose(*args)
 
-        monkeypatch.setattr(sweep_module, "_score", counted)
+        monkeypatch.setattr(sweep_module, "_choose", counted)
         grid = GridSpec(x_range=(-5.0, 15.0), y_range=(8.7, 9.9), nx=11, ny=5)
         peb_map(scene, grid, wave, "ris", tight_constraints(1, scene, wave))
         assert len(scores) >= 1
@@ -492,8 +500,7 @@ class TestOneDistancePass:
         constraints = tight_constraints(k_bar, scene, wave)
         patterns = allocation_module._patterns(len(scene.ris), constraints)
         points = np.array([[x, y] for x in self.XS for y in self.YS])
-        bounds, steering, _, _ = allocation_module._score(scene, points, wave, patterns,
-                                                          points)
+        bounds, steering, _, _ = allocation_module._score(scene, points, wave, patterns)
         for i, point in enumerate(points):
             aligned = build_allocation(scene, point, wave, (1,) * len(scene.ris))
             assert tuple(steering[i]) == aligned.design
@@ -549,8 +556,8 @@ class TestEvaluateAllocation:
 
     def test_a_bound_outlives_later_selections(self, scene, wave):
         """A bound read before, and one first read after, selections at
-        other points, budgets and scenes, robust selections and a sweep
-        still give their own point's evaluation."""
+        other points, budgets and scenes and a sweep still give their own
+        point's evaluation."""
         constraints = tight_constraints(2, scene, wave)
         allocation, read = select_ris(scene, X_HAT, wave, constraints)
         self.assert_fresh(read, scene, allocation, X_HAT, wave)
@@ -559,7 +566,6 @@ class TestEvaluateAllocation:
         select_ris(scene, np.array([8.0, 4.0]), wave, constraints)
         select_ris(scene, X_HAT, wave, tight_constraints(1, scene, wave))
         select_ris(other_scene, X_HAT, wave, constraints)
-        robust_select(scene, [X_HAT, [3.0, 5.5], [4.0, 4.5]], wave, constraints)
         grid = GridSpec(x_range=(2.0, 6.0), y_range=(3.0, 5.0), nx=3, ny=2)
         peb_map(scene, grid, wave, "ris", constraints)
         for chosen in (read, unread):
@@ -573,144 +579,6 @@ class TestEvaluateAllocation:
         _, second = select_ris(scene, X_HAT, wave, constraints)
         assert first.paths.alpha is not second.paths.alpha
         assert first == second and hash(first) == hash(second)
-
-
-class TestRobustSelect:
-    def test_single_sample_matches_select(self, scene, wave):
-        constraints = tight_constraints(1, scene, wave)
-        allocation, score = robust_select(scene, [X_HAT], wave, constraints)
-        plain_alloc, plain_value = select_ris(scene, X_HAT, wave, constraints)
-        assert allocation.bits == plain_alloc.bits
-        assert score == plain_value.value
-
-    def test_worst_case_is_max_over_samples(self, scene, wave):
-        constraints = tight_constraints(1, scene, wave)
-        samples = [np.array([3.0, 4.5]), np.array([4.0, 5.5])]
-        allocation, score = robust_select(scene, samples, wave, constraints)
-        recomputed = [peb(fim_total(build_pathset(scene, allocation, point, wave, "ris"),
-                                    wave)).value for point in samples]
-        assert score == max(recomputed)
-
-    def test_expected_clamps_at_cap(self, scene, wave):
-        constraints = SelectionConstraints(k_bar=0, peb_cap=5.0)
-        far = [np.array([-200.0, 0.5]), np.array([3.5, 5.0])]
-        _, score = robust_select(scene, far, wave, constraints,
-                                 objective="expected")
-        assert score <= constraints.peb_cap
-
-    def test_expected_is_clamped_mean(self, scene, wave):
-        constraints = tight_constraints(1, scene, wave)
-        samples = [np.array([3.0, 4.5]), np.array([4.0, 5.5])]
-        allocation, score = robust_select(scene, samples, wave, constraints,
-                                          objective="expected")
-        recomputed = [min(peb(fim_total(build_pathset(scene, allocation, point, wave, "ris"),
-                                        wave)).value, constraints.peb_cap)
-                      for point in samples]
-        assert abs(score - sum(recomputed) / 2) < 1e-15
-
-    @pytest.mark.parametrize("objective", ["worst_case", "expected"])
-    def test_score_is_reached_by_the_returned_allocation(self, scene, wave, rng,
-                                                         objective):
-        """Sets of three samples 10 cm apart around random centers: the
-        score is the returned allocation's own worst (or capped mean)
-        bound over the samples, and no pattern steered at the centroid
-        does better."""
-        for k_bar in (1, 2):
-            constraints = tight_constraints(k_bar, scene, wave)
-            for _ in range(10):
-                center = np.array([rng.uniform(-4.0, 12.0), rng.uniform(1.0, 8.5)])
-                samples = center + 0.1 * rng.standard_normal((3, 2))
-                allocation, score = robust_select(scene, samples, wave, constraints,
-                                                  objective)
-                patterns = feasible_activations(len(scene.ris), constraints)
-                aggregates = []
-                for bits in patterns:
-                    candidate = build_allocation(scene, samples.mean(axis=0), wave, bits)
-                    bounds = [peb(fim_total(build_pathset(scene, candidate, s, wave, "ris"),
-                                            wave)).value for s in samples]
-                    aggregates.append(
-                        max(bounds) if objective == "worst_case"
-                        else sum(min(b, constraints.peb_cap) for b in bounds) / 3)
-                best = int(np.argmin(aggregates))
-                assert allocation == build_allocation(scene, samples.mean(axis=0), wave,
-                                                      patterns[best])
-                assert score == aggregates[best]
-
-    @pytest.mark.parametrize("count", [1, 3])
-    def test_returns_the_allocation_it_scored(self, scene, wave, rng, count):
-        """The allocation robust_select returns, built from the steering
-        its core scored, is build_allocation's at the sample centroid,
-        with exactly equal design floats, for one sample and several."""
-        for k_bar in range(4):
-            constraints = tight_constraints(k_bar, scene, wave)
-            for _ in range(10):
-                center = np.array([rng.uniform(-4.0, 12.0), rng.uniform(1.0, 8.5)])
-                samples = center + 0.1 * rng.standard_normal((count, 2))
-                for objective in ("worst_case", "expected"):
-                    allocation, _ = robust_select(scene, samples, wave, constraints,
-                                                  objective)
-                    expected = build_allocation(scene, samples.mean(axis=0), wave,
-                                                allocation.active)
-                    assert allocation.active == expected.active
-                    assert [float(d).hex() for d in allocation.design] \
-                        == [float(d).hex() for d in expected.design]
-
-    def test_centroid_phasing(self, scene, wave):
-        constraints = tight_constraints(1, scene, wave)
-        samples = [np.array([3.0, 4.5]), np.array([4.0, 5.5])]
-        allocation, _ = robust_select(scene, samples, wave, constraints)
-        expected = build_allocation(scene, np.array([3.5, 5.0]), wave,
-                                    allocation.active)
-        for got, want in zip(allocation.design, expected.design):
-            assert abs(got - want) <= 1e-12
-
-    def test_rejects_unknown_objective(self, scene, wave):
-        with pytest.raises(ValueError, match="objective"):
-            robust_select(scene, [X_HAT], wave,
-                          tight_constraints(1, scene, wave), objective="median")
-
-    def test_rejects_empty_samples(self, scene, wave):
-        with pytest.raises(ValueError, match="sample"):
-            robust_select(scene, [], wave, tight_constraints(1, scene, wave))
-
-    @pytest.mark.parametrize("x_hat", [[[3.5, 5.0]], [[3.5, 5.0], [8.0, 4.0]]],
-                             ids=["1x2", "2x2"])
-    def test_select_rejects_a_point_that_is_not_a_2_vector(self, scene, wave, x_hat):
-        x_hat = np.array(x_hat)
-        with pytest.raises(ValueError, match=rf"sample 0 has shape \({len(x_hat)}, 2\)"):
-            select_ris(scene, x_hat, wave, tight_constraints(1, scene, wave))
-
-    def test_rejects_a_malformed_sample_by_index(self, scene, wave):
-        samples = [X_HAT, np.array([3.0, 4.5]), np.array([1.0, 2.0, 3.0]), X_HAT]
-        with pytest.raises(ValueError, match=r"sample 2 has shape \(3,\)"):
-            robust_select(scene, samples, wave, tight_constraints(1, scene, wave))
-
-    def test_aliased_sample_is_named_by_index_and_position(self, scene, wave):
-        """At 1 GHz and 33 subcarriers the paths at (0.05, 0.05) span more
-        than the kernel separates, and those at the other samples do not."""
-        narrow = dataclasses.replace(wave, bandwidth_hz=1e9, subcarrier_count=33)
-        constraints = tight_constraints(1, scene, narrow)
-        samples = [np.array([3.5, 9.0]), np.array([3.5, 8.0]), np.array([0.05, 0.05])]
-        with pytest.raises(ValueError,
-                           match=r"^sample 2 at \(0\.05, 0\.05\): path lengths span"):
-            robust_select(scene, samples, narrow, constraints)
-        # One sample: the message is the one select and point print.
-        with pytest.raises(ValueError, match=r"^path lengths span"):
-            robust_select(scene, samples[2:], narrow, constraints)
-        robust_select(scene, samples[:2], narrow, constraints)
-
-    def test_pattern_batches_do_not_change_the_result(self, scene, wave, monkeypatch):
-        """Many patterns are scored in batches that bound memory; one
-        pattern per batch gives the same bits as all at once."""
-        constraints = tight_constraints(2, scene, wave)
-        samples = [np.array([3.0, 4.5]), np.array([8.0, 4.0]), np.array([-2.0, 7.0])]
-        for objective in ("worst_case", "expected"):
-            whole = robust_select(scene, samples, wave, constraints, objective)
-            monkeypatch.setattr(allocation_module, "_BATCH_ENTRIES", 1)
-            split = robust_select(scene, samples, wave, constraints, objective)
-            monkeypatch.undo()
-            assert split[0].bits == whole[0].bits
-            assert split[1] == whole[1]
 
 
 @settings(max_examples=20, deadline=None)

@@ -406,6 +406,17 @@ class TestSweep:
         dump_config(config, path)
         assert_first_aliased_cell_named(capsys, path, config)
 
+    def test_empty_out_dir_fails_before_the_map(self, capsys, monkeypatch):
+        """An empty --out is bad input, refused before a cell is evaluated."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the map was computed")
+
+        monkeypatch.setattr(rispeb.cli, "peb_map", forbidden)
+        code, out, err = run(capsys, "sweep", "--mode", "reflector", "--out", "")
+        assert code == 2
+        assert out == ""
+        assert "error: run.out_dir must not be empty" in err
+
     def test_mode_override_names_outputs(self, capsys, small_config):
         path, config = small_config
         code, _, err = run(capsys, "sweep", "--config", str(path),
@@ -472,13 +483,14 @@ class TestValidate:
         assert "check phase_gain: ok" in out
 
     def test_detects_injected_sweep_fault(self, capsys, monkeypatch):
-        """A sweep that scores the patterns in reverse order names the
-        wrong winner; select_ris, which has its own argmin, is unaffected."""
-        true_score = rispeb.sweep._score
+        """A sweep whose chooser sees the patterns in reverse order names
+        the wrong winner; select_ris, which calls allocation's binding of
+        _choose, is unaffected."""
+        true_choose = rispeb.sweep._choose
         monkeypatch.setattr(
-            rispeb.sweep, "_score",
-            lambda scene, points, cfg, patterns, steer_at: true_score(
-                scene, points, cfg, patterns[::-1], steer_at))
+            rispeb.sweep, "_choose",
+            lambda scene, points, cfg, patterns: true_choose(
+                scene, points, cfg, patterns[::-1]))
         code, out, _ = run(capsys, "validate")
         assert code == 1
         assert "check sweep_oracle: FAIL" in out

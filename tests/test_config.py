@@ -61,7 +61,6 @@ class TestDefault:
         constraints = cfg.selection_constraints()
         assert constraints.k_bar == 1
         assert abs(constraints.min_gap - 2.99792458) < 1e-12
-        assert constraints.peb_cap == 5.0
 
     def test_derived_grid(self, cfg):
         grid = cfg.grid()
@@ -233,8 +232,8 @@ class TestErrors:
             loads_config(broken(replace_key="k_bar", value="-1"))
 
     @pytest.mark.parametrize("overrides, message", [
-        ({"k_bar": 1.5}, "activation budget must be a nonnegative integer"),
-        ({"k_bar": True}, "activation budget must be a nonnegative integer"),
+        ({"k_bar": 1.5}, "run.k_bar must be an integer"),
+        ({"k_bar": True}, "run.k_bar must be an integer"),
         ({"workers": 2.5}, "run.workers must be an integer"),
         ({"workers": True}, "run.workers must be an integer"),
         ({"ris_centers_x_m": (), "ris_elements": 1.5}, "scene.ris_elements must be an integer"),
@@ -243,14 +242,32 @@ class TestErrors:
         ({"power_dbm": True}, "waveform.power_dbm: expected a number, got True"),
         ({"ris_centers_x_m": (True, 2.5)}, "scene.ris_centers_x_m: expected a number, got True"),
         ({"out_dir": 5}, "run.out_dir: expected one line of text, got 5"),
+        ({"k_bar": "2"}, "run.k_bar must be an integer"),
+        ({"nx": 10.0}, "grid.nx must be an integer"),
+        ({"ny": True}, "grid.ny must be an integer"),
+        ({"subcarrier_count": 32.0}, "waveform.subcarrier_count must be an integer"),
     ], ids=["k_bar_float", "k_bar_bool", "workers_float", "workers_bool", "ris_elements_float",
-            "ris_elements_bool", "peb_cap_bool", "power_bool", "center_bool", "out_dir_number"])
+            "ris_elements_bool", "peb_cap_bool", "power_bool", "center_bool", "out_dir_number",
+            "k_bar_str", "nx_float", "ny_bool", "subcarrier_count_float"])
     def test_replace_rejects_what_a_file_cannot_hold(self, overrides, message):
         """Counts are integers and numbers are not bools; neither waits for
-        a selection or a sweep to fail."""
+        a selection or a sweep to fail, and every message names its key."""
         with pytest.raises(ConfigError) as caught:
             dataclasses.replace(default_config(), **overrides)
         assert str(caught.value) == message
+
+    def test_integer_keys_are_held_as_ints(self):
+        """A numpy integer is held as the int a file would give."""
+        config = dataclasses.replace(default_config(), k_bar=np.int64(2), nx=np.int32(10))
+        assert type(config.k_bar) is int and type(config.nx) is int
+        assert config == dataclasses.replace(default_config(), k_bar=2, nx=10)
+
+    def test_empty_out_dir_is_rejected(self):
+        """A sweep would compute its whole map before failing to write it."""
+        with pytest.raises(ConfigError, match=r"^run\.out_dir must not be empty$"):
+            dataclasses.replace(default_config(), out_dir="")
+        with pytest.raises(ConfigError, match=r"^run\.cfg: run\.out_dir must not be empty$"):
+            loads_config(broken(replace_key="out_dir", value=""), source="run.cfg")
 
     def test_zero_workers(self):
         with pytest.raises(ConfigError, match=r"^run\.cfg: run\.workers"):

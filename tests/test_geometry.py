@@ -17,9 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rispeb.allocation import build_allocation, robust_select, select_ris
+from rispeb.allocation import build_allocation, select_ris
 from rispeb.channel import MODES, _path_table, build_pathset
-from rispeb.fim import fim_total, peb
 from rispeb.geometry import (
     SPEED_OF_LIGHT,
     DegeneratePositionError,
@@ -140,17 +139,11 @@ class TestDegeneracy:
         # The reflector's anchor, the BS's mirror image, lies above the wall.
         assert np.isfinite(pathset(scene, x, "reflector").alpha).all()
 
-    def test_steering_at_the_bs(self, scene, cfg, wave):
+    def test_steering_at_the_bs(self, scene):
         """Steering reads the surfaces' anchors only: a design point at the
-        BS is fine, as is a sample centroid there."""
+        BS is fine."""
         allocation = build_allocation(scene, (0.0, 0.0), WAVE, (1, 0, 0, 0, 0))
         assert allocation.design[0] != 0.0
-        samples = [np.array([-1.0, 0.0]), np.array([1.0, 0.0])]
-        allocation, score = robust_select(scene, samples, wave, cfg.selection_constraints())
-        assert allocation.bits == "01000"
-        assert rel(score, 26.51845460044517) < 1e-12
-        assert score == max(peb(fim_total(build_pathset(scene, allocation, x, wave, "ris"),
-                                          wave)).value for x in samples)
 
     def test_missing_object_is_named_before_any_anchor(self, scene):
         """A baseline mode whose object the scene lacks fails as such, at

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rispeb.sweep as sweep_module
-from rispeb.allocation import SelectionConstraints, gap_threshold
+from rispeb.allocation import SelectionConstraints, gap_threshold, select_ris
 from rispeb.channel import _path_table, build_pathset
 from rispeb.checks import best_pattern, conditioning_error
 from rispeb.fim import count_resolvable_paths, fim_total, peb
@@ -169,7 +169,7 @@ class TestDegenerateCells:
             sizes = self._count_batches(monkeypatch, sweep_module, "build_pathset", 2)
             result = peb_map(scene, grid, wave, "reflector")
         else:
-            sizes = self._count_batches(monkeypatch, sweep_module, "_score", 1)
+            sizes = self._count_batches(monkeypatch, sweep_module, "_choose", 1)
             result = peb_map(scene, grid, wave, "ris", budget(k_bar, scene, wave))
         assert sizes[0] == grid.cell_count
         assert len(sizes) <= 1 + 2 * math.ceil(math.log2(grid.cell_count))
@@ -236,6 +236,27 @@ class TestSelectionMap:
                     assert math.isinf(result.peb[ix, iy])
                 else:
                     assert abs(result.peb[ix, iy] - bound) <= 1e-12 * bound
+
+    @pytest.mark.parametrize("k_bar", [0, 1, 2])
+    def test_map_and_select_share_one_chooser(self, scene, wave, k_bar):
+        """A map and select_ris choose through the same _choose: at every
+        cell, the wall rows from 8.7 m and the one-delay cell (2.475,
+        9.045) included, the bits are select_ris's, and so is the bound,
+        exactly, wherever more than one delay resolves."""
+        constraints = budget(k_bar, scene, wave)
+        grids = (GridSpec(x_range=(-5.0, 15.0), y_range=(0.5, 9.9), nx=21, ny=12),
+                 GridSpec(x_range=(-5.0, 15.0), y_range=(8.7, 9.9), nx=21, ny=5),
+                 GridSpec(x_range=(2.475, 3.475), y_range=(9.045, 9.9), nx=2, ny=2))
+        for grid in grids:
+            result = peb_map(scene, grid, wave, "ris", constraints)
+            for ix, x in enumerate(grid.xs):
+                for iy, y in enumerate(grid.ys):
+                    allocation, value = select_ris(scene, np.array([x, y]), wave, constraints)
+                    assert result.allocation_bits[ix, iy] == allocation.bits, (x, y)
+                    if result.path_count[ix, iy] > 1:
+                        assert result.peb[ix, iy] == value.value, (x, y)
+        assert (grid.xs[0], grid.ys[0]) == (2.475, 9.045)
+        assert result.path_count[0, 0] == 1
 
     def test_scene_without_ris(self, wave):
         """With no surface every cell scores the empty pattern: the LOS
@@ -319,7 +340,7 @@ class TestBlocks:
     def test_maps_are_not_batched_per_column(self, cfg, scene, wave, monkeypatch):
         """The default 100x100 maps take fewer core calls than columns."""
         grid = cfg.grid()
-        calls = {"fim_total": 0, "_score": 0}
+        calls = {"fim_total": 0, "_choose": 0}
 
         def counter(name):
             original = getattr(sweep_module, name)
@@ -334,7 +355,7 @@ class TestBlocks:
         peb_map(scene, grid, wave, "reflector")
         peb_map(scene, grid, wave, "ris", budget(1, scene, wave))
         assert 0 < calls["fim_total"] < grid.nx
-        assert 0 < calls["_score"] < grid.nx
+        assert 0 < calls["_choose"] < grid.nx
 
 
 class TestParallel:
