@@ -147,33 +147,28 @@ def feasible_activations(ris_count: int, constraints: SelectionConstraints):
     return [tuple(row) for row in _patterns(ris_count, constraints).astype(int).tolist()]
 
 
+@functools.lru_cache(maxsize=32)
 def _patterns(ris_count: int, constraints: SelectionConstraints | None) -> np.ndarray:
     """Feasible patterns of ris_count surfaces as rows of a boolean array,
     in lexicographic order, so the first minimum breaks ties toward the
     smallest bits; without constraints, the single all-active pattern.
-    The feasible table depends on the surface count, k_bar and min_gap
-    only; it is built once per process for each and shared, so it is
-    read-only."""
+    Built from the index sets of at most k_bar surfaces whose
+    consecutive indices are more than min_gap apart, not from all 2^n
+    bit vectors. Each table is built once per process for its surface
+    count and constraints and shared, so it is read-only."""
     if constraints is None:
-        return np.ones((1, ris_count), dtype=bool)
-    return _feasible_patterns(ris_count, constraints.k_bar, constraints.min_gap)
-
-
-@functools.lru_cache(maxsize=32)
-def _feasible_patterns(ris_count: int, k_bar: int, min_gap: float) -> np.ndarray:
-    """_patterns' table, built from the index sets of at most k_bar
-    surfaces whose consecutive indices are more than min_gap apart, not
-    from all 2^n bit vectors."""
-    if ris_count > MAX_EXHAUSTIVE_RIS:
+        chosen = [range(ris_count)]
+    elif ris_count > MAX_EXHAUSTIVE_RIS:
         raise ValueError(
             f"exhaustive search budget exceeded: {ris_count} RIS > {MAX_EXHAUSTIVE_RIS}"
         )
-    chosen = [ones for size in range(min(k_bar, ris_count) + 1)
-              for ones in itertools.combinations(range(ris_count), size)
-              if all(b - a > min_gap for a, b in zip(ones, ones[1:]))]
-    # Lexicographic order of the bits is the order of the binary number
-    # whose most significant bit is the first surface's.
-    chosen.sort(key=lambda ones: sum(1 << (ris_count - 1 - i) for i in ones))
+    else:
+        chosen = [ones for size in range(min(constraints.k_bar, ris_count) + 1)
+                  for ones in itertools.combinations(range(ris_count), size)
+                  if all(b - a > constraints.min_gap for a, b in zip(ones, ones[1:]))]
+        # Lexicographic order of the bits is the order of the binary
+        # number whose most significant bit is the first surface's.
+        chosen.sort(key=lambda ones: sum(1 << (ris_count - 1 - i) for i in ones))
     patterns = np.zeros((len(chosen), ris_count), dtype=bool)
     for row, ones in zip(patterns, chosen):
         row[list(ones)] = True
@@ -186,13 +181,13 @@ class _Scored(NamedTuple):
     surface at every point (points x surfaces); the pathset at the
     points, with both designs of every surface, flat then steered, on an
     axis after the points' (the delays, pattern-free, are
-    paths.tau[:, 0]); and the FIM totals (points x patterns x 2 x 2) of
-    each batch of patterns, in pattern order."""
+    paths.tau[:, 0]); and the FIM totals (points x patterns x 2 x 2)
+    that the bounds were taken from."""
 
     values: np.ndarray
     steering: np.ndarray
     paths: PathSet
-    totals: list[np.ndarray]
+    totals: np.ndarray
 
 
 def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
@@ -203,9 +198,10 @@ def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
     build_allocation does, and leaves the others flat. One pathset, from
     one gain_ris call, holds both gains of every surface, flat and
     steered; each batch of patterns (a single batch unless the patterns
-    are many) picks one per surface. One pass over the path table at the
-    points serves it all: its surface columns give the steering, which
-    _steering computes exactly as build_allocation does."""
+    are many) picks one per surface, and one peb call bounds the joined
+    stack of the batches' FIM totals. One pass over the path table at
+    the points serves it all: its surface columns give the steering,
+    which _steering computes exactly as build_allocation does."""
     _require_below_wall(scene, points)
     table = _path_table(scene, "ris")
     dist, tau = table.delays(points[:, None, :])
@@ -221,12 +217,10 @@ def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
     # Patterns per batch, so that points x patterns x paths^2 stays near
     # _BATCH_ENTRIES, the budget of the batch's largest arrays.
     step = max(1, _BATCH_ENTRIES // (len(points) * len(paths) ** 2))
-    values, totals = [], []
-    for start in range(0, len(patterns), step):
-        alpha = np.where(on[start:start + step], steered, flat)
-        totals.append(fim_total(replace(paths, alpha=alpha), cfg))
-        values.append(peb(totals[-1]).value)
-    return _Scored(np.concatenate(values, axis=-1), steering, paths, totals)
+    totals = np.concatenate([
+        fim_total(replace(paths, alpha=np.where(on[start:start + step], steered, flat)), cfg)
+        for start in range(0, len(patterns), step)], axis=1)
+    return _Scored(peb(totals).value, steering, paths, totals)
 
 
 def _choose(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
@@ -242,11 +236,11 @@ def _choose(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
 
 @dataclass(frozen=True, eq=False)
 class ChosenBound(PebValue):
-    """select_ris's bound, a PebValue that compares by value only, which
-    also gives the chosen allocation's pathset at the point (paths) and
-    its 2x2 FIM total (total). Both are taken, when first read, from
-    what the selection scored: the same floats as build_pathset and
-    fim_total give."""
+    """select_ris's bound, equal to any PebValue of its value, which also
+    gives the chosen allocation's pathset at the point (paths, taken
+    when first read) and its 2x2 FIM total (total, its entry of the
+    scored FIM stack): the same floats as build_pathset and fim_total
+    give."""
 
     _scored: _Scored = field(repr=False)
     _best: int = field(repr=False)
@@ -260,9 +254,9 @@ class ChosenBound(PebValue):
         return replace(paths, tau=paths.tau[0, 0], alpha=alpha,
                        direction=paths.direction[0, 0])
 
-    @functools.cached_property
+    @property
     def total(self) -> np.ndarray:
-        return np.concatenate([batch[0] for batch in self._scored.totals])[self._best]
+        return self._scored.totals[0, self._best]
 
 
 def select_ris(scene: Scene, x_hat, cfg: WaveformConfig,

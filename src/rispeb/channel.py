@@ -186,7 +186,8 @@ def gain_ris(scene: Scene, design, x, dist, tau, cfg: WaveformConfig) -> np.ndar
     Under the carrier exp(-j*2*pi*f_c*tau), tau measured at the array
     center, the element n half-wavelengths toward +x of the center adds
     exp(-j*pi*n*(u - design)) with u = sin(theta) - sin(psi): the cascade
-    is the real D_M(pi*(u - design)), M when aligned. Each element is a (lambda/2)^2 aperture of amplitude
+    is the real D_M(pi*(u - design)), M when aligned. Each element is a
+    (lambda/2)^2 aperture of amplitude
     lambda^2*sqrt(cos(theta)*cos(psi))/(16*pi*d1*d2) (Ellingson 2019; Tang
     et al., IEEE TWC 2021), with cos(theta) = L/d1, cos(psi) = (L - y)/d2.
     """

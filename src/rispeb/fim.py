@@ -50,9 +50,16 @@ CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class PebValue:
-    """Position error bound in meters; math.inf when the FIM is degenerate."""
+    """Position error bound in meters; math.inf when the FIM is degenerate.
+    Compares by value only, so a subclass's bound equals a plain one."""
 
     value: float
+
+    def __eq__(self, other):
+        if not isinstance(other, PebValue):
+            return NotImplemented
+        # The dataclass comparison, without its test of the exact class.
+        return (self.value,) == (other.value,)
 
 
 @functools.lru_cache(maxsize=32)
@@ -204,11 +211,12 @@ def _count_clusters(tau: np.ndarray, exists: np.ndarray, cfg: WaveformConfig) ->
     later clusters left, so the clusters shrink by one column a pass; a
     merged cluster's total is left plus right and its delay total/size.
     Merging adjacent clusters keeps their means sorted, so no gap is
-    negative and a gap needs no absolute value. A row leaves at its first pass without a gap below 1/W: with nothing
-    merged it would stay as it is on every later pass, so dropping it
-    changes no count. The first pass reads the gaps off the sorted delays
-    (a cluster of one is its own mean), so a row with no gap below 1/W
-    never builds cluster arrays.
+    negative and a gap needs no absolute value. A row leaves at its first
+    pass without a gap below 1/W: with nothing merged it would stay as it
+    is on every later pass, so dropping it changes no count. The first
+    pass reads the gaps off the sorted delays (a cluster of one is its
+    own mean), so a row with no gap below 1/W never builds cluster
+    arrays.
     """
     width = tau.shape[1]
     ordered = np.where(exists, tau, _MISSING_STEP * np.arange(1.0, width + 1))

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,7 +147,11 @@ class CdfResult:
             raise ValueError("fractions must be nondecreasing, at least 0 and at most 1")
 
     def coverage(self, level: float) -> float:
-        """Fraction of all cells with a finite bound at or below level."""
+        """Fraction of all cells with a finite bound at or below level, a
+        real number that is not NaN; anything else (a bool, a string)
+        raises ValueError."""
+        if isinstance(level, bool) or not isinstance(level, numbers.Real) or math.isnan(level):
+            raise ValueError(f"coverage level must be a real number, not {level!r}")
         idx = int(np.searchsorted(self.levels, level, side="right")) - 1
         if idx < 0:
             return 0.0

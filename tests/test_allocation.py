@@ -37,7 +37,7 @@ from rispeb.allocation import (
 )
 from rispeb.channel import build_pathset
 from rispeb.checks import aligned_gain, all_patterns, best_pattern
-from rispeb.fim import fim_total, peb
+from rispeb.fim import PebValue, fim_total, peb
 from rispeb.geometry import RisDescriptor, Scene
 from rispeb.sweep import GridSpec, peb_map
 
@@ -299,19 +299,33 @@ class TestSelect:
         """Every entry of the core's score, not just the winner, is the
         bound of the pattern's own allocation, its FIM total that of its
         pathset, and the delays are those of its pathset; in one batch or
-        one pattern per batch, with the phases steered at each point."""
+        one pattern per batch (one fim_total call each), with the phases
+        steered at each point. The totals are one stack, and one peb call
+        takes every bound from it."""
         monkeypatch.setattr(allocation_module, "_BATCH_ENTRIES", batch_entries)
+        calls = {"fim_total": 0, "peb": 0}
+
+        def counted(name):
+            original = getattr(allocation_module, name)
+
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(allocation_module, name, counted(name))
         points = np.array([X_HAT, [8.0, 4.0], [-2.0, 7.0]])
         for constraints in [tight_constraints(k_bar, scene, wave) for k_bar in range(3)] + [
                 SelectionConstraints(k_bar=5)]:
             patterns = allocation_module._patterns(len(scene.ris), constraints)
+            calls.update(fim_total=0, peb=0)
             bounds, steering, pathset, totals = allocation_module._score(
                 scene, points, wave, patterns)
+            assert calls == {"fim_total": len(patterns) if batch_entries == 1 else 1, "peb": 1}
             delays = pathset.tau[:, 0]
             assert bounds.shape == (len(points), len(patterns))
-            assert [len(total[0]) for total in totals] == (
-                [1] * len(patterns) if batch_entries == 1 else [len(patterns)])
-            totals = np.concatenate(totals, axis=1)
+            assert totals.shape == (len(points), len(patterns), 2, 2)
             assert steering.shape == (len(points), len(scene.ris))
             for i, point in enumerate(points):
                 aligned = build_allocation(scene, point, wave, (1,) * len(scene.ris))
@@ -385,9 +399,10 @@ class TestSelect:
                 assert feasible_activations(ris_count, constraints) == expected
 
     def test_pattern_table_is_cached_and_read_only(self):
-        """The feasible table is built once per surface count, k_bar and
-        min_gap and shared: a write to it raises, and equal constraints
-        get the same array. feasible_activations still hands out fresh
+        """The pattern table is built once per surface count and
+        constraints and shared: a write to it raises, and equal
+        constraints get the same array, as does the all-active row of
+        no constraints. feasible_activations still hands out fresh
         tuples."""
         constraints = SelectionConstraints(k_bar=2, min_gap=1.5)
         table = allocation_module._patterns(5, constraints)
@@ -397,6 +412,12 @@ class TestSelect:
         assert allocation_module._patterns(5, copy) is table
         assert allocation_module._patterns(5, dataclasses.replace(constraints, k_bar=1)) \
             is not table
+        assert allocation_module._patterns(6, constraints) is not table
+        row = allocation_module._patterns(5, None)
+        assert row.tolist() == [[True] * 5]
+        assert allocation_module._patterns(5, None) is row
+        with pytest.raises(ValueError, match="read-only"):
+            row[0, 0] = False
         first = feasible_activations(5, constraints)
         assert first == feasible_activations(5, copy)
         assert first is not feasible_activations(5, copy)
@@ -438,16 +459,26 @@ class TestSelect:
 
     def test_pattern_batches_do_not_change_the_result(self, scene, wave, monkeypatch):
         """Many patterns are scored in batches that bound memory; one
-        pattern per batch gives _choose the same bounds and indices as all
-        at once, at each of three points."""
+        pattern per batch (one fim_total call each) gives _choose the same
+        bounds, indices and FIM stack as all at once, at each of three
+        points."""
         patterns = allocation_module._patterns(len(scene.ris), tight_constraints(2, scene, wave))
         points = np.array([[3.0, 4.5], [8.0, 4.0], [-2.0, 7.0]])
         whole = allocation_module._choose(scene, points, wave, patterns)
+        batches = []
+        original = allocation_module.fim_total
+
+        def counted(*args):
+            batches.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(allocation_module, "fim_total", counted)
         monkeypatch.setattr(allocation_module, "_BATCH_ENTRIES", 1)
         split = allocation_module._choose(scene, points, wave, patterns)
-        assert len(split[2].totals) == len(patterns)
+        assert len(batches) == len(patterns) > 1
         assert np.array_equal(split[0], whole[0])
         assert np.array_equal(split[1], whole[1])
+        assert np.array_equal(split[2].totals, whole[2].totals)
 
 
 class TestOneDistancePass:
@@ -579,6 +610,18 @@ class TestEvaluateAllocation:
         _, second = select_ris(scene, X_HAT, wave, constraints)
         assert first.paths.alpha is not second.paths.alpha
         assert first == second and hash(first) == hash(second)
+
+    @pytest.mark.parametrize("k_bar", range(3))
+    def test_bound_equals_the_plain_bound_of_its_allocation(self, scene, wave, k_bar):
+        """select_ris's bound equals, both ways round, the PebValue that
+        peb gives for its allocation's fresh pathset, and a PebValue of
+        another value does not."""
+        allocation, bound = select_ris(scene, X_HAT, wave, tight_constraints(k_bar, scene, wave))
+        plain = peb(fim_total(build_pathset(scene, allocation, X_HAT, wave, "ris"), wave))
+        assert type(plain) is PebValue
+        assert bound == plain and plain == bound and hash(bound) == hash(plain)
+        assert bound == PebValue(bound.value)
+        assert bound != PebValue(2.0 * bound.value) and bound != bound.value
 
 
 @settings(max_examples=20, deadline=None)

@@ -236,6 +236,19 @@ class TestSelect:
         assert err.startswith("error: path lengths span")
         assert run(capsys, "point", "3.5", "5.0", "--bandwidth", "5e9") == (2, "", err)
 
+    def test_one_delay_point_reports_the_raw_bound(self, capsys):
+        """README's split at (2.475, 9.045), where one delay is resolvable:
+        select prints the chosen pattern's raw bound, point prints inf."""
+        code, out, err = run(capsys, "select", "2.475", "9.045")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["allocation_bits: 10000", "active_count: 1 (budget 1)",
+                                    "peb_m: 0.24990839"]
+        code, out, err = run(capsys, "point", "2.475", "9.045")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2] == "allocation_bits: 10000"
+        assert "resolvable_paths: 1 of 6" in out.splitlines()
+        assert out.splitlines()[-1] == "peb_m: inf  # single resolvable delay, no unique fix"
+
     def test_requires_ris_mode(self, capsys):
         code, _, err = run(capsys, "select", "3.5", "5.0",
                            "--mode", "reflector")

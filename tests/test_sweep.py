@@ -438,6 +438,19 @@ class TestCdf:
         assert cdf.coverage(2.0) == 1.0
         assert cdf.finite_fraction == 1.0
 
+    @pytest.mark.parametrize("level", [math.nan, np.float64("nan"), "2", True, np.True_,
+                                       None, np.array([2.0])],
+                             ids=["nan", "np_nan", "str", "bool", "np_bool", "none", "array"])
+    def test_level_that_is_not_a_real_number_rejected(self, level):
+        """On levels [1, 2] a NaN level read the finite fraction and "2"
+        the first step; a bool or a non-number is no level either."""
+        cdf = CdfResult(levels=np.array([1.0, 2.0]), fractions=np.array([0.25, 0.5]),
+                        total_cells=4)
+        with pytest.raises(ValueError, match="^coverage level must be a real number"):
+            cdf.coverage(level)
+        assert cdf.coverage(np.float32(2.0)) == cdf.coverage(2) == 0.5
+        assert cdf.coverage(-math.inf) == 0.0 and cdf.coverage(math.inf) == 0.5
+
     def test_validation(self):
         with pytest.raises(ValueError, match="align"):
             CdfResult(levels=np.array([1.0, 2.0]), fractions=np.array([1.0]),
