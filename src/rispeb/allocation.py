@@ -5,10 +5,11 @@ cascaded response, giving the full M^2 gain; an allocation stores it as
 one design steering difference per surface. Which RIS to activate is a
 small combinatorial problem: activation patterns are enumerated
 exhaustively under a budget on the number of active RIS and a minimum
-index gap that keeps the activated paths separable in delay. Every
-feasible pattern is scored at once, at every point of a batch: each
-surface contributes one of its two gains, flat or steered, so a pattern
-only picks between gains computed once.
+index gap, which keeps the active surfaces' centers more than c/W apart
+along the wall but does not make their delays resolvable at a given
+position. Every feasible pattern is scored at once, at every point of a
+batch: each surface contributes one of its two gains, flat or steered,
+so a pattern only picks between gains computed once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -36,6 +37,10 @@ MAX_EXHAUSTIVE_RIS = 20
 # on the 100x100 k_bar=1 RIS map only in a process whose heap larger
 # blocks have grown before; from a fresh process it is slower.
 _BATCH_ENTRIES = 1 << 18
+
+# Each surface's two designs on an axis before the surfaces': the flat
+# surface, then its steering at the point.
+_FLAT_THEN_STEERED = np.array([[False], [True]])
 
 
 @dataclass(frozen=True)
@@ -57,11 +62,20 @@ class Allocation:
             raise ValueError("activation entries must be the integers 0 or 1")
         if len(self.design) != len(self.active):
             raise ValueError("one design steering per RIS is required")
-        for bit, design in zip(self.active, self.design):
-            # A plain comparison for scalars, which np.any makes slow.
-            if not bit and (design != 0.0 if isinstance(design, (int, float))
-                            else np.any(design != 0.0)):
-                raise ValueError("inactive RIS must carry design 0, the flat surface")
+        for k, (bit, design) in enumerate(zip(self.active, self.design)):
+            # Plain tests for a float, which numpy makes slow; anything
+            # else (an int too: 10**400 overflows a float) goes through
+            # numpy, and a batch's array must be finite in every entry.
+            if isinstance(design, float):
+                finite, flat = math.isfinite(design), design == 0.0
+            else:
+                values = np.asarray(design)
+                finite = values.dtype.kind in "biuf" and bool(np.isfinite(values).all())
+                flat = finite and not values.any()
+            if not bit and not flat:
+                raise ValueError(f"inactive RIS {k} must carry design 0, the flat surface")
+            if not finite:
+                raise ValueError(f"design steering of RIS {k} must be finite real numbers")
 
     @property
     def bits(self) -> str:
@@ -70,11 +84,13 @@ class Allocation:
 
 @dataclass(frozen=True)
 class SelectionConstraints:
-    """Activation budget and delay-separation constraint for selection.
+    """Activation budget and minimum index gap for selection.
 
     min_gap is the real-valued threshold the index gap between any two
-    activated RIS must strictly exceed (c/(W*D) for spacing D). Maps take
-    their PEB cap as an argument of peb_map.
+    activated RIS must strictly exceed (c/(W*D) for spacing D, which puts
+    active centers more than c/W apart along the wall; it does not
+    separate their delays at a given position). Maps take their PEB cap
+    as an argument of peb_map.
     """
 
     k_bar: int
@@ -89,7 +105,9 @@ class SelectionConstraints:
 
 
 def gap_threshold(scene: Scene, cfg: WaveformConfig) -> float:
-    """Index-gap threshold c/(W*D) below which adjacent activations collide."""
+    """Index-gap threshold c/(W*D): active surfaces whose index gap exceeds
+    it have centers more than c/W apart along the wall. Their delays at a
+    given position may still lie closer than c/W."""
     if len(scene.ris) < 2:
         return 0.0
     return SPEED_OF_LIGHT / (cfg.bandwidth_hz * scene.ris_spacing)
@@ -201,15 +219,15 @@ def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
     are many) picks one per surface, and one peb call bounds the joined
     stack of the batches' FIM totals. One pass over the path table at
     the points serves it all: its surface columns give the steering,
-    which _steering computes exactly as build_allocation does."""
+    which _steering computes once, exactly as build_allocation does, for
+    the designs and gain_ris alike."""
     _require_below_wall(scene, points)
     table = _path_table(scene, "ris")
     dist, tau = table.delays(points[:, None, :])
     steering = _steering(table.anchor[1:, 0], table.fixed_leg[1:], dist[:, 0, 1:], points)
-    # Each surface's two designs on the axis before the surfaces': 0.0,
-    # the flat surface, then its steering at the point.
-    design = np.where([[False], [True]], steering[..., None, :], 0.0)
-    paths = _assemble(scene, "ris", table, points[:, None, :], dist, tau, design, cfg)
+    at_points = steering[:, None, :]
+    design = np.where(_FLAT_THEN_STEERED, at_points, 0.0)
+    paths = _assemble(scene, "ris", table, points[:, None, :], dist, tau, at_points, design, cfg)
     # Length-one design axes, which broadcast over a batch's patterns.
     flat, steered = paths.alpha[:, :1], paths.alpha[:, -1:]
     # The LOS path, first, is the same in both.
@@ -218,7 +236,9 @@ def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
     # _BATCH_ENTRIES, the budget of the batch's largest arrays.
     step = max(1, _BATCH_ENTRIES // (len(points) * len(paths) ** 2))
     totals = np.concatenate([
-        fim_total(replace(paths, alpha=np.where(on[start:start + step], steered, flat)), cfg)
+        fim_total(PathSet(paths.kinds, paths.indices, paths.tau,
+                          np.where(on[start:start + step], steered, flat),
+                          paths.direction, paths.anchor, paths.fixed_leg), cfg)
         for start in range(0, len(patterns), step)], axis=1)
     return _Scored(peb(totals).value, steering, paths, totals)
 
@@ -251,8 +271,8 @@ class ChosenBound(PebValue):
         paths = self._scored.paths
         # The pattern picks each surface's steered or flat gain; LOS first.
         alpha = np.where((0,) + self._active, paths.alpha[0, -1], paths.alpha[0, 0])
-        return replace(paths, tau=paths.tau[0, 0], alpha=alpha,
-                       direction=paths.direction[0, 0])
+        return PathSet(paths.kinds, paths.indices, paths.tau[0, 0], alpha,
+                       paths.direction[0, 0], paths.anchor, paths.fixed_leg)
 
     @property
     def total(self) -> np.ndarray:

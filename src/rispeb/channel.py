@@ -29,7 +29,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -153,6 +153,28 @@ def _path_table(scene: Scene, mode: str) -> _PathTable:
     return _PathTable(kinds, indices, anchor, fixed_leg, names)
 
 
+class _Surfaces(NamedTuple):
+    """The constants of a scene's RIS that gain_ris reads: each surface's
+    element count M, cos(theta) = L/d1 and 16*pi*d1, d1 its center's
+    distance from the BS."""
+
+    count: np.ndarray
+    cos_theta: np.ndarray
+    sixteen_pi_d1: np.ndarray
+
+
+@functools.lru_cache(maxsize=16)
+def _surfaces(scene: Scene) -> _Surfaces:
+    """The surface constants of scene, built once per process from its
+    RIS rows of the path table and shared, so read-only."""
+    leg_in = _path_table(scene, "ris").fixed_leg[1:]
+    surfaces = _Surfaces(np.array([ris.element_count for ris in scene.ris]),
+                         scene.wall_offset / leg_in, 16.0 * math.pi * leg_in)
+    for array in surfaces:
+        array.flags.writeable = False
+    return surfaces
+
+
 def _carrier(tau, cfg: WaveformConfig):
     return np.exp(-2j * math.pi * cfg.carrier_hz * tau)
 
@@ -176,12 +198,13 @@ def _array_factor(spread, count):
     return np.where((count - 1) * turns % 2.0, -ratio, ratio)
 
 
-def gain_ris(scene: Scene, design, x, dist, tau, cfg: WaveformConfig) -> np.ndarray:
+def gain_ris(scene: Scene, design, x, dist, tau, steering, cfg: WaveformConfig) -> np.ndarray:
     """Cascaded BS-RIS-user gains of every RIS of the scene, the surfaces
     along a last axis. design (..., R) holds each surface's steering
     difference (0: the flat surface) and broadcasts against x's leading
-    axes; dist and tau (..., R) are the center-to-x distances and the path
-    delays, from the caller's pass over the path table.
+    axes; dist, tau and steering (..., R) are the center-to-x distances,
+    the path delays and the steering differences u at x (_steering),
+    from the caller's pass over the path table.
 
     Under the carrier exp(-j*2*pi*f_c*tau), tau measured at the array
     center, the element n half-wavelengths toward +x of the center adds
@@ -191,14 +214,11 @@ def gain_ris(scene: Scene, design, x, dist, tau, cfg: WaveformConfig) -> np.ndar
     lambda^2*sqrt(cos(theta)*cos(psi))/(16*pi*d1*d2) (Ellingson 2019; Tang
     et al., IEEE TWC 2021), with cos(theta) = L/d1, cos(psi) = (L - y)/d2.
     """
-    table = _path_table(scene, "ris")
-    center, leg_in = table.anchor[1:, 0], table.fixed_leg[1:]
-    steering = _steering(center, leg_in, dist, x)
+    surfaces = _surfaces(scene)
     wall = scene.wall_offset
-    element = (cfg.wavelength**2 * np.sqrt((wall / leg_in) * ((wall - x[..., None, 1]) / dist))
-               / (16.0 * math.pi * leg_in * dist))
-    count = np.array([ris.element_count for ris in scene.ris])
-    return _carrier(tau, cfg) * (element * _array_factor(steering - design, count))
+    element = (cfg.wavelength**2 * np.sqrt(surfaces.cos_theta * ((wall - x[..., None, 1]) / dist))
+               / (surfaces.sixteen_pi_d1 * dist))
+    return _carrier(tau, cfg) * (element * _array_factor(steering - design, surfaces.count))
 
 
 def build_pathset(scene: Scene, allocation: "Allocation | None", x,
@@ -227,22 +247,26 @@ def build_pathset(scene: Scene, allocation: "Allocation | None", x,
         design = (np.stack(np.broadcast_arrays(*allocation.design), axis=-1)
                   if scene.ris else np.zeros(0))
     table = _path_table(scene, mode)
-    return _assemble(scene, mode, table, p, *table.delays(p), design, cfg)
+    return _assemble(scene, mode, table, p, *table.delays(p), None, design, cfg)
 
 
 def _assemble(scene: Scene, mode: str, table: _PathTable, p: np.ndarray, dist: np.ndarray,
-              tau: np.ndarray, design: np.ndarray | None, cfg: WaveformConfig) -> PathSet:
+              tau: np.ndarray, steering: np.ndarray | None, design: np.ndarray | None,
+              cfg: WaveformConfig) -> PathSet:
     """build_pathset's pathset at positions p, already checked, from the
     distances and delays (..., K) that one delays pass over the mode's
     path table gave. In RIS mode design (..., R) holds each surface's
-    steering difference, as gain_ris takes it; the baseline modes ignore
-    it. The selection core builds its RIS pathsets here too, from the
-    distances it also steers with."""
+    steering difference, as gain_ris takes it, and steering (..., R) the
+    surfaces' steering at p, computed here from the same distances when
+    None; the baseline modes ignore both. The selection core builds its
+    RIS pathsets here too, with the steering it scores its designs by."""
     # Free space, lambda/(4*pi*d), with the carrier phase.
     los = _carrier(tau[..., :1], cfg) * cfg.wavelength / (4.0 * math.pi * dist[..., :1])
     leg, delay = dist[..., 1:], tau[..., 1:]
     if mode == "ris":
-        gains = gain_ris(scene, design, p, leg, delay, cfg)
+        if steering is None:
+            steering = _steering(table.anchor[1:, 0], table.fixed_leg[1:], leg, p)
+        gains = gain_ris(scene, design, p, leg, delay, steering, cfg)
     elif mode == "reflector":
         # Free space from the virtual anchor times gamma; exactly zero
         # where the mirror ray misses the segment.

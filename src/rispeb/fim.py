@@ -10,7 +10,9 @@ treated as known constants: their dependence on position is
 deliberately not exploited, matching the bound's definition. Both
 broadcast over the leading axes of the PathSet's arrays: a batch of
 positions and activation patterns is one (..., 2, 2) stack, made with
-one kernel evaluation.
+one kernel evaluation. Every delay is an absolute time of arrival, which
+assumes the user's clock is locked to the BS's; an unknown clock offset
+would add one more unknown for the same delays.
 
 Resolvability is a count of delay clusters: paths closer than 1/W merge.
 The merge is written twice, once for each size of input, and each

@@ -30,7 +30,9 @@ class DegeneratePositionError(ValueError):
 
 def _is_integer(value) -> bool:
     """An int or numpy integer, but not a bool (which is an int too)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # A plain int, the common case, skips the slow ABC check.
+    return type(value) is int or (isinstance(value, numbers.Integral)
+                                  and not isinstance(value, bool))
 
 
 @dataclass(frozen=True)

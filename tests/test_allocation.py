@@ -143,6 +143,16 @@ class TestAllocation:
         with pytest.raises(ValueError, match="inactive"):
             Allocation(active=(1, 0), design=(0.3, design))
 
+    @pytest.mark.parametrize("design", [math.nan, math.inf, -math.inf, "0.3", 0.3 + 0j,
+                                        np.array([0.3, math.nan, 0.1]), 10**400],
+                             ids=["nan", "inf", "-inf", "str", "complex", "array_nan",
+                                  "huge_int"])
+    def test_rejects_design_that_is_not_finite_real(self, design):
+        """Accepted, a NaN design would give a NaN bound, an infinite one a
+        NaN bound after a RuntimeWarning, and a str a TypeError later on."""
+        with pytest.raises(ValueError, match="design steering of RIS 1 must be finite real"):
+            Allocation(active=(0, 1, 0, 0, 0), design=(0.0, design, 0.0, 0.0, 0.0))
+
     def test_rejects_profile_count_mismatch(self):
         with pytest.raises(ValueError):
             Allocation(active=(1, 0), design=(0.0,))
@@ -525,6 +535,29 @@ class TestOneDistancePass:
         peb_map(scene, grid, wave, "ris", tight_constraints(1, scene, wave))
         assert len(scores) >= 1
         assert len(passes) == len(scores)
+
+    def test_one_steering_per_score(self, scene, wave, monkeypatch):
+        """The steering _score scores its designs by is the one gain_ris
+        reads: one _steering call per score, through either binding."""
+        calls = []
+        steering = channel_module._steering
+
+        def counted(*args):
+            calls.append(1)
+            return steering(*args)
+
+        monkeypatch.setattr(allocation_module, "_steering", counted)
+        monkeypatch.setattr(channel_module, "_steering", counted)
+        points = np.array([[x, y] for x in self.XS for y in self.YS])
+        for k_bar in (0, 1, 2):
+            patterns = allocation_module._patterns(len(scene.ris),
+                                                   tight_constraints(k_bar, scene, wave))
+            calls.clear()
+            allocation_module._score(scene, points, wave, patterns)
+            assert len(calls) == 1
+            calls.clear()
+            select_ris(scene, X_HAT, wave, tight_constraints(k_bar, scene, wave))
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("k_bar", [1, 2])
     def test_matches_the_one_point_path(self, scene, wave, k_bar):

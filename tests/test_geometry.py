@@ -8,6 +8,7 @@ channel.build_pathset computes.
 """
 
 import math
+import numbers
 import os
 import pickle
 import subprocess
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rispeb.allocation import build_allocation, select_ris
-from rispeb.channel import MODES, _path_table, build_pathset
+from rispeb.channel import MODES, _path_table, _surfaces, build_pathset
 from rispeb.geometry import (
     SPEED_OF_LIGHT,
     DegeneratePositionError,
@@ -26,6 +27,7 @@ from rispeb.geometry import (
     RisDescriptor,
     ScatterDescriptor,
     Scene,
+    _is_integer,
     incidence_point,
 )
 from rispeb.waveform import WaveformConfig
@@ -209,6 +211,20 @@ class TestSceneValidation:
         assert RisDescriptor(center_x=3.5, element_count=np.int64(100)).element_count == 100
 
 
+class _Count(int):
+    """An Integral that is not exactly an int."""
+
+
+@pytest.mark.parametrize("value, expected", [
+    (1, True), (np.int64(1), True), (True, False), (np.True_, False), (1.0, False),
+    ("1", False), (_Count(1), True)],
+    ids=["int", "int64", "bool", "np_bool", "float", "str", "subclass"])
+def test_is_integer_answers_as_the_integral_test(value, expected):
+    """The plain-int fast path changes no answer of the Integral test."""
+    assert (isinstance(value, numbers.Integral) and not isinstance(value, bool)) is expected
+    assert _is_integer(value) is expected
+
+
 def full_scene(wall=10.0, ris=(RisDescriptor(1.0, 8), RisDescriptor(2.5, 8))):
     return Scene(wall_offset=wall, ris=ris,
                  reflector=ReflectorDescriptor(h1=1.0, h2=6.0, gamma=0.5),
@@ -224,6 +240,17 @@ class TestSceneHash:
         for mode in MODES:
             assert _path_table(first, mode) is _path_table(second, mode)
         assert _path_table(full_scene(wall=12.0), "ris") is not _path_table(first, "ris")
+
+    def test_equal_scenes_share_surface_constants(self):
+        """gain_ris reads one read-only record of surface constants per
+        scene, equal scenes included."""
+        first, second = full_scene(), full_scene(ris=[RisDescriptor(1.0, 8),
+                                                     RisDescriptor(2.5, 8)])
+        assert _surfaces(first) is _surfaces(second)
+        assert _surfaces(full_scene(wall=12.0)) is not _surfaces(first)
+        for array in _surfaces(first):
+            assert not array.flags.writeable
+        assert _surfaces(first).count.tolist() == [8, 8]
 
     def test_pickled_scene_compares_and_hashes_equal(self):
         """Also in another process, where hash(None) may differ (before
