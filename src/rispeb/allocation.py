@@ -284,8 +284,9 @@ def select_ris(scene: Scene, x_hat, cfg: WaveformConfig,
     """Exhaustive activation search minimizing the full-FIM bound at x_hat,
     with phases optimal for x_hat: _choose on a batch of one point. The
     bound also gives the chosen pathset and FIM (ChosenBound). Raises
-    ValueError for an x_hat that is not one (x, y) point, and where the
-    delays at x_hat alias, as count_resolvable_paths does."""
+    ValueError for an x_hat that is not one (x, y) point, where a carrier
+    phase at x_hat overflows, as build_pathset does, and where the delays
+    at x_hat alias, as count_resolvable_paths does."""
     p = np.asarray(x_hat, dtype=float)
     if p.shape != (2,):
         raise ValueError(f"x_hat has shape {p.shape}, not one (x, y) point")

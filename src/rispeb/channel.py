@@ -39,8 +39,8 @@ from .geometry import (
     DegeneratePositionError,
     Scene,
     _as_point,
+    _mirror_crossing,
     _require_below_wall,
-    incidence_point,
 )
 from .waveform import WaveformConfig
 
@@ -179,6 +179,22 @@ def _carrier(tau, cfg: WaveformConfig):
     return np.exp(-2j * math.pi * cfg.carrier_hz * tau)
 
 
+def _require_finite_phase(p: np.ndarray, tau: np.ndarray, cfg: WaveformConfig) -> None:
+    """Raise ValueError naming the first of positions p (..., 2) where the
+    carrier phase 2*pi*f_c*tau of a path, tau (..., K), is not a finite
+    float: _carrier would give NaN gains there."""
+    omega = 2.0 * math.pi * cfg.carrier_hz
+    # A Python float overflows to inf without a warning; the delays are
+    # nonnegative, so their largest gives the largest phase.
+    if math.isfinite(float(tau.max()) * omega):
+        return
+    with np.errstate(over="ignore"):
+        far = ~np.isfinite(tau.max(axis=-1) * omega)
+    x, y = p.reshape(-1, 2)[np.argmax(far.reshape(-1))]
+    raise ValueError(f"position ({x:.9g}, {y:.9g}) is too far away: the carrier phase "
+                     "2*pi*f_c*tau of its paths is not finite")
+
+
 def _steering(center, leg_in, leg_out, x):
     """Steering differences sin(theta) - sin(psi) at x of surfaces
     centered at [center, L], along a last axis: sin(theta) = c_x/d1 and
@@ -232,7 +248,8 @@ def build_pathset(scene: Scene, allocation: "Allocation | None", x,
     scatterer path; allocation is ignored there. One pass over the path
     table serves every gain and record. For positions with leading axes
     the arrays gain those axes, and alpha also broadcasts against the
-    allocation's design.
+    allocation's design. A position so far away that a carrier phase
+    2*pi*f_c*tau overflows raises ValueError naming it.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -259,7 +276,9 @@ def _assemble(scene: Scene, mode: str, table: _PathTable, p: np.ndarray, dist: n
     steering difference, as gain_ris takes it, and steering (..., R) the
     surfaces' steering at p, computed here from the same distances when
     None; the baseline modes ignore both. The selection core builds its
-    RIS pathsets here too, with the steering it scores its designs by."""
+    RIS pathsets here too, with the steering it scores its designs by.
+    Checks the carrier phases of the delays before any gain is taken."""
+    _require_finite_phase(p, tau, cfg)
     # Free space, lambda/(4*pi*d), with the carrier phase.
     los = _carrier(tau[..., :1], cfg) * cfg.wavelength / (4.0 * math.pi * dist[..., :1])
     leg, delay = dist[..., 1:], tau[..., 1:]
@@ -270,7 +289,7 @@ def _assemble(scene: Scene, mode: str, table: _PathTable, p: np.ndarray, dist: n
     elif mode == "reflector":
         # Free space from the virtual anchor times gamma; exactly zero
         # where the mirror ray misses the segment.
-        hit = incidence_point(scene, p)[1][..., None]
+        hit = _mirror_crossing(scene, p)[1][..., None]
         gains = np.where(hit, _carrier(delay, cfg) * scene.reflector.gamma * cfg.wavelength
                          / (4.0 * math.pi * leg), 0j)
     else:

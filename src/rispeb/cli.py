@@ -180,8 +180,30 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    """_parser's subparsers, by command name."""
+    return next(action.choices for action in _parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def _parse(argv) -> argparse.Namespace:
+    """argv parsed as _parser().parse_args parses it, in one pass when
+    argv starts with a command: the top-level pass would hand every word
+    after it to that command's subparser unread. Any other argv, and one
+    that leaves words over, gets the full pass, whose help and errors
+    are the ones a shell sees."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _commands().get(argv[0]) if argv else None
+    if parser is not None:
+        args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return _parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(argv)
     try:
         config = _load(args)
         if args.command == "point":

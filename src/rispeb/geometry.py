@@ -137,6 +137,16 @@ def _require_below_wall(scene: Scene, x: np.ndarray) -> None:
         raise ValueError("user position must lie strictly below the wall (y < L)")
 
 
+def _mirror_crossing(scene: Scene, p: np.ndarray):
+    """Where the mirror ray to positions p, already checked, crosses the
+    wall (its x coordinate), and whether that lies on the reflector
+    segment."""
+    wall = scene.wall_offset
+    # Line from [0, 2L] to p crosses y = L at parameter t = L / (2L - y).
+    crossing_x = p[..., 0] * wall / (2.0 * wall - p[..., 1])
+    return crossing_x, (scene.reflector.h1 <= crossing_x) & (crossing_x <= scene.reflector.h2)
+
+
 def incidence_point(scene: Scene, x):
     """Where the mirror ray meets the wall, and whether it hits the segment.
 
@@ -149,8 +159,5 @@ def incidence_point(scene: Scene, x):
         raise ValueError("scene has no reflector")
     p = _as_point(x)
     _require_below_wall(scene, p)
-    wall = scene.wall_offset
-    # Line from [0, 2L] to p crosses y = L at parameter t = L / (2L - y).
-    crossing_x = p[..., 0] * wall / (2.0 * wall - p[..., 1])
-    hit = (scene.reflector.h1 <= crossing_x) & (crossing_x <= scene.reflector.h2)
-    return np.stack([crossing_x, np.full_like(crossing_x, wall)], axis=-1), hit
+    crossing_x, hit = _mirror_crossing(scene, p)
+    return np.stack([crossing_x, np.full_like(crossing_x, scene.wall_offset)], axis=-1), hit

@@ -15,6 +15,7 @@ out term by term. Every gain is read from build_pathset's alpha.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -230,6 +231,41 @@ class TestPathset:
             assert (path.kind, path.index) == (paths.kinds[i], paths.indices[i])
             assert path.tau == paths.tau[i] and path.alpha == paths.alpha[i]
             assert np.array_equal(path.direction, paths.direction[i])
+
+
+
+class TestFarPosition:
+    """At 28 GHz the carrier phase 2*pi*f_c*tau overflows a float from
+    about 4e305 m out (3e305 m is still finite): such a position is
+    refused by name before any gain is taken, with no RuntimeWarning."""
+
+    @pytest.mark.parametrize("mode", ["ris", "reflector", "scatterer"])
+    @pytest.mark.parametrize("x", [[1e308, 5.0], [4e305, 5.0], [-1e308, -1e308]],
+                             ids=["1e308", "4e305", "corner"])
+    def test_pathset_refuses_it(self, scene, wave, mode, x):
+        allocation = Allocation((0,) * 5, (0.0,) * 5) if mode == "ris" else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"position \(.*\) is too far away"):
+                build_pathset(scene, allocation, x, wave, mode)
+
+    def test_batch_names_its_first_far_position(self, scene, wave):
+        x = [[3.5, 5.0], [4e305, 5.0], [1e308, 5.0]]
+        with pytest.raises(ValueError, match=r"^position \(4e\+305, 5\) is too far away"):
+            build_pathset(scene, None, x, wave, "reflector")
+
+    @pytest.mark.parametrize("k_bar", [0, 1, 2])
+    def test_selection_refuses_it(self, scene, wave, k_bar):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^position \(1e\+308, 5\) is too far away"):
+                select_ris(scene, [1e308, 5.0], wave, SelectionConstraints(k_bar=k_bar))
+
+    @pytest.mark.parametrize("mode", ["ris", "reflector", "scatterer"])
+    def test_farthest_finite_phase_still_builds(self, scene, wave, mode):
+        allocation = Allocation((0,) * 5, (0.0,) * 5) if mode == "ris" else None
+        paths = build_pathset(scene, allocation, [3e305, 5.0], wave, mode)
+        assert np.isfinite(paths.alpha).all()
 
 
 def test_rebound_gain_ris_reaches_pathsets_and_selection(scene, wave, monkeypatch):

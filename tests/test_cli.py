@@ -4,11 +4,13 @@ All invocations go through main(argv) in-process so exit codes and
 stdout/stderr routing are asserted exactly as a shell would see them.
 """
 
+import argparse
 import dataclasses
 import os
 import re
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -296,6 +298,21 @@ class TestBadInput:
         assert code == 2
         assert out == ""
         assert f"waveform.{key}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("point", "1e308", "5"), ("select", "1e308", "5"),
+        ("point", "1e308", "5", "--mode", "reflector"),
+        ("point", "1e308", "5", "--mode", "scatterer"),
+    ], ids=" ".join)
+    def test_far_position(self, capsys, argv):
+        """A position whose carrier phase 2*pi*f_c*tau overflows is bad
+        input, named on stderr, with no RuntimeWarning on the way."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: position (1e+308, 5) is too far away")
 
 
 class TestOverrideCache:
@@ -611,3 +628,92 @@ class TestProcessReuse:
                          "{'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
+
+
+# Words that follow a command on every argv of the parse table below.
+COMMAND_WORDS = {"point": ("3.5", "5.0"), "select": ("3.5", "5.0"), "sweep": (), "validate": ()}
+FLAGS = (("--config", "run.cfg"), ("--mode", "reflector"), ("--kbar", "2"),
+         ("--bandwidth", "1e9"), ("--out", "maps"))
+PARSE_TABLE = (
+    [(command, *words) for command, words in COMMAND_WORDS.items()]
+    + [(command, *words, *flag) for command, words in COMMAND_WORDS.items() for flag in FLAGS]
+    + [("point", "3.5", "5.0", "--kbar=2"), ("select", "3.5", "5.0", "--kbar=2", "--mode=ris"),
+       ("point", "3.5", "5.0", "--kb", "2"), ("point", "3.5", "5.0", "--conf", "run.cfg"),
+       ("sweep", "--m", "scatterer", "--o", "maps"),
+       ("point", "--kbar", "2", "3.5", "5.0"), ("point", "3.5", "--mode", "reflector", "5.0"),
+       ("point", "-3.5", "5.0"), ("point", "3.5", "-2"), ("select", "-.5", "-1", "--kbar", "0"),
+       ("point", "-h"), ("point", "3.5", "5.0", "-h"), ("select", "--help", "3.5"),
+       ("sweep", "-h"), ("-h",), ("--help",), ("--help", "point"),
+       ("point", "3.5"), ("point", "3.5", "abc"), ("point", "3.5", "5.0", "--kbar", "two"),
+       ("point", "3.5", "5.0", "--mode", "mirror"), ("point", "3.5", "5.0", "--kbar"),
+       ("point", "3.5", "5.0", "extra"), ("sweep", "extra"), ("validate", "1", "2"),
+       ("point", "3.5", "5.0", "--bogus", "1"), ("sweep", "--kbar", "2", "--kbar", "3"),
+       ("bogus",), ("bogus", "1", "2"), ("Point", "3.5", "5.0"), ("poin", "3.5", "5.0"), (),
+       ("--", "point", "3.5", "5.0"), ("point", "3.5", "5.0", "--"),
+       ("point", "--", "3.5", "5.0"), ("point", "3.5", "--", "-5")]
+)
+
+
+def parse_outcome(capsys, parse, argv):
+    """What parse(argv) gives: its Namespace, or the code of the
+    SystemExit it raised, with what it printed on stdout and stderr."""
+    try:
+        result = parse(list(argv))
+    except SystemExit as exc:
+        result = ("SystemExit", exc.code)
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+class TestParseOnce:
+    """main parses an argv that starts with a command with that command's
+    subparser alone, into what the full parse gives."""
+
+    @pytest.mark.parametrize("argv", PARSE_TABLE, ids=lambda argv: " ".join(argv) or "empty")
+    def test_same_as_the_full_parse(self, capsys, argv):
+        full = parse_outcome(capsys, rispeb.cli.build_parser().parse_args, argv)
+        assert parse_outcome(capsys, rispeb.cli._parse, argv) == full
+
+    def test_argv_defaults_to_the_command_line(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["rispeb", "select", "3.5", "5.0", "--kbar", "2"])
+        assert rispeb.cli._parse(None) == rispeb.cli.build_parser().parse_args(
+            ["select", "3.5", "5.0", "--kbar", "2"])
+
+    @pytest.mark.parametrize("argv, parsers", [
+        (("point", "3.5", "5.0", "--kbar", "2"), ["rispeb point"]),
+        (("point", "3.5", "5.0", "extra"), ["rispeb point", "rispeb", "rispeb point"]),
+        (("--", "point", "3.5", "5.0"), ["rispeb"]),
+    ], ids=["command", "extra", "dashes"])
+    def test_top_level_pass_only_where_needed(self, monkeypatch, argv, parsers):
+        """A command's words go through its subparser once; only an argv
+        that does not start with a command, or leaves words over, is
+        parsed again from the top."""
+        seen = []
+        parse_known_args = argparse.ArgumentParser.parse_known_args
+
+        def counted(parser, *args, **kwargs):
+            seen.append(parser.prog)
+            return parse_known_args(parser, *args, **kwargs)
+
+        rispeb.cli._commands()
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+        try:
+            rispeb.cli._parse(list(argv))
+        except SystemExit:
+            pass
+        assert seen == parsers
+
+    def test_console_script_checks(self, capsys):
+        """The console-script checks of CI: an extra word, the help, and
+        a position too far for the carrier phase."""
+        with pytest.raises(SystemExit) as exc:
+            main(["point", "3.5", "5.0", "extra"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert "rispeb: error: unrecognized arguments: extra" in captured.err
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 0
+        assert captured.out.splitlines()[0] == "usage: rispeb [-h] {point,select,sweep,validate} ..."
+        assert run(capsys, "select", "1e308", "5")[:2] == (2, "")

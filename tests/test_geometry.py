@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from rispeb import channel, geometry
 from rispeb.allocation import build_allocation, select_ris
 from rispeb.channel import MODES, _path_table, _surfaces, build_pathset
 from rispeb.geometry import (
@@ -85,6 +86,34 @@ class TestFrozenValues:
         assert hits.tolist() == [[True, False]]
         for i, p in enumerate([[8.0, 2.0], [14.0, 2.0]]):
             assert np.array_equal(points[0, i], incidence_point(scene, p)[0])
+
+    def test_reflector_gain_is_zero_exactly_where_the_ray_misses(self, scene):
+        """The reflector path's gain is zero exactly where incidence_point
+        says the mirror ray misses the segment [h1, h2] = [1, 6], on a
+        batch whose crossings include both ends and the floats just
+        outside them. At y = 0 the ray crosses the wall at x/2."""
+        xs = [2.0, 12.0, np.nextafter(2.0, 0.0), np.nextafter(12.0, 13.0), 8.0, 14.0, -3.0]
+        points = np.array([[x, 0.0] for x in xs] + [[3.5, 5.0], [7.0, 9.5]])
+        crossing, hit = incidence_point(scene, points)
+        assert crossing[:2, 0].tolist() == [1.0, 6.0]
+        assert crossing[2, 0] < 1.0 and crossing[3, 0] > 6.0
+        assert hit.tolist()[:4] == [True, True, False, False]
+        gains = build_pathset(scene, None, points, WAVE, "reflector").alpha[:, 1]
+        assert np.array_equal(gains == 0, ~hit)
+
+    def test_one_position_check_per_reflector_pathset(self, scene, monkeypatch):
+        """build_pathset checks the position once and reads the mirror hit
+        without checking it again."""
+        calls, as_point = [], geometry._as_point
+
+        def counted(x):
+            calls.append(1)
+            return as_point(x)
+
+        monkeypatch.setattr(channel, "_as_point", counted)
+        monkeypatch.setattr(geometry, "_as_point", counted)
+        build_pathset(scene, None, [8.0, 2.0], WAVE, "reflector")
+        assert len(calls) == 1
 
     def test_reflector_delay(self, scene):
         tau = build_pathset(scene, None, [8.0, 2.0], WAVE, "reflector")[1].tau
