@@ -250,7 +250,7 @@ def _choose(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
     so ties go to the smallest bits. The one chooser of select_ris and
     of a RIS sweep's blocks."""
     scored = _score(scene, points, cfg, patterns)
-    best = np.argmin(scored.values, axis=1)
+    best = scored.values.argmin(axis=1)
     return scored.values[np.arange(len(points)), best], best, scored
 
 
@@ -284,9 +284,10 @@ def select_ris(scene: Scene, x_hat, cfg: WaveformConfig,
     """Exhaustive activation search minimizing the full-FIM bound at x_hat,
     with phases optimal for x_hat: _choose on a batch of one point. The
     bound also gives the chosen pathset and FIM (ChosenBound). Raises
-    ValueError for an x_hat that is not one (x, y) point, where a carrier
-    phase at x_hat overflows, as build_pathset does, and where the delays
-    at x_hat alias, as count_resolvable_paths does."""
+    ValueError for an x_hat that is not one (x, y) point, where x_hat is
+    too far away for a carrier phase or a free-space amplitude, as
+    build_pathset does, and where the delays at x_hat alias, as
+    count_resolvable_paths does."""
     p = np.asarray(x_hat, dtype=float)
     if p.shape != (2,):
         raise ValueError(f"x_hat has shape {p.shape}, not one (x, y) point")

@@ -115,7 +115,9 @@ class _PathTable:
         DegeneratePositionError naming the first of those anchors, in path
         order, that a position coincides with."""
         anchor = self.anchor[rows]
-        dist = np.hypot(x[..., None, 0] - anchor[:, 0], x[..., None, 1] - anchor[:, 1])
+        # A distance beyond float max is inf, for the caller's checks to name.
+        with np.errstate(over="ignore"):
+            dist = np.hypot(x[..., None, 0] - anchor[:, 0], x[..., None, 1] - anchor[:, 1])
         close = dist < COINCIDENCE_LIMIT
         if close.any():
             first = int(np.argmax(close.reshape(-1, close.shape[-1]).any(axis=0)))
@@ -179,20 +181,41 @@ def _carrier(tau, cfg: WaveformConfig):
     return np.exp(-2j * math.pi * cfg.carrier_hz * tau)
 
 
-def _require_finite_phase(p: np.ndarray, tau: np.ndarray, cfg: WaveformConfig) -> None:
-    """Raise ValueError naming the first of positions p (..., 2) where the
-    carrier phase 2*pi*f_c*tau of a path, tau (..., K), is not a finite
-    float: _carrier would give NaN gains there."""
+def _require_not_too_far(p: np.ndarray, table: _PathTable, dist: np.ndarray, tau: np.ndarray,
+                         cfg: WaveformConfig) -> None:
+    """Raise ValueError naming the first of positions p (..., 2) that is
+    too far away: where a path's carrier phase 2*pi*f_c*tau, tau (..., K),
+    or the denominator of its free-space amplitude is not a finite float.
+    The denominators are 4*pi*d (LOS, reflector), 16*pi*d1*d2 (RIS) and
+    (4*pi)^1.5*||s||*d2 (scatterer), d or d2 the path's entry of dist
+    (..., K) and d1 or ||s|| its fixed leg. _carrier would give NaN gains
+    there, and an overflowed denominator a zero gain."""
     omega = 2.0 * math.pi * cfg.carrier_hz
-    # A Python float overflows to inf without a warning; the delays are
-    # nonnegative, so their largest gives the largest phase.
-    if math.isfinite(float(tau.max()) * omega):
+    # A Python float overflows to inf without a warning. The delays are
+    # nonnegative, so their largest gives the largest phase, and c times
+    # it bounds every leg: with twice that, 16*pi*reach^2 bounds every
+    # denominator, rounding included.
+    tau_max = float(tau.max())
+    reach = 2.0 * SPEED_OF_LIGHT * tau_max
+    if math.isfinite(tau_max * omega) and math.isfinite(16.0 * math.pi * reach * reach):
         return
+    # Each denominator as its gain takes it: the factor of d or d2 times it.
+    factor = np.full(len(table.kinds), 4.0 * math.pi)
+    if table.kinds[-1] == "ris":
+        factor[1:] = 16.0 * math.pi * table.fixed_leg[1:]
+    elif table.kinds[-1] == "scatterer":
+        factor[1] = (4.0 * math.pi) ** 1.5 * table.fixed_leg[1]
     with np.errstate(over="ignore"):
-        far = ~np.isfinite(tau.max(axis=-1) * omega)
-    x, y = p.reshape(-1, 2)[np.argmax(far.reshape(-1))]
-    raise ValueError(f"position ({x:.9g}, {y:.9g}) is too far away: the carrier phase "
-                     "2*pi*f_c*tau of its paths is not finite")
+        phase = ~np.isfinite(tau.max(axis=-1) * omega)
+        far = phase | ~np.isfinite(factor * dist).all(axis=-1)
+    if not far.any():
+        return
+    first = np.argmax(far.reshape(-1))
+    x, y = p.reshape(-1, 2)[first]
+    reason = ("the carrier phase 2*pi*f_c*tau of its paths is not finite"
+              if phase.reshape(-1)[first] else
+              "the denominator of a path's free-space amplitude is not finite")
+    raise ValueError(f"position ({x:.9g}, {y:.9g}) is too far away: {reason}")
 
 
 def _steering(center, leg_in, leg_out, x):
@@ -207,7 +230,7 @@ def _array_factor(spread, count):
     """D_M(x) = sin(M*x/2)/sin(x/2) at x = pi*spread, reduced exactly to
     |x| <= pi by D_M(x + 2*pi) = (-1)^(M-1)*D_M(x): sin(x/2) then vanishes
     only at x = 0, where the limit is M, so grating lobes come out exact."""
-    turns = np.round(0.5 * np.asarray(spread))
+    turns = np.rint(0.5 * np.asarray(spread))
     half = 0.5 * math.pi * (spread - 2.0 * turns)
     with np.errstate(invalid="ignore"):
         ratio = np.where(half == 0.0, count, np.sin(count * half) / np.sin(half))
@@ -249,7 +272,8 @@ def build_pathset(scene: Scene, allocation: "Allocation | None", x,
     table serves every gain and record. For positions with leading axes
     the arrays gain those axes, and alpha also broadcasts against the
     allocation's design. A position so far away that a carrier phase
-    2*pi*f_c*tau overflows raises ValueError naming it.
+    2*pi*f_c*tau or a free-space amplitude's denominator overflows
+    raises ValueError naming it.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -277,8 +301,8 @@ def _assemble(scene: Scene, mode: str, table: _PathTable, p: np.ndarray, dist: n
     surfaces' steering at p, computed here from the same distances when
     None; the baseline modes ignore both. The selection core builds its
     RIS pathsets here too, with the steering it scores its designs by.
-    Checks the carrier phases of the delays before any gain is taken."""
-    _require_finite_phase(p, tau, cfg)
+    Checks that no position is too far away before any gain is taken."""
+    _require_not_too_far(p, table, dist, tau, cfg)
     # Free space, lambda/(4*pi*d), with the carrier phase.
     los = _carrier(tau[..., :1], cfg) * cfg.wavelength / (4.0 * math.pi * dist[..., :1])
     leg, delay = dist[..., 1:], tau[..., 1:]
@@ -297,8 +321,10 @@ def _assemble(scene: Scene, mode: str, table: _PathTable, p: np.ndarray, dist: n
         gains = _carrier(delay, cfg) * (
             cfg.wavelength * math.sqrt(scene.scatterer.rcs)
             / ((4.0 * math.pi) ** 1.5 * table.fixed_leg[1] * leg))
-    shape = np.broadcast_shapes(los.shape[:-1], gains.shape[:-1])
-    alpha = np.empty(shape + (len(table.kinds),), dtype=complex)
+    # The gains broadcast p's axes against the design's, and los has p's
+    # alone, so the gains' leading axes are alpha's, also with no surfaces
+    # (gains (..., 0)).
+    alpha = np.empty(gains.shape[:-1] + (len(table.kinds),), dtype=complex)
     alpha[..., :1], alpha[..., 1:] = los, gains
     return PathSet(table.kinds, table.indices, tau=tau, alpha=alpha,
                    direction=(p[..., None, :] - table.anchor) / dist[..., None],

@@ -86,18 +86,17 @@ def fim_total(paths: PathSet, cfg: WaveformConfig) -> np.ndarray:
     stack of matrices over those axes, with one delay_kernel call for the
     whole stack."""
     alpha, tau, e = paths.alpha, paths.tau, paths.direction
-    # C-ordered operands (np.take, not indexing) halve the products' time.
-    columns = np.ascontiguousarray(np.swapaxes(e, -1, -2))
+    # C-ordered operands (take, not indexing) halve the products' time.
+    columns = np.ascontiguousarray(e.swapaxes(-1, -2))
     direct = _outer_sum(np.abs(alpha) ** 2 * delay_kernel_peak(cfg), columns, e)
     # The kernel is real and even, so each pair's two ordered terms are
     # one weight 2 Re{alpha_k conj(alpha_k')} kernel(tau_k - tau_k').
     first, second = _pairs(alpha.shape[-1])
-    kernel = delay_kernel(cfg, tau[..., first] - tau[..., second])
-    weights = 2.0 * (alpha[..., first] * alpha[..., second].conj()).real * kernel
-    interference = _outer_sum(weights, np.take(columns, first, axis=-1),
-                              np.take(e, second, axis=-2))
+    kernel = delay_kernel(cfg, tau.take(first, axis=-1) - tau.take(second, axis=-1))
+    weights = 2.0 * (alpha.take(first, axis=-1) * alpha.take(second, axis=-1).conj()).real * kernel
+    interference = _outer_sum(weights, columns.take(first, axis=-1), e.take(second, axis=-2))
     total = direct + interference
-    return 0.5 * (total + np.swapaxes(total, -1, -2))
+    return 0.5 * (total + total.swapaxes(-1, -2))
 
 
 def peb(fim) -> PebValue:

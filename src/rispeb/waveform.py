@@ -135,10 +135,10 @@ def delay_kernel(cfg: WaveformConfig, delta):
     """
     k = _kernel_constants(cfg)
     count = cfg.subcarrier_count
-    # turns - round(turns) is exact and odd in delta, so the kernel is
+    # turns - rint(turns) is exact and odd in delta, so the kernel is
     # exactly even.
     turns = np.asarray(delta, dtype=float) * k.turns
-    u = math.pi * np.abs(turns - np.round(turns))  # x/2, reduced to [0, pi/2]
+    u = math.pi * np.abs(turns - np.rint(turns))  # x/2, reduced to [0, pi/2]
     # Below the switch s is held at its value there: the closed form's
     # entries are then finite, and the series replaces them.
     s = np.maximum(np.sin(u), math.sin(k.switch))

@@ -236,7 +236,7 @@ class TestPathset:
 
 class TestFarPosition:
     """At 28 GHz the carrier phase 2*pi*f_c*tau overflows a float from
-    about 4e305 m out (3e305 m is still finite): such a position is
+    about 3.06e305 m out (3e305 m is still finite): such a position is
     refused by name before any gain is taken, with no RuntimeWarning."""
 
     @pytest.mark.parametrize("mode", ["ris", "reflector", "scatterer"])
@@ -265,6 +265,33 @@ class TestFarPosition:
     def test_farthest_finite_phase_still_builds(self, scene, wave, mode):
         allocation = Allocation((0,) * 5, (0.0,) * 5) if mode == "ris" else None
         paths = build_pathset(scene, allocation, [3e305, 5.0], wave, mode)
+        assert np.isfinite(paths.alpha).all()
+
+    @pytest.mark.parametrize("carrier_hz, mode, x", [
+        (1e9, "ris", 1e306), (1e9, "scatterer", 1e306), (1e8, "reflector", 5e307)])
+    def test_overflowing_amplitude_refuses_it(self, scene, wave, carrier_hz, mode, x):
+        """At a low carrier the phase stays finite farther out than a
+        free-space amplitude's denominator: 16*pi*d1*d2 (RIS),
+        (4*pi)^1.5*||s||*d2 (scatterer), or 4*pi*d (LOS) at 100 MHz."""
+        low = dataclasses.replace(wave, carrier_hz=carrier_hz)
+        allocation = Allocation((0,) * 5, (0.0,) * 5) if mode == "ris" else None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^position \(.*, 5\) is too far away: "
+                                                 r"the denominator of a path's free-space"):
+                build_pathset(scene, allocation, [x, 5.0], low, mode)
+            with pytest.raises(ValueError, match=r"free-space amplitude"):
+                select_ris(scene, [x, 5.0], low, SelectionConstraints(k_bar=1))
+
+    @pytest.mark.parametrize("mode", ["ris", "reflector", "scatterer"])
+    def test_far_but_finite_still_builds(self, scene, wave, mode):
+        """Beyond the quick bound on the delays (about 2e153 m) every
+        denominator is checked as its gain takes it: finite ones build."""
+        allocation = Allocation((0,) * 5, (0.0,) * 5) if mode == "ris" else None
+        one_ghz = dataclasses.replace(wave, carrier_hz=1e9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            paths = build_pathset(scene, allocation, [1e200, 5.0], one_ghz, mode)
         assert np.isfinite(paths.alpha).all()
 
 

@@ -314,6 +314,36 @@ class TestBadInput:
         assert out == ""
         assert err.startswith("error: position (1e+308, 5) is too far away")
 
+    @pytest.mark.parametrize("carrier_hz, argv", [
+        (1e9, ("point", "1e306", "5")), (1e9, ("select", "1e306", "5")),
+        (1e9, ("point", "1e306", "5", "--mode", "scatterer")),
+        (1e8, ("point", "5e307", "5", "--mode", "reflector")),
+    ], ids=lambda case: case if isinstance(case, float) else " ".join(case))
+    def test_far_position_at_a_low_carrier(self, capsys, tmp_path, carrier_hz, argv):
+        """Below 28 GHz a free-space amplitude's denominator, 16*pi*d1*d2
+        (RIS), (4*pi)^1.5*||s||*d2 (scatterer) or 4*pi*d (LOS), overflows
+        before the carrier phase does: bad input too, not a zero FIM."""
+        path = tmp_path / "low.cfg"
+        dump_config(dataclasses.replace(default_config(), carrier_hz=carrier_hz), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv, "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: position ({float(argv[1]):.9g}, 5) is too far away: "
+                              "the denominator of a path's free-space amplitude")
+
+    @pytest.mark.parametrize("command", ["point", "select"])
+    def test_distance_beyond_float_max(self, capsys, command):
+        """A finite position farther than float max from an anchor is named
+        as too far away, with no overflow warning from its distance first."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, command, "1.5e308", "--", "-1.5e308")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: position (1.5e+308, -1.5e+308) is too far away")
+
 
 class TestOverrideCache:
     """_load keeps each override's replacement: a repeated query gets the
@@ -623,9 +653,11 @@ class TestProcessReuse:
         assert len(built) <= 1
 
     def test_no_process_pool_is_imported(self):
-        """Only a sweep with workers > 1 needs multiprocessing."""
+        """Only a sweep with workers > 1 needs multiprocessing, and only
+        validate needs rispeb.checks."""
         done = run_fresh("-c", "import sys, rispeb, rispeb.cli; print(sorted("
-                         "{'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+                         "{'concurrent.futures', 'multiprocessing', 'rispeb.checks'}"
+                         " & set(sys.modules)))")
         assert done.returncode == 0, done.stderr
         assert done.stdout == "[]\n"
 
@@ -703,9 +735,10 @@ class TestParseOnce:
             pass
         assert seen == parsers
 
-    def test_console_script_checks(self, capsys):
-        """The console-script checks of CI: an extra word, the help, and
-        a position too far for the carrier phase."""
+    def test_console_script_checks(self, capsys, tmp_path):
+        """The console-script checks of CI: an extra word, the help, a
+        position too far for the carrier phase, one farther than float
+        max under -W error, and one too far for a 1 GHz amplitude."""
         with pytest.raises(SystemExit) as exc:
             main(["point", "3.5", "5.0", "extra"])
         captured = capsys.readouterr()
@@ -717,3 +750,9 @@ class TestParseOnce:
         assert exc.value.code == 0
         assert captured.out.splitlines()[0] == "usage: rispeb [-h] {point,select,sweep,validate} ..."
         assert run(capsys, "select", "1e308", "5")[:2] == (2, "")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(capsys, "point", "1.5e308", "--", "-1.5e308")[0] == 2
+        path = tmp_path / "c1g.cfg"
+        dump_config(dataclasses.replace(default_config(), carrier_hz=1e9), path)
+        assert run(capsys, "point", "1e306", "5", "--config", str(path))[:2] == (2, "")

@@ -516,3 +516,29 @@ def test_fim_equals_double_loop_over_paths(steps):
         # near 1e-160 squared alone is subnormal and has lost its digits.
         direct = np.outer(abs(alpha[0]) ** 2 * delay_kernel_peak(wave) * e[0], e[0])
         assert np.allclose(fim, direct, rtol=1e-12, atol=0)
+
+
+def test_one_point_core_calls_no_numpy_wrapper(scene, wave, monkeypatch):
+    """The one-point selection, a reflector pathset's FIM and bound, and
+    the delay kernel's Taylor branch call numpy's C entry points (ufuncs
+    and ndarray methods), not its Python-level wrappers: with those
+    wrappers rebound to raise, each gives what it gave before."""
+    from rispeb.allocation import SelectionConstraints, select_ris
+
+    x, zero = np.array([3.5, 5.0]), np.zeros(3)
+
+    def calls():
+        allocation, bound = select_ris(scene, x, wave, SelectionConstraints(k_bar=2))
+        total = fim_total(build_pathset(scene, None, x, wave, "reflector"), wave)
+        return (allocation.bits, bound.value, total.tolist(), peb(total).value,
+                delay_kernel(wave, zero).tolist())
+
+    expected = calls()
+
+    def wrapper(*args, **kwargs):
+        raise AssertionError("a numpy wrapper was called")
+
+    for name in ("round", "take", "swapaxes", "argmin", "broadcast_shapes"):
+        monkeypatch.setattr(np, name, wrapper)
+    assert calls() == expected
+    assert expected[-1] == [delay_kernel_peak(wave)] * 3
