@@ -13,6 +13,9 @@ center [c_k, L], or the reflector's path from the virtual anchor [0, 2L]
 (the BS mirrored across the wall), or the scatterer's from [x_s, L].
 One broadcast pass over the table gives every path's distance, delay and
 direction; pathsets, RIS steering and the RIS count map all read it.
+The table also holds each path's spread, the factor of its free-space
+amplitude's denominator ahead of its last leg d, so that every gain and
+the overflow check divide by the same spread*d.
 
 Every function here broadcasts over the leading axes of the position:
 given a batch of positions, the arrays gain those axes.
@@ -29,7 +32,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -99,14 +102,23 @@ class PathSet:
 @dataclass(frozen=True)
 class _PathTable:
     """The paths of one scene and mode, the LOS path first: kinds and
-    indices as in Path, anchor (K, 2) and fixed_leg (K) as in PathSet, and
-    the name of each anchor in errors. The tables are cached and shared,
-    so their arrays are read-only."""
+    indices as in Path, anchor (K, 2) and fixed_leg (K) as in PathSet,
+    spread (K) and the name of each anchor in errors. A path's free-space
+    amplitude has the denominator spread*d, d its last leg: spread is
+    4*pi for the LOS and the reflector, 16*pi*d1 for a RIS, d1 its
+    fixed leg, and (4*pi)^1.5*||s|| for the scatterer, ||s|| its fixed
+    leg. The RIS rows' surfaces also have their element count M and
+    cos(theta) = L/d1 in count and cos_theta (R; empty in the baseline
+    modes). The tables are cached and shared, so their arrays are
+    read-only."""
 
     kinds: tuple[str, ...]
     indices: tuple[int | None, ...]
     anchor: np.ndarray
     fixed_leg: np.ndarray
+    spread: np.ndarray
+    count: np.ndarray
+    cos_theta: np.ndarray
     names: tuple[str, ...]
 
     def distances(self, x, rows=slice(None)) -> np.ndarray:
@@ -135,46 +147,30 @@ class _PathTable:
 def _path_table(scene: Scene, mode: str) -> _PathTable:
     """The path table of mode in scene. Raises ValueError for a baseline
     mode whose object the scene lacks."""
-    wall = scene.wall_offset
-    rows = [("los", None, (0.0, 0.0), 0.0, "the BS")]
+    wall, four_pi = scene.wall_offset, 4.0 * math.pi
+    surfaces = scene.ris if mode == "ris" else ()
+    leg_in = [math.hypot(ris.center_x, wall) for ris in surfaces]
+    rows = [("los", None, (0.0, 0.0), 0.0, four_pi, "the BS")]
     if mode == "ris":
-        rows += [("ris", k, (ris.center_x, wall), math.hypot(ris.center_x, wall),
-                  f"RIS {k} center") for k, ris in enumerate(scene.ris)]
+        rows += [("ris", k, (ris.center_x, wall), d1, 4.0 * four_pi * d1, f"RIS {k} center")
+                 for k, (ris, d1) in enumerate(zip(surfaces, leg_in))]
     elif mode == "reflector":
         if scene.reflector is None:
             raise ValueError("scene has no reflector")
-        rows.append(("reflector", None, (0.0, 2.0 * wall), 0.0, "the virtual anchor"))
+        rows.append(("reflector", None, (0.0, 2.0 * wall), 0.0, four_pi, "the virtual anchor"))
     else:
         if scene.scatterer is None:
             raise ValueError("scene has no scatterer")
         x = scene.scatterer.x
-        rows.append(("scatterer", None, (x, wall), math.hypot(x, wall), "the scatterer"))
-    kinds, indices, anchor, fixed_leg, names = zip(*rows)
-    anchor, fixed_leg = np.array(anchor), np.array(fixed_leg)
-    anchor.flags.writeable = fixed_leg.flags.writeable = False
-    return _PathTable(kinds, indices, anchor, fixed_leg, names)
-
-
-class _Surfaces(NamedTuple):
-    """The constants of a scene's RIS that gain_ris reads: each surface's
-    element count M, cos(theta) = L/d1 and 16*pi*d1, d1 its center's
-    distance from the BS."""
-
-    count: np.ndarray
-    cos_theta: np.ndarray
-    sixteen_pi_d1: np.ndarray
-
-
-@functools.lru_cache(maxsize=16)
-def _surfaces(scene: Scene) -> _Surfaces:
-    """The surface constants of scene, built once per process from its
-    RIS rows of the path table and shared, so read-only."""
-    leg_in = _path_table(scene, "ris").fixed_leg[1:]
-    surfaces = _Surfaces(np.array([ris.element_count for ris in scene.ris]),
-                         scene.wall_offset / leg_in, 16.0 * math.pi * leg_in)
-    for array in surfaces:
+        leg = math.hypot(x, wall)
+        rows.append(("scatterer", None, (x, wall), leg, four_pi**1.5 * leg, "the scatterer"))
+    kinds, indices, anchor, fixed_leg, spread, names = zip(*rows)
+    arrays = (np.array(anchor), np.array(fixed_leg), np.array(spread),
+              np.array([ris.element_count for ris in surfaces], dtype=int),
+              np.array([wall / d1 for d1 in leg_in]))
+    for array in arrays:
         array.flags.writeable = False
-    return surfaces
+    return _PathTable(kinds, indices, *arrays, names)
 
 
 def _carrier(tau, cfg: WaveformConfig):
@@ -185,11 +181,10 @@ def _require_not_too_far(p: np.ndarray, table: _PathTable, dist: np.ndarray, tau
                          cfg: WaveformConfig) -> None:
     """Raise ValueError naming the first of positions p (..., 2) that is
     too far away: where a path's carrier phase 2*pi*f_c*tau, tau (..., K),
-    or the denominator of its free-space amplitude is not a finite float.
-    The denominators are 4*pi*d (LOS, reflector), 16*pi*d1*d2 (RIS) and
-    (4*pi)^1.5*||s||*d2 (scatterer), d or d2 the path's entry of dist
-    (..., K) and d1 or ||s|| its fixed leg. _carrier would give NaN gains
-    there, and an overflowed denominator a zero gain."""
+    or the denominator spread*d of its free-space amplitude is not a
+    finite float, spread from table and d the path's entry of dist
+    (..., K). _carrier would give NaN gains there, and an overflowed
+    denominator a zero gain."""
     omega = 2.0 * math.pi * cfg.carrier_hz
     # A Python float overflows to inf without a warning. The delays are
     # nonnegative, so their largest gives the largest phase, and c times
@@ -199,15 +194,9 @@ def _require_not_too_far(p: np.ndarray, table: _PathTable, dist: np.ndarray, tau
     reach = 2.0 * SPEED_OF_LIGHT * tau_max
     if math.isfinite(tau_max * omega) and math.isfinite(16.0 * math.pi * reach * reach):
         return
-    # Each denominator as its gain takes it: the factor of d or d2 times it.
-    factor = np.full(len(table.kinds), 4.0 * math.pi)
-    if table.kinds[-1] == "ris":
-        factor[1:] = 16.0 * math.pi * table.fixed_leg[1:]
-    elif table.kinds[-1] == "scatterer":
-        factor[1] = (4.0 * math.pi) ** 1.5 * table.fixed_leg[1]
     with np.errstate(over="ignore"):
         phase = ~np.isfinite(tau.max(axis=-1) * omega)
-        far = phase | ~np.isfinite(factor * dist).all(axis=-1)
+        far = phase | ~np.isfinite(table.spread * dist).all(axis=-1)
     if not far.any():
         return
     first = np.argmax(far.reshape(-1))
@@ -226,12 +215,12 @@ def _steering(center, leg_in, leg_out, x):
     return center / leg_in - (x[..., None, 0] - center) / leg_out
 
 
-def _array_factor(spread, count):
-    """D_M(x) = sin(M*x/2)/sin(x/2) at x = pi*spread, reduced exactly to
+def _array_factor(u, count):
+    """D_M(x) = sin(M*x/2)/sin(x/2) at x = pi*u, reduced exactly to
     |x| <= pi by D_M(x + 2*pi) = (-1)^(M-1)*D_M(x): sin(x/2) then vanishes
     only at x = 0, where the limit is M, so grating lobes come out exact."""
-    turns = np.rint(0.5 * np.asarray(spread))
-    half = 0.5 * math.pi * (spread - 2.0 * turns)
+    turns = np.rint(0.5 * np.asarray(u))
+    half = 0.5 * math.pi * (u - 2.0 * turns)
     with np.errstate(invalid="ignore"):
         ratio = np.where(half == 0.0, count, np.sin(count * half) / np.sin(half))
     return np.where((count - 1) * turns % 2.0, -ratio, ratio)
@@ -252,12 +241,13 @@ def gain_ris(scene: Scene, design, x, dist, tau, steering, cfg: WaveformConfig) 
     (lambda/2)^2 aperture of amplitude
     lambda^2*sqrt(cos(theta)*cos(psi))/(16*pi*d1*d2) (Ellingson 2019; Tang
     et al., IEEE TWC 2021), with cos(theta) = L/d1, cos(psi) = (L - y)/d2.
+    M, cos(theta) and the spread 16*pi*d1 come from the RIS path table.
     """
-    surfaces = _surfaces(scene)
-    wall = scene.wall_offset
-    element = (cfg.wavelength**2 * np.sqrt(surfaces.cos_theta * ((wall - x[..., None, 1]) / dist))
-               / (surfaces.sixteen_pi_d1 * dist))
-    return _carrier(tau, cfg) * (element * _array_factor(steering - design, surfaces.count))
+    table = _path_table(scene, "ris")
+    element = (cfg.wavelength**2
+               * np.sqrt(table.cos_theta * ((scene.wall_offset - x[..., None, 1]) / dist))
+               / (table.spread[1:] * dist))
+    return _carrier(tau, cfg) * (element * _array_factor(steering - design, table.count))
 
 
 def build_pathset(scene: Scene, allocation: "Allocation | None", x,
@@ -303,8 +293,8 @@ def _assemble(scene: Scene, mode: str, table: _PathTable, p: np.ndarray, dist: n
     RIS pathsets here too, with the steering it scores its designs by.
     Checks that no position is too far away before any gain is taken."""
     _require_not_too_far(p, table, dist, tau, cfg)
-    # Free space, lambda/(4*pi*d), with the carrier phase.
-    los = _carrier(tau[..., :1], cfg) * cfg.wavelength / (4.0 * math.pi * dist[..., :1])
+    # Free space, lambda/(spread*d), with the carrier phase.
+    los = _carrier(tau[..., :1], cfg) * cfg.wavelength / (table.spread[:1] * dist[..., :1])
     leg, delay = dist[..., 1:], tau[..., 1:]
     if mode == "ris":
         if steering is None:
@@ -315,12 +305,11 @@ def _assemble(scene: Scene, mode: str, table: _PathTable, p: np.ndarray, dist: n
         # where the mirror ray misses the segment.
         hit = _mirror_crossing(scene, p)[1][..., None]
         gains = np.where(hit, _carrier(delay, cfg) * scene.reflector.gamma * cfg.wavelength
-                         / (4.0 * math.pi * leg), 0j)
+                         / (table.spread[1:] * leg), 0j)
     else:
         # lambda*sqrt(rcs) / ((4*pi)^1.5 * ||s|| * ||s - x||).
         gains = _carrier(delay, cfg) * (
-            cfg.wavelength * math.sqrt(scene.scatterer.rcs)
-            / ((4.0 * math.pi) ** 1.5 * table.fixed_leg[1] * leg))
+            cfg.wavelength * math.sqrt(scene.scatterer.rcs) / (table.spread[1:] * leg))
     # The gains broadcast p's axes against the design's, and los has p's
     # alone, so the gains' leading axes are alpha's, also with no surfaces
     # (gains (..., 0)).

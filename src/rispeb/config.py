@@ -180,7 +180,12 @@ class RunConfig:
         try:
             models = self._build()
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            # A model's message that starts with one of its fields named
+            # as a key here names that key in full.
+            message = str(exc)
+            first = message.split(" ", 1)[0]
+            section = next((f.metadata["section"] for f in fields(self) if f.name == first), None)
+            raise ConfigError(f"{section}.{message}" if section else message) from None
         scene, _, grid, _ = models
         if grid.y_range[1] >= scene.wall_offset:
             raise ConfigError("grid.y_max_m must lie below the wall")

@@ -146,18 +146,3 @@ def _mirror_crossing(scene: Scene, p: np.ndarray):
     crossing_x = p[..., 0] * wall / (2.0 * wall - p[..., 1])
     return crossing_x, (scene.reflector.h1 <= crossing_x) & (crossing_x <= scene.reflector.h2)
 
-
-def incidence_point(scene: Scene, x):
-    """Where the mirror ray meets the wall, and whether it hits the segment.
-
-    Returns the point [s, L] where the line from the virtual anchor to x
-    crosses the wall, and a boolean that is true where the crossing lies
-    on the reflector segment [h1, L]-[h2, L]. Positions with leading axes
-    give points and booleans with those axes.
-    """
-    if scene.reflector is None:
-        raise ValueError("scene has no reflector")
-    p = _as_point(x)
-    _require_below_wall(scene, p)
-    crossing_x, hit = _mirror_crossing(scene, p)
-    return np.stack([crossing_x, np.full_like(crossing_x, scene.wall_offset)], axis=-1), hit

@@ -71,8 +71,10 @@ class GridSpec:
                 raise ValueError("grid range max must exceed min")
         if not (_is_integer(self.nx) and _is_integer(self.ny)):
             raise ValueError("grid sample counts must be integers")
-        if self.nx < 2 or self.ny < 2:
-            raise ValueError("grid needs at least 2 samples per axis")
+        # The message starts with the field, which a config names in full.
+        for name in ("nx", "ny"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be at least 2, a sample at each end of the axis")
 
     @property
     def xs(self) -> np.ndarray:

@@ -22,7 +22,7 @@ from rispeb.allocation import (
 from rispeb.channel import build_pathset
 from rispeb.checks import aligned_gain, best_pattern, fim_oracle, misalignment
 from rispeb.config import default_config
-from rispeb.geometry import RisDescriptor, Scene, incidence_point
+from rispeb.geometry import RisDescriptor, Scene, _mirror_crossing
 from rispeb.sweep import GridSpec, path_count_map, peb_cdf, peb_map, write_map_csv
 from rispeb.waveform import (
     delay_resolution,
@@ -143,7 +143,7 @@ def test_04_degeneracy_cases(scene, grid, reflector_map, scatterer_map):
     shadow_not_inf = 0
     for ix, x in enumerate(grid.xs):
         for iy, y in enumerate(grid.ys):
-            _, indicator = incidence_point(scene, np.array([x, y]))
+            _, indicator = _mirror_crossing(scene, np.array([x, y]))
             if indicator == 0:
                 shadow_cells += 1
                 if not math.isinf(reflector_map.peb[ix, iy]):

@@ -31,7 +31,7 @@ from rispeb.allocation import (
 from rispeb.channel import Path, build_pathset
 from rispeb.checks import aligned_gain, element_sum, fim_gap
 from rispeb.fim import fim_total, peb
-from rispeb.geometry import SPEED_OF_LIGHT, Scene, RisDescriptor
+from rispeb.geometry import SPEED_OF_LIGHT, RisDescriptor, Scene, _mirror_crossing
 
 
 # RIS 0 of the default scenario seen from [3.5, 5.0].
@@ -232,6 +232,37 @@ class TestPathset:
             assert path.tau == paths.tau[i] and path.alpha == paths.alpha[i]
             assert np.array_equal(path.direction, paths.direction[i])
 
+
+
+@pytest.mark.parametrize("mode", ["ris", "reflector", "scatterer"])
+def test_one_free_space_law(scene, wave, mode):
+    """Every path's amplitude is lambda/(spread*d), times gamma on a
+    reflector path that hits and sqrt(rcs) on the scatterer's, with
+    spread from the path table and d the path's last leg; an aligned
+    RIS's is checks.aligned_gain, whose denominator is 16*pi*d1*d2."""
+    rng = np.random.default_rng(36)
+    points = np.column_stack([rng.uniform(-5.0, 15.0, 200), rng.uniform(0.5, 9.5, 200)])
+    allocation = (build_allocation(scene, points, wave, (1,) * len(scene.ris))
+                  if mode == "ris" else None)
+    paths = build_pathset(scene, allocation, points, wave, mode)
+    wall = scene.wall_offset
+    d = np.hypot(points[:, None, 0] - paths.anchor[:, 0], points[:, None, 1] - paths.anchor[:, 1])
+    law = np.abs(paths.alpha) * channel._path_table(scene, mode).spread * d
+    assert np.all(np.abs(law[:, 0] - wave.wavelength) <= 1e-15 * wave.wavelength)
+    if mode == "ris":
+        for k, ris in enumerate(scene.ris):
+            d1 = math.hypot(ris.center_x, wall)
+            for x, row, d2 in zip(points, law[:, 1 + k], d[:, 1 + k]):
+                expected = aligned_gain(scene, k, x, wave) * (16.0 * math.pi * d1 * d2)
+                assert rel(row, expected) <= 1e-15
+        return
+    if mode == "reflector":
+        hit = _mirror_crossing(scene, points)[1]
+        assert 0 < hit.sum() < len(points)
+        law, expected = law[hit, 1], scene.reflector.gamma * wave.wavelength
+    else:
+        law, expected = law[:, 1], wave.wavelength * math.sqrt(scene.scatterer.rcs)
+    assert np.all(np.abs(law - expected) <= 1e-15 * expected)
 
 
 class TestFarPosition:

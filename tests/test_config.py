@@ -256,6 +256,19 @@ class TestErrors:
             dataclasses.replace(default_config(), **overrides)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"bandwidth_hz": 0.0}, "waveform.bandwidth_hz"),
+        ({"carrier_hz": -1.0}, "waveform.carrier_hz"),
+        ({"subcarrier_count": 128}, "waveform.subcarrier_count"),
+        ({"nx": 1}, "grid.nx"),
+    ], ids=["zero_bandwidth", "negative_carrier", "even_subcarrier_count", "one_sample"])
+    def test_model_errors_name_their_key(self, overrides, key):
+        """A value the model objects refuse, not RunConfig's own checks,
+        names its key too."""
+        with pytest.raises(ConfigError) as caught:
+            dataclasses.replace(default_config(), **overrides)
+        assert key in str(caught.value)
+
     def test_integer_keys_are_held_as_ints(self):
         """A numpy integer is held as the int a file would give."""
         config = dataclasses.replace(default_config(), k_bar=np.int64(2), nx=np.int32(10))

@@ -20,7 +20,7 @@ from hypothesis import given, strategies as st
 
 from rispeb import channel, geometry
 from rispeb.allocation import build_allocation, select_ris
-from rispeb.channel import MODES, _path_table, _surfaces, build_pathset
+from rispeb.channel import MODES, _path_table, build_pathset
 from rispeb.geometry import (
     SPEED_OF_LIGHT,
     DegeneratePositionError,
@@ -29,7 +29,7 @@ from rispeb.geometry import (
     ScatterDescriptor,
     Scene,
     _is_integer,
-    incidence_point,
+    _mirror_crossing,
 )
 from rispeb.waveform import WaveformConfig
 
@@ -68,35 +68,34 @@ class TestFrozenValues:
         assert np.array_equal(anchor, [0.0, 20.0])
 
     def test_incidence_point_hit(self, scene):
-        point, hit = incidence_point(scene, [8.0, 2.0])
+        """The mirror ray's wall crossing, where it hits the segment."""
+        crossing, hit = _mirror_crossing(scene, np.array([8.0, 2.0]))
         assert hit.dtype == bool and hit
-        assert rel(point[0], 4.444444444444445) < 1e-12
-        assert point[1] == scene.wall_offset
+        assert rel(crossing, 4.444444444444445) < 1e-12
 
     def test_incidence_point_miss(self, scene):
-        point, hit = incidence_point(scene, [14.0, 2.0])
+        crossing, hit = _mirror_crossing(scene, np.array([14.0, 2.0]))
         assert hit.dtype == bool and not hit
-        assert rel(point[0], 7.777777777777778) < 1e-12
-        assert point[1] == scene.wall_offset
+        assert rel(crossing, 7.777777777777778) < 1e-12
 
     def test_incidence_point_batch(self, scene):
-        """Leading axes carry through to the points and the hits."""
-        points, hits = incidence_point(scene, [[[8.0, 2.0], [14.0, 2.0]]])
-        assert points.shape == (1, 2, 2) and hits.shape == (1, 2) and hits.dtype == bool
+        """Leading axes carry through to the crossings and the hits."""
+        crossings, hits = _mirror_crossing(scene, np.array([[[8.0, 2.0], [14.0, 2.0]]]))
+        assert crossings.shape == hits.shape == (1, 2) and hits.dtype == bool
         assert hits.tolist() == [[True, False]]
         for i, p in enumerate([[8.0, 2.0], [14.0, 2.0]]):
-            assert np.array_equal(points[0, i], incidence_point(scene, p)[0])
+            assert crossings[0, i] == _mirror_crossing(scene, np.array(p))[0]
 
     def test_reflector_gain_is_zero_exactly_where_the_ray_misses(self, scene):
-        """The reflector path's gain is zero exactly where incidence_point
-        says the mirror ray misses the segment [h1, h2] = [1, 6], on a
-        batch whose crossings include both ends and the floats just
-        outside them. At y = 0 the ray crosses the wall at x/2."""
+        """The reflector path's gain is zero exactly where the mirror ray
+        misses the segment [h1, h2] = [1, 6], on a batch whose crossings
+        include both ends and the floats just outside them. At y = 0 the
+        ray crosses the wall at x/2."""
         xs = [2.0, 12.0, np.nextafter(2.0, 0.0), np.nextafter(12.0, 13.0), 8.0, 14.0, -3.0]
         points = np.array([[x, 0.0] for x in xs] + [[3.5, 5.0], [7.0, 9.5]])
-        crossing, hit = incidence_point(scene, points)
-        assert crossing[:2, 0].tolist() == [1.0, 6.0]
-        assert crossing[2, 0] < 1.0 and crossing[3, 0] > 6.0
+        crossing, hit = _mirror_crossing(scene, points)
+        assert crossing[:2].tolist() == [1.0, 6.0]
+        assert crossing[2] < 1.0 and crossing[3] > 6.0
         assert hit.tolist()[:4] == [True, True, False, False]
         gains = build_pathset(scene, None, points, WAVE, "reflector").alpha[:, 1]
         assert np.array_equal(gains == 0, ~hit)
@@ -271,15 +270,18 @@ class TestSceneHash:
         assert _path_table(full_scene(wall=12.0), "ris") is not _path_table(first, "ris")
 
     def test_equal_scenes_share_surface_constants(self):
-        """gain_ris reads one read-only record of surface constants per
-        scene, equal scenes included."""
+        """gain_ris reads the spreads, element counts and cos(theta) of
+        the RIS path table: read-only, and one table per scene, equal
+        scenes included."""
         first, second = full_scene(), full_scene(ris=[RisDescriptor(1.0, 8),
                                                      RisDescriptor(2.5, 8)])
-        assert _surfaces(first) is _surfaces(second)
-        assert _surfaces(full_scene(wall=12.0)) is not _surfaces(first)
-        for array in _surfaces(first):
+        table = _path_table(first, "ris")
+        assert table is _path_table(second, "ris")
+        assert _path_table(full_scene(wall=12.0), "ris").spread[1] != table.spread[1]
+        for array in (table.spread, table.count, table.cos_theta):
             assert not array.flags.writeable
-        assert _surfaces(first).count.tolist() == [8, 8]
+        assert table.count.tolist() == [8, 8]
+        assert table.spread.shape == (3,) and table.cos_theta.shape == (2,)
 
     def test_pickled_scene_compares_and_hashes_equal(self):
         """Also in another process, where hash(None) may differ (before
@@ -324,14 +326,14 @@ def test_image_distance_identity(p):
     physical broken-path length through the incidence point."""
     scene = Scene(wall_offset=10.0,
                   reflector=ReflectorDescriptor(1.0, 6.0, 0.3))
-    hit, indicator = incidence_point(scene, p)
+    crossing, indicator = _mirror_crossing(scene, p)
     if not indicator:
         return
-    broken = (math.hypot(hit[0], hit[1])
-              + math.hypot(p[0] - hit[0], p[1] - hit[1]))
+    wall = scene.wall_offset
+    broken = (math.hypot(crossing, wall)
+              + math.hypot(p[0] - crossing, p[1] - wall))
     direct = build_pathset(scene, None, p, WAVE, "reflector")[1].tau * C
     assert rel(broken, direct) < 1e-9
-    assert hit[1] == scene.wall_offset
 
 
 @given(p=points)
@@ -348,13 +350,12 @@ def test_unit_direction_is_unit(p):
 def test_incidence_point_on_segment(p):
     scene = Scene(wall_offset=10.0,
                   reflector=ReflectorDescriptor(1.0, 6.0, 0.3))
-    crossing, hit = incidence_point(scene, p)
-    assert hit == (scene.reflector.h1 <= crossing[0] <= scene.reflector.h2)
-    # The crossing lies on the line from the virtual anchor [0, 2L] to p.
+    crossing, hit = _mirror_crossing(scene, p)
+    assert hit == (scene.reflector.h1 <= crossing <= scene.reflector.h2)
+    # The crossing [s, L] lies on the line from the virtual anchor [0, 2L] to p.
     anchor = np.array([0.0, 2.0 * scene.wall_offset])
-    assert crossing[1] == scene.wall_offset
-    cross = ((crossing[0] - anchor[0]) * (p[1] - anchor[1])
-             - (crossing[1] - anchor[1]) * (p[0] - anchor[0]))
+    cross = ((crossing - anchor[0]) * (p[1] - anchor[1])
+             - (scene.wall_offset - anchor[1]) * (p[0] - anchor[0]))
     assert abs(cross) < 1e-9
 
 
