@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import PathSet, _assemble, _path_table, _steering
+from .channel import PathSet, _assemble, _path_table
 from .fim import PebValue, _require_unaliased, fim_total, peb
 from .geometry import SPEED_OF_LIGHT, Scene, _as_point, _is_integer, _require_below_wall
 from .waveform import WaveformConfig
@@ -136,8 +136,11 @@ def d_min(active) -> float:
 
 
 def build_allocation(scene: Scene, x_hat, cfg: WaveformConfig, active) -> Allocation:
-    """Allocation steered for x_hat on the active RIS; a batch of
-    positions gives one design per position on each active RIS."""
+    """Allocation steered for x_hat on the active RIS and flat on the
+    others, as select_ris builds its own; a batch of positions gives
+    each RIS one design per position (zeros where inactive). Raises
+    DegeneratePositionError at the BS or a RIS center, as build_pathset
+    does."""
     p = _as_point(x_hat)
     _require_below_wall(scene, p)
     bits = tuple(active)
@@ -147,15 +150,9 @@ def build_allocation(scene: Scene, x_hat, cfg: WaveformConfig, active) -> Alloca
     bits = tuple(map(int, bits))
     if len(bits) != len(scene.ris):
         raise ValueError("activation length must match the RIS count")
-    # Only the active surfaces are steered, and only their anchors are
-    # checked against x_hat; their rows of the path table follow the LOS.
-    on = [k for k, bit in enumerate(bits) if bit]
-    rows = [1 + k for k in on]
     table = _path_table(scene, "ris")
-    steering = _steering(table.anchor[rows, 0], table.fixed_leg[rows],
-                         table.distances(p, rows), p)
-    aligned = dict(zip(on, np.moveaxis(steering, -1, 0)))
-    return Allocation(active=bits, design=tuple(aligned.get(k, 0.0) for k in range(len(bits))))
+    design = np.where(bits, table.steering(p, table.distances(p)), 0.0)
+    return Allocation(active=bits, design=tuple(np.moveaxis(design, -1, 0)))
 
 
 def feasible_activations(ris_count: int, constraints: SelectionConstraints):
@@ -218,16 +215,16 @@ def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
     steered; each batch of patterns (a single batch unless the patterns
     are many) picks one per surface, and one peb call bounds the joined
     stack of the batches' FIM totals. One pass over the path table at
-    the points serves it all: its surface columns give the steering,
-    which _steering computes once, exactly as build_allocation does, for
-    the designs and gain_ris alike."""
+    the points serves it all: _PathTable.steering takes every surface's
+    steering from its distances once, as build_allocation does, for the
+    designs and gain_ris alike."""
     _require_below_wall(scene, points)
     table = _path_table(scene, "ris")
-    dist, tau = table.delays(points[:, None, :])
-    steering = _steering(table.anchor[1:, 0], table.fixed_leg[1:], dist[:, 0, 1:], points)
-    at_points = steering[:, None, :]
-    design = np.where(_FLAT_THEN_STEERED, at_points, 0.0)
-    paths = _assemble(scene, "ris", table, points[:, None, :], dist, tau, at_points, design, cfg)
+    p = points[:, None, :]
+    dist, tau = table.delays(p)
+    steering = table.steering(p, dist)
+    design = np.where(_FLAT_THEN_STEERED, steering, 0.0)
+    paths = _assemble(scene, "ris", table, p, dist, tau, steering, design, cfg)
     # Length-one design axes, which broadcast over a batch's patterns.
     flat, steered = paths.alpha[:, :1], paths.alpha[:, -1:]
     # The LOS path, first, is the same in both.
@@ -240,7 +237,7 @@ def _score(scene: Scene, points: np.ndarray, cfg: WaveformConfig,
                           np.where(on[start:start + step], steered, flat),
                           paths.direction, paths.anchor, paths.fixed_leg), cfg)
         for start in range(0, len(patterns), step)], axis=1)
-    return _Scored(peb(totals).value, steering, paths, totals)
+    return _Scored(peb(totals).value, steering[:, 0], paths, totals)
 
 
 def _choose(scene: Scene, points: np.ndarray, cfg: WaveformConfig,

@@ -12,7 +12,8 @@ mode): the LOS path from the BS first, then one path per RIS from its
 center [c_k, L], or the reflector's path from the virtual anchor [0, 2L]
 (the BS mirrored across the wall), or the scatterer's from [x_s, L].
 One broadcast pass over the table gives every path's distance, delay and
-direction; pathsets, RIS steering and the RIS count map all read it.
+direction, and each surface's steering (_PathTable.steering); pathsets,
+allocations, the selection core and the RIS count map all read it.
 The table also holds each path's spread, the factor of its free-space
 amplitude's denominator ahead of its last leg d, so that every gain and
 the overflow check divide by the same spread*d.
@@ -109,8 +110,8 @@ class _PathTable:
     fixed leg, and (4*pi)^1.5*||s|| for the scatterer, ||s|| its fixed
     leg. The RIS rows' surfaces also have their element count M and
     cos(theta) = L/d1 in count and cos_theta (R; empty in the baseline
-    modes). The tables are cached and shared, so their arrays are
-    read-only."""
+    modes), and steering(x, dist) steers them. The tables are cached and
+    shared, so their arrays are read-only."""
 
     kinds: tuple[str, ...]
     indices: tuple[int | None, ...]
@@ -121,26 +122,32 @@ class _PathTable:
     cos_theta: np.ndarray
     names: tuple[str, ...]
 
-    def distances(self, x, rows=slice(None)) -> np.ndarray:
-        """Distances (..., rows) from the anchors of rows (every path by
-        default) to x, over x's leading axes. Raises
-        DegeneratePositionError naming the first of those anchors, in path
-        order, that a position coincides with."""
-        anchor = self.anchor[rows]
+    def distances(self, x) -> np.ndarray:
+        """Distances (..., K) from every path's anchor to x, over x's
+        leading axes. Raises DegeneratePositionError naming the first
+        anchor, in path order, that a position coincides with."""
+        anchor = self.anchor
         # A distance beyond float max is inf, for the caller's checks to name.
         with np.errstate(over="ignore"):
             dist = np.hypot(x[..., None, 0] - anchor[:, 0], x[..., None, 1] - anchor[:, 1])
         close = dist < COINCIDENCE_LIMIT
         if close.any():
             first = int(np.argmax(close.reshape(-1, close.shape[-1]).any(axis=0)))
-            raise DegeneratePositionError(
-                f"position coincides with {np.array(self.names)[rows][first]}")
+            raise DegeneratePositionError(f"position coincides with {self.names[first]}")
         return dist
 
     def delays(self, x) -> tuple[np.ndarray, np.ndarray]:
         """Every path's distance from its anchor to x and its delay."""
         dist = self.distances(x)
         return dist, (self.fixed_leg + dist) / SPEED_OF_LIGHT
+
+    def steering(self, x, dist) -> np.ndarray:
+        """Steering differences u = sin(theta) - sin(psi) (..., R) of the
+        surfaces at x from a pass's distances dist (..., K): sin(theta) =
+        c_x/d1, d1 the fixed leg from the BS, and sin(psi) = (x - c_x)/d2,
+        d2 = dist to the center [c_x, L]. The one place rispeb steers."""
+        center = self.anchor[1:, 0]
+        return center / self.fixed_leg[1:] - (x[..., None, 0] - center) / dist[..., 1:]
 
 
 @functools.lru_cache(maxsize=16)
@@ -207,14 +214,6 @@ def _require_not_too_far(p: np.ndarray, table: _PathTable, dist: np.ndarray, tau
     raise ValueError(f"position ({x:.9g}, {y:.9g}) is too far away: {reason}")
 
 
-def _steering(center, leg_in, leg_out, x):
-    """Steering differences sin(theta) - sin(psi) at x of surfaces
-    centered at [center, L], along a last axis: sin(theta) = c_x/d1 and
-    sin(psi) = (x - c_x)/d2, with d1 = leg_in from the BS and d2 =
-    leg_out to x."""
-    return center / leg_in - (x[..., None, 0] - center) / leg_out
-
-
 def _array_factor(u, count):
     """D_M(x) = sin(M*x/2)/sin(x/2) at x = pi*u, reduced exactly to
     |x| <= pi by D_M(x + 2*pi) = (-1)^(M-1)*D_M(x): sin(x/2) then vanishes
@@ -231,8 +230,8 @@ def gain_ris(scene: Scene, design, x, dist, tau, steering, cfg: WaveformConfig) 
     along a last axis. design (..., R) holds each surface's steering
     difference (0: the flat surface) and broadcasts against x's leading
     axes; dist, tau and steering (..., R) are the center-to-x distances,
-    the path delays and the steering differences u at x (_steering),
-    from the caller's pass over the path table.
+    the path delays and the steering differences u at x
+    (_PathTable.steering), from the caller's pass over the path table.
 
     Under the carrier exp(-j*2*pi*f_c*tau), tau measured at the array
     center, the element n half-wavelengths toward +x of the center adds
@@ -298,7 +297,7 @@ def _assemble(scene: Scene, mode: str, table: _PathTable, p: np.ndarray, dist: n
     leg, delay = dist[..., 1:], tau[..., 1:]
     if mode == "ris":
         if steering is None:
-            steering = _steering(table.anchor[1:, 0], table.fixed_leg[1:], leg, p)
+            steering = table.steering(p, dist)
         gains = gain_ris(scene, design, p, leg, delay, steering, cfg)
     elif mode == "reflector":
         # Free space from the virtual anchor times gamma; exactly zero

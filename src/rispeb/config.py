@@ -180,12 +180,8 @@ class RunConfig:
         try:
             models = self._build()
         except ValueError as exc:
-            # A model's message that starts with one of its fields named
-            # as a key here names that key in full.
-            message = str(exc)
-            first = message.split(" ", 1)[0]
-            section = next((f.metadata["section"] for f in fields(self) if f.name == first), None)
-            raise ConfigError(f"{section}.{message}" if section else message) from None
+            # The model's message names what a key sets by that key.
+            raise ConfigError(_MODEL_TERM.sub(lambda term: _KEY_OF[term[0]], str(exc))) from None
         scene, _, grid, _ = models
         if grid.y_range[1] >= scene.wall_offset:
             raise ConfigError("grid.y_max_m must lie below the wall")
@@ -244,6 +240,20 @@ _SCHEMA: dict[str, list[tuple]] = {}
 for _field in fields(RunConfig):
     _SCHEMA.setdefault(_field.metadata["section"], []).append(
         (_field.name, _field.metadata["parse"], _field.metadata["group"]))
+
+# What the model objects' messages call the quantity a key sets, by the
+# key in full: every key's own name, and the model's own terms for the
+# keys it names otherwise. The power is a key in dBm but a field in W.
+_KEY_OF = {key: f"{name}.{key}" for name, entries in _SCHEMA.items() for key, _, _ in entries}
+_KEY_OF.update({
+    "wall offset": "scene.wall_offset_m", "RIS centers": "scene.ris_centers_x_m",
+    "h1": "scene.reflector_h1_m", "h2": "scene.reflector_h2_m",
+    "reflection coefficient": "scene.reflector_gamma",
+    "radar cross section": "scene.scatter_rcs_m2",
+    "tx_power_w": "waveform.power_dbm, in W,",
+    **{f"{axis}_{end}": f"grid.{axis}_{end}_m" for axis in "xy" for end in ("min", "max")},
+})
+_MODEL_TERM = re.compile(r"\b(?:" + "|".join(map(re.escape, _KEY_OF)) + r")\b")
 
 
 # Distinct (text, source) pairs whose parse a process keeps. A program that

@@ -64,14 +64,15 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
-        for lo, hi in (self.x_range, self.y_range):
+        for axis, (lo, hi) in zip("xy", (self.x_range, self.y_range)):
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError("grid ranges must be finite")
+            # x_min and x_max name the range's ends, as the config keys do.
             if hi <= lo:
-                raise ValueError("grid range max must exceed min")
+                raise ValueError(f"{axis}_max must exceed {axis}_min")
         if not (_is_integer(self.nx) and _is_integer(self.ny)):
             raise ValueError("grid sample counts must be integers")
-        # The message starts with the field, which a config names in full.
+        # The message names its field, which a config's error names by key.
         for name in ("nx", "ny"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be at least 2, a sample at each end of the axis")

@@ -66,16 +66,14 @@ class WaveformConfig:
     noise_psd_w_hz: float = THERMAL_NOISE_PSD
 
     def __post_init__(self):
-        # Each message starts with its field, which a config names in full.
-        for name in ("carrier_hz", "bandwidth_hz"):
+        # Each message names its field, which a config's error names by key.
+        for name in ("carrier_hz", "bandwidth_hz", "tx_power_w", "noise_psd_w_hz"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if not _is_integer(self.subcarrier_count):
             raise ValueError("subcarrier_count must be an integer")
         if self.subcarrier_count < 1 or self.subcarrier_count % 2 == 0:
             raise ValueError("subcarrier_count must be odd so indices span -N/2..N/2")
-        if not (0.0 < self.tx_power_w < math.inf and 0.0 < self.noise_psd_w_hz < math.inf):
-            raise ValueError("power and noise PSD must be positive and finite")
 
     @property
     def wavelength(self) -> float:

@@ -538,16 +538,15 @@ class TestOneDistancePass:
 
     def test_one_steering_per_score(self, scene, wave, monkeypatch):
         """The steering _score scores its designs by is the one gain_ris
-        reads: one _steering call per score, through either binding."""
+        reads: one _PathTable.steering call per score."""
         calls = []
-        steering = channel_module._steering
+        steering = channel_module._PathTable.steering
 
-        def counted(*args):
+        def counted(table, *args):
             calls.append(1)
-            return steering(*args)
+            return steering(table, *args)
 
-        monkeypatch.setattr(allocation_module, "_steering", counted)
-        monkeypatch.setattr(channel_module, "_steering", counted)
+        monkeypatch.setattr(channel_module._PathTable, "steering", counted)
         points = np.array([[x, y] for x in self.XS for y in self.YS])
         for k_bar in (0, 1, 2):
             patterns = allocation_module._patterns(len(scene.ris),

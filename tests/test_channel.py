@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rispeb import channel
 from rispeb.allocation import (
@@ -31,7 +31,13 @@ from rispeb.allocation import (
 from rispeb.channel import Path, build_pathset
 from rispeb.checks import aligned_gain, element_sum, fim_gap
 from rispeb.fim import fim_total, peb
-from rispeb.geometry import SPEED_OF_LIGHT, RisDescriptor, Scene, _mirror_crossing
+from rispeb.geometry import (
+    COINCIDENCE_LIMIT,
+    SPEED_OF_LIGHT,
+    RisDescriptor,
+    Scene,
+    _mirror_crossing,
+)
 
 
 # RIS 0 of the default scenario seen from [3.5, 5.0].
@@ -395,6 +401,34 @@ def test_grazing_departure_stays_finite_and_accurate(x, depth, scene, wave):
         assert rel(abs(path.alpha), expected) < 1e-9
     assert fim_gap(paths, wave) < 1e-5
     assert not math.isnan(peb(fim_total(paths, wave)).value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.one_of(st.floats(-5.0, 15.0), st.floats(-1e6, 1e6)),
+       depth=st.one_of(st.floats(1e-12, 1e-3), st.floats(1e-3, 9.5)))
+@example(x=1e6, depth=1e-12)
+@example(x=-1e6, depth=1e-9)
+@example(x=-1e6, depth=9.5)
+@example(x=3.0, depth=1e-12)
+@example(x=1.5, depth=1e-5)
+def test_steering_matches_independent_angles(x, depth, scene):
+    """_PathTable.steering equals sin(theta) - sin(psi) of the angles
+    themselves, both measured from the wall's normal: theta =
+    atan2(c, L) of the BS leg to the surface centered at [c, L] and
+    psi = atan2(x - c, L - y) of its leg to the user, to 1e-13. Users
+    just below the wall, where psi nears +-pi/2, and far beyond the
+    surfaces along x are drawn too."""
+    wall = scene.wall_offset
+    point = np.array([x, wall - depth])
+    assume(all(math.hypot(x - ris.center_x, wall - point[1]) > 2.0 * COINCIDENCE_LIMIT
+               for ris in scene.ris))
+    table = channel._path_table(scene, "ris")
+    steering = table.steering(point, table.distances(point))
+    assert steering.shape == (len(scene.ris),)
+    for k, ris in enumerate(scene.ris):
+        theta = math.atan2(ris.center_x, wall)
+        psi = math.atan2(x - ris.center_x, wall - point[1])
+        assert abs(steering[k] - (math.sin(theta) - math.sin(psi))) <= 1e-13, k
 
 
 @pytest.mark.parametrize("depth", [1e-9, 1e-12])

@@ -26,7 +26,13 @@ import rispeb.waveform
 from rispeb.allocation import build_allocation, feasible_activations
 from rispeb.channel import build_pathset
 from rispeb.cli import _point_report, main
-from rispeb.config import DEFAULT_CONFIG_RESOURCE, default_config, dump_config, loads_config
+from rispeb.config import (
+    DEFAULT_CONFIG_RESOURCE,
+    default_config,
+    dump_config,
+    dumps_config,
+    loads_config,
+)
 from rispeb.fim import PebValue, count_resolvable_paths, fim_total, peb
 from rispeb.sweep import CDF_HEADER, MAP_HEADER
 
@@ -738,7 +744,8 @@ class TestParseOnce:
     def test_console_script_checks(self, capsys, tmp_path):
         """The console-script checks of CI: an extra word, the help, a
         position too far for the carrier phase, one farther than float
-        max under -W error, and one too far for a 1 GHz amplitude."""
+        max under -W error, one too far for a 1 GHz amplitude, and a
+        reflection coefficient the model refuses, which names its key."""
         with pytest.raises(SystemExit) as exc:
             main(["point", "3.5", "5.0", "extra"])
         captured = capsys.readouterr()
@@ -756,3 +763,9 @@ class TestParseOnce:
         path = tmp_path / "c1g.cfg"
         dump_config(dataclasses.replace(default_config(), carrier_hz=1e9), path)
         assert run(capsys, "point", "1e306", "5", "--config", str(path))[:2] == (2, "")
+        path = tmp_path / "bad_gamma.cfg"
+        path.write_text(dumps_config(default_config()).replace("reflector_gamma = 0.3",
+                                                               "reflector_gamma = 2.0"))
+        code, out, err = run(capsys, "point", "3.5", "5", "--mode", "reflector",
+                             "--config", str(path))
+        assert (code, out) == (2, "") and "scene.reflector_gamma" in err

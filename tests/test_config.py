@@ -24,6 +24,9 @@ from rispeb.config import (
     load_config,
     loads_config,
 )
+from rispeb.geometry import ReflectorDescriptor, Scene
+from rispeb.sweep import GridSpec
+from rispeb.waveform import WaveformConfig
 
 
 class TestDefault:
@@ -261,13 +264,48 @@ class TestErrors:
         ({"carrier_hz": -1.0}, "waveform.carrier_hz"),
         ({"subcarrier_count": 128}, "waveform.subcarrier_count"),
         ({"nx": 1}, "grid.nx"),
-    ], ids=["zero_bandwidth", "negative_carrier", "even_subcarrier_count", "one_sample"])
+        ({"wall_offset_m": -1.0}, "scene.wall_offset_m"),
+        ({"reflector_gamma": 2.0}, "scene.reflector_gamma"),
+        ({"reflector_h1_m": 7.0}, "scene.reflector_h1_m"),
+        ({"scatter_rcs_m2": -1.0}, "scene.scatter_rcs_m2"),
+        ({"x_max_m": -10.0}, "grid.x_max_m"),
+        ({"y_min_m": 9.8}, "grid.y_min_m"),
+        ({"ris_centers_x_m": (1.0, 2.0, 4.0)}, "scene.ris_centers_x_m"),
+        ({"ris_centers_x_m": (2.0, 1.0)}, "scene.ris_centers_x_m"),
+        ({"power_dbm": -4000.0}, "waveform.power_dbm"),
+    ], ids=["zero_bandwidth", "negative_carrier", "even_subcarrier_count", "one_sample",
+            "negative_wall", "gamma_above_one", "h1_above_h2", "negative_rcs", "x_max_below_min",
+            "y_min_above_max", "uneven_centers", "decreasing_centers", "power_underflow"])
     def test_model_errors_name_their_key(self, overrides, key):
         """A value the model objects refuse, not RunConfig's own checks,
-        names its key too."""
+        names its key too, in a file's error as in an override's."""
         with pytest.raises(ConfigError) as caught:
             dataclasses.replace(default_config(), **overrides)
         assert key in str(caught.value)
+        text = dumps_config(default_config())
+        for name, value in overrides.items():
+            value = ", ".join(map(str, value)) if isinstance(value, tuple) else value
+            text = re.sub(rf"(?m)^{name} = .*$", f"{name} = {value}", text)
+        with pytest.raises(ConfigError) as caught:
+            loads_config(text, source="bad.cfg")
+        assert str(caught.value).startswith("bad.cfg: ") and key in str(caught.value)
+
+    @pytest.mark.parametrize("build, rule", [
+        (lambda: Scene(wall_offset=-1.0), "wall offset must be positive and finite"),
+        (lambda: ReflectorDescriptor(h1=7.0, h2=6.0, gamma=0.3), "reflector needs finite h1 < h2"),
+        (lambda: ReflectorDescriptor(h1=1.0, h2=6.0, gamma=2.0),
+         "reflection coefficient must lie in [0, 1]"),
+        (lambda: GridSpec(x_range=(0.0, -10.0), y_range=(0.5, 9.5), nx=2, ny=2),
+         "x_max must exceed x_min"),
+        (lambda: WaveformConfig(carrier_hz=28e9, bandwidth_hz=1e8, subcarrier_count=129,
+                                tx_power_w=0.0), "tx_power_w must be positive and finite"),
+    ], ids=["wall", "h1_above_h2", "gamma", "x_range", "power"])
+    def test_model_errors_state_their_rule(self, build, rule):
+        """A library caller, who sets the model objects' fields, reads the
+        rule in the model's own terms."""
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == rule
 
     def test_integer_keys_are_held_as_ints(self):
         """A numpy integer is held as the int a file would give."""

@@ -137,7 +137,8 @@ def pathset(scene, x, mode):
 
 class TestDegeneracy:
     """A position within COINCIDENCE_LIMIT of an anchor fails, naming the
-    first such anchor in path order, in build_pathset and select_ris."""
+    first such anchor in path order, in build_pathset, select_ris and
+    build_allocation."""
 
     def test_bs_coincidence(self, scene, cfg, wave):
         for mode in MODES:
@@ -155,11 +156,12 @@ class TestDegeneracy:
             pathset(scene, x, "ris")
         with pytest.raises(DegeneratePositionError, match=message):
             select_ris(scene, x, wave, cfg.selection_constraints())
-        # Steering checks the anchors of the surfaces it steers only.
-        with pytest.raises(DegeneratePositionError, match=message):
-            build_allocation(scene, x, WAVE, tuple(int(i == k) for i in range(5)))
-        other = (k + 1) % 5
-        build_allocation(scene, x, WAVE, tuple(int(i == other) for i in range(5)))
+        # Steering checks every anchor of the RIS path table, whichever
+        # surfaces it steers.
+        for bits in ((0,) * 5, tuple(int(i == k) for i in range(5)),
+                     tuple(int(i == (k + 1) % 5) for i in range(5))):
+            with pytest.raises(DegeneratePositionError, match=message):
+                build_allocation(scene, x, WAVE, bits)
 
     def test_scatterer_coincidence(self, scene):
         x = [scene.scatterer.x, scene.wall_offset - 5e-7]
@@ -170,10 +172,32 @@ class TestDegeneracy:
         assert np.isfinite(pathset(scene, x, "reflector").alpha).all()
 
     def test_steering_at_the_bs(self, scene):
-        """Steering reads the surfaces' anchors only: a design point at the
-        BS is fine."""
-        allocation = build_allocation(scene, (0.0, 0.0), WAVE, (1, 0, 0, 0, 0))
-        assert allocation.design[0] != 0.0
+        """A design point at the BS is refused, as a user position there
+        is, with a surface active or none."""
+        for bits in ((1, 0, 0, 0, 0), (0,) * 5):
+            with pytest.raises(DegeneratePositionError,
+                               match=r"^position coincides with the BS$"):
+                build_allocation(scene, (0.0, 0.0), WAVE, bits)
+
+    def test_one_coincidence_rule(self, scene, cfg, wave):
+        """build_allocation, build_pathset and select_ris refuse the same
+        positions with the same message: the BS and each RIS center,
+        within COINCIDENCE_LIMIT, in a batch too."""
+        constraints = cfg.selection_constraints()
+        allocation = build_allocation(scene, (3.5, 5.0), wave, (1, 0, 0, 1, 0))
+        anchors = [("the BS", 0.0, 0.0)] + [(f"RIS {k} center", ris.center_x, scene.wall_offset)
+                                            for k, ris in enumerate(scene.ris)]
+        for name, ax, ay in anchors:
+            x = (ax + 4e-7, ay - 5e-7)
+            messages = set()
+            for refused in (lambda: build_allocation(scene, x, wave, (0, 1, 0, 0, 1)),
+                            lambda: build_allocation(scene, [(3.5, 5.0), x], wave, (1,) * 5),
+                            lambda: build_pathset(scene, allocation, x, wave, "ris"),
+                            lambda: select_ris(scene, x, wave, constraints)):
+                with pytest.raises(DegeneratePositionError) as caught:
+                    refused()
+                messages.add(str(caught.value))
+            assert messages == {f"position coincides with {name}"}
 
     def test_missing_object_is_named_before_any_anchor(self, scene):
         """A baseline mode whose object the scene lacks fails as such, at
